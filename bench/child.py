@@ -7,10 +7,12 @@ run.py starts this script in a fresh process, with ``src`` on PYTHONPATH:
 A run is a sequence of rounds until the time budget is spent.  A round sets
 up every scenario (load_config + build + target + sensitivity), runs every
 operation of the workload, then checks the outputs; a fixed reference task
-is timed before the setup, before each operation and after the last.  The timed operations are only the
-calls a user makes; the checks run after them.  With tracing on, untraced
-and traced rounds alternate: the untraced ones give the solve time against
-which the tracing overhead is measured.
+is timed before the setup, before each operation and after the last.  The
+timed operations are only the calls a user makes; the checks run after them.
+With tracing on, untraced and traced rounds alternate.  The tracer's wrappers
+are installed only for the operations of a traced round, so the untraced
+rounds run unpatched code and give the solve time against which the tracing
+overhead is measured.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class Run:
         self.scenarios = plan["scenarios"]
         self.root = Path(plan["out"]) / "rounds"
         self.tracer = Tracer() if plan["trace"] else None
-        self.missing_hooks = self.tracer.install() if self.tracer else []
+        self.missing_hooks: list[str] = []
         self.rounds: list[dict] = []
         self.first_values: dict[tuple[str, str], object] = {}
         self.problems: list[str] = []
@@ -167,6 +169,7 @@ class Run:
 
         tracer = self.tracer
         if traced:
+            self.missing_hooks = tracer.install()
             tracer.reset()
             tracer.recording = True
         results = []
@@ -188,6 +191,7 @@ class Run:
         solve_s = sum(result[-1] for result in results)
         if traced:
             tracer.recording = False
+            tracer.uninstall()
         references.append(timed_reference())
 
         for scenario, spec_parts in zip(self.scenarios, built):
@@ -325,7 +329,6 @@ def main(argv) -> int:
             break
     shutil.rmtree(run.root, ignore_errors=True)
     if run.tracer is not None:
-        run.tracer.uninstall()
         with open(Path(plan["out"]) / "spans.json", "w", encoding="utf-8") as fh:
             json.dump({"fields": ["round", "name", "start", "end", "parent"], "spans": run.spans}, fh)
     result = {

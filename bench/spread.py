@@ -1,8 +1,9 @@
 """Run-to-run spread of the end-to-end metrics over several seeds.
 
-    python3 bench/spread.py --workload markov-long --seeds 1-10 [--seconds 30]
+    python3 bench/spread.py --workload markov-long --seeds 1-10
 
-Runs bench/run.py once per seed, one run at a time, and prints for each
+Runs bench/run.py once per seed, one run at a time, untraced and for the
+``run_seconds`` of BENCHMARK.json, and prints for each
 metric the median, the quartiles and the spread: the distance between the
 first and third quartile as a share of the median.  A metric whose spread
 is more than a third of its bound in BENCHMARK.json is marked.
@@ -31,17 +32,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--seconds", type=int)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in declared["end_to_end"]}
 
     values: dict[str, list[float]] = {}
     for seed in args.seeds:
         command = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", args.workload,
-                   "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace)]
+                   "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
         done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=False)
         if done.returncode != 0:
             print(f"seed {seed}: exit {done.returncode}\n{done.stderr}", file=sys.stderr)

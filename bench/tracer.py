@@ -21,6 +21,8 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+PACKAGE = "seqbound"
+
 # Public functions recorded as spans, by layer (= module of seqbound).
 SPANNED = {
     "config": (
@@ -208,25 +210,25 @@ class Tracer:
 
     # ------------------------------------------------------------- patching
 
-    def _replace_everywhere(self, target, wrapper, package: str) -> None:
+    def _replace_everywhere(self, target, wrapper) -> None:
         for mod_name, module in list(sys.modules.items()):
-            if module is None or not (mod_name == package or mod_name.startswith(package + ".")):
+            if module is None or not (mod_name == PACKAGE or mod_name.startswith(PACKAGE + ".")):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is target:
                     self._undo.append((module, attr, value))
                     setattr(module, attr, wrapper)
 
-    def install(self, package: str = "seqbound") -> list[str]:
+    def install(self) -> list[str]:
         """Patch every listed public function; return the names not found."""
         missing = []
-        hooks = _Hooks(self, importlib.import_module(package + ".influence"))
+        hooks = _Hooks(self, importlib.import_module(PACKAGE + ".influence"))
         if hooks.enumeration_cost is None:
             missing.append("influence.influence_enumeration_cost")
         listed = [(layer, names, False) for layer, names in SPANNED.items()]
         listed += [(layer, names, True) for layer, names in COUNTED.items()]
         for layer, names, hot in listed:
-            module = importlib.import_module(f"{package}.{layer}")
+            module = importlib.import_module(f"{PACKAGE}.{layer}")
             for qualname in names:
                 owner_name, _, attr = qualname.rpartition(".")
                 owner = getattr(module, owner_name, None) if owner_name else module
@@ -243,7 +245,7 @@ class Tracer:
                     self._undo.append((owner, attr, fn))
                     setattr(owner, attr, wrapper)
                 else:
-                    self._replace_everywhere(fn, wrapper, package)
+                    self._replace_everywhere(fn, wrapper)
         return missing
 
     def uninstall(self) -> None:
