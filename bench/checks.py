@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 from seqbound.bounds import TailBound
+from seqbound.coupling import MARGINAL_SIGMAS, RECURSION_SIGMAS
 from seqbound.sampling import check_tail_domination
 from seqbound.window import CALIBRATION_TOLERANCE
 
@@ -27,6 +28,22 @@ EXPECTED_BOUNDS = {
 # An influence entry is an exact total-variation distance; the CSV keeps
 # 12 significant digits.
 INFLUENCE_TOLERANCE = 1e-10
+
+# verify tests each Monte Carlo coordinate at RECURSION_SIGMAS or
+# MARGINAL_SIGMAS standard errors with no correction for the dozens of
+# coordinates per scenario, so on a correct program about 2.5% of verify
+# scenarios fail a Monte Carlo row by chance.  Such a row is a false alarm,
+# not a wrong output, as long as its deviation stays below ALARM_SIGMAS
+# standard errors (probability about 6e-7 per row).
+ALARM_SIGMAS = 5.0
+# Monte Carlo rows of verification.csv: the standard error behind each row's
+# allowance is its bound divided by this number of sigmas.
+MC_ROW_SIGMAS = {
+    "discrepancy_mc_exact": RECURSION_SIGMAS,
+    "coupling_marginal_y": MARGINAL_SIGMAS,
+    "coupling_marginal_z": MARGINAL_SIGMAS,
+    "coupling_disagreement": MARGINAL_SIGMAS,
+}
 
 
 def _rows(path) -> list[dict]:
@@ -153,6 +170,42 @@ def check_tail(estimate, proxies: dict[str, float | None], n_samples: int) -> li
         if not report.passed:
             problems.append(f"empirical tail exceeds bound {name} at {len(report.failures())} thresholds")
     return problems
+
+
+def check_verification(path) -> tuple[list[str], list[str]]:
+    """Problems and false alarms among the failed rows of verification.csv.
+
+    A failed row is a false alarm when it is a Monte Carlo row whose
+    deviation is at most ALARM_SIGMAS standard errors; every other failed
+    row, an exact check above all, is a problem.  A discrepancy_mc_bound
+    row takes its standard error from the discrepancy_mc_exact row of the
+    same (k, j).
+    """
+    rows = _rows(path)
+    if not rows:
+        return ["verification.csv has no rows"], []
+    sigma = {}
+    for row in rows:
+        if row["check"] in MC_ROW_SIGMAS:
+            sigma[(row["check"], row["k"], row["j"])] = float(row["bound"]) / MC_ROW_SIGMAS[row["check"]]
+    problems, alarms = [], []
+    for row in rows:
+        if row["pass"] == "1":
+            continue
+        check, observed, bound = row["check"], float(row["observed"]), float(row["bound"])
+        where = f"{check} k={row['k']} j={row['j']}: observed {observed!r}, bound {bound!r}"
+        if check == "discrepancy_mc_bound":
+            se, excess = sigma.get(("discrepancy_mc_exact", row["k"], row["j"]), 0.0), observed - bound
+        elif check in MC_ROW_SIGMAS:
+            se, excess = sigma[(check, row["k"], row["j"])], observed
+        else:
+            problems.append(f"failed exact check {where}")
+            continue
+        if se > 0.0 and excess <= ALARM_SIGMAS * se:
+            alarms.append(f"{where} ({excess / se:.2f} standard errors)")
+        else:
+            problems.append(f"failed Monte Carlo check {where} by more than {ALARM_SIGMAS} standard errors")
+    return problems, alarms
 
 
 def check_same_files(first: Path, again: Path) -> list[str]:

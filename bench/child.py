@@ -71,10 +71,17 @@ def run_operation(op: str, path: str, out: Path):
 
 
 def check_operation(op: str, scenario: dict, out: Path, value, first_value, first_out: Path | None):
+    """Problems with one operation's outputs, and the Monte Carlo false alarms
+    of a verify run (see checks.check_verification)."""
     doc = scenario["doc"]
-    if op in CLI_OPERATIONS and value != 0:
-        return [f"{op} exited {value}"]
     problems: list[str] = []
+    alarms: list[str] = []
+    if op == "verify" and value in (0, 1):
+        problems, alarms = checks.check_verification(out / "verification.csv")
+        if value != (1 if problems or alarms else 0):
+            problems.append(f"verify exited {value} but verification.csv has {len(problems) + len(alarms)} failed rows")
+    elif op in CLI_OPERATIONS and value != 0:
+        return [f"{op} exited {value}"], alarms
     if op == "matrix" and doc["scenario"]["family"] == "markov":
         problems += checks.check_markov_influence(out / "influence.csv", doc)
     elif op == "bounds":
@@ -91,7 +98,7 @@ def check_operation(op: str, scenario: dict, out: Path, value, first_value, firs
             problems.append("tail estimate differs from the first run of the same seed")
     if first_out is not None:
         problems += checks.check_same_files(first_out, out)
-    return problems
+    return problems, alarms
 
 
 # Host speed on a shared machine drifts by up to 45% between runs, over
@@ -135,6 +142,9 @@ class Run:
         self.rounds: list[dict] = []
         self.first_values: dict[tuple[str, str], object] = {}
         self.problems: list[str] = []
+        # Monte Carlo false alarms of each (scenario, operation); they repeat
+        # exactly from round to round.
+        self.alarms: dict[tuple[str, str], list[str]] = {}
         self.attempted = 0
         self.failed = 0
         self.spans: list[list] = []
@@ -208,7 +218,9 @@ class Run:
             if error is not None:
                 problems = [error]
             else:
-                problems = check_operation(op, scenario, out, value, self.first_values.get(key), first_out)
+                problems, self.alarms[key] = check_operation(
+                    op, scenario, out, value, self.first_values.get(key), first_out
+                )
             if problems:
                 self._fail(f"{scenario['name']} {op}", problems)
             if index == 0 and op == "tail":
@@ -264,6 +276,7 @@ def summarize(run: Run) -> dict:
         "solve_wall_s": _median([r["solve_s"] for r in plain]),
         "reference_s": _median([r["reference_s"] for r in run.rounds]),
         "fail_frac": run.failed / run.attempted if run.attempted else 1.0,
+        "verify_mc_alarms": sum(len(alarms) for alarms in run.alarms.values()),
     }
     op_times: dict[str, list[float]] = defaultdict(list)
     for r in plain:
@@ -336,6 +349,7 @@ def main(argv) -> int:
         "attempted": run.attempted,
         "failed": run.failed,
         "problems": run.problems,
+        "alarms": [f"{name} {op}: {alarm}" for (name, op), alarms in run.alarms.items() for alarm in alarms],
         "missing_hooks": run.missing_hooks,
         "rounds": run.rounds,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

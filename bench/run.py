@@ -138,6 +138,8 @@ def main(argv=None) -> int:
         print(f"  {name} = {metrics[name]:.6g} {unit_of(name)}")
     for problem in result["problems"]:
         print(f"  FAILED {problem}")
+    for alarm in result["alarms"]:
+        print(f"  verify false alarm, a Monte Carlo row that failed by chance: {alarm}")
     for hook in result["missing_hooks"]:
         print(f"  missing hook {hook}: its metrics are not reported")
 

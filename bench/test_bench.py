@@ -251,3 +251,54 @@ def test_window_checks(window_outputs, tmp_path):
     short = _copy(base / "sweep", tmp_path / "short") / "sweep.csv"
     _edit_lines(short, lambda lines: lines[:-1])
     assert checks.check_sweep(short, doc)
+
+
+@pytest.fixture(scope="module")
+def verify_outputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("verify")
+    markov = next(s for s in workloads.generate("verify-exact", 5) if s.name == "markov")
+    markov.doc["scenario"]["horizon"] = 6
+    markov.doc["run"]["n_samples"] = 2000
+    path = _write(markov.doc, base / "m.yaml")
+    code = cli_main(["verify", "--config", path, "--out", str(base / "verify")])
+    return code, base / "verify"
+
+
+def _set_row(path: Path, check: str, j: str, scale: float) -> None:
+    """Fail the first row of `check` at coordinate j, its observed value set
+    to `scale` times its bound."""
+
+    def edit(lines):
+        out, done = [], False
+        for line in lines:
+            cells = line.rstrip("\n").split(",")
+            if not done and cells[0] == check and cells[2] == j:
+                cells[3], cells[6], done = repr(float(cells[4]) * scale), "0", True
+            out.append(",".join(cells) + "\n")
+        assert done
+        return out
+
+    _edit_lines(path, edit)
+
+
+def test_verification_check(verify_outputs, tmp_path):
+    code, out = verify_outputs
+    good = out / "verification.csv"
+    problems, alarms = checks.check_verification(good)
+    assert problems == []
+    assert (code == 1) == bool(alarms)
+
+    # A Monte Carlo row 4 standard errors out is a false alarm; 6 is a problem.
+    sigmas = checks.MC_ROW_SIGMAS["discrepancy_mc_exact"]
+    chance = _copy(out, tmp_path / "chance") / "verification.csv"
+    _set_row(chance, "discrepancy_mc_exact", "2", 4.0 / sigmas)
+    problems, alarms = checks.check_verification(chance)
+    assert problems == [] and any("j=2" in alarm for alarm in alarms)
+
+    far = _copy(out, tmp_path / "far") / "verification.csv"
+    _set_row(far, "discrepancy_mc_exact", "2", 6.0 / sigmas)
+    assert checks.check_verification(far)[0]
+
+    exact = _copy(out, tmp_path / "exact") / "verification.csv"
+    _set_row(exact, "discrepancy_exact", "2", 1.0 + 1e-6)
+    assert any("exact check" in p for p in checks.check_verification(exact)[0])
