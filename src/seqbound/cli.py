@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import compare_bounds, sparse_terminal_tail, scalar_collapse_tail
+from .bounds import compare_bounds
 from .config import MAX_SEED, RunSettings, ScenarioConfig, load_config
 from .coupling import (
     verify_coupling_marginals,
@@ -34,14 +34,13 @@ from .coupling import (
 )
 from .errors import CalibrationError, ConfigError, EnumerationBudgetError
 from .influence import (
-    column_sum_alpha,
     dobrushin_coefficient,
     influence_enumeration_cost,
     interdependence_matrix,
 )
 from .process import DEFAULT_ENUMERATION_BUDGET, ProcessSpec
 from .report import format_number, merge_reports, write_csv
-from .resolvent import causal_resolvent, operator_norms, spectral_decay, variance_proxy
+from .resolvent import causal_resolvent, operator_norms, spectral_decay
 from .sampling import (
     TAIL_HEADER,
     check_tail_domination,
@@ -310,15 +309,11 @@ def cmd_sweep(args) -> int:
         spec = config.build(horizon=horizon)
         f = config.target(horizon)
         c = config.sensitivity(spec, f)
-        infl = interdependence_matrix(spec, budget=config.run.budget)
-        gamma = causal_resolvent(infl)
-        exact = variance_proxy(gamma, c)
-        scalar = scalar_collapse_tail(gamma, c).proxy
-        alpha = column_sum_alpha(infl)
-        if c.shape[0] >= 1 and np.all(c[:-1] == 0.0) and alpha < 1.0:
-            sparse = sparse_terminal_tail(alpha, float(c[-1])).proxy
-        else:
-            sparse = None
+        report = compare_bounds(spec, f=f, c=c, budget=config.run.budget)
+        exact = report["exact"].proxy
+        scalar = report["scalar_collapse"].proxy
+        # Only terminal-sparse sensitivities get a sparse_terminal row.
+        sparse = next((b.proxy for b in report.bounds if b.name == "sparse_terminal"), None)
         rows.append((horizon, exact, scalar, sparse))
         print(
             f"N={horizon}: exact {format_number(exact)}, scalar collapse "

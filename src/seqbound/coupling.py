@@ -20,6 +20,7 @@ from .influence import interdependence_matrix, tv_distance
 from .process import (
     Alphabet,
     ProcessSpec,
+    conditional_expectation,
     ensure_budget,
     kernel_at,
     prefix_expectation_table,
@@ -65,6 +66,16 @@ def _clean_distribution(vec, name: str) -> np.ndarray:
 # ============================================================
 
 
+def _coupling_parts(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Overlap min(mu, nu), excess mu - overlap and deficit nu - overlap."""
+    p = _clean_distribution(mu, "mu")
+    q = _clean_distribution(nu, "nu")
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    overlap = np.minimum(p, q)
+    return overlap, p - overlap, q - overlap
+
+
 def maximal_coupling_joint(mu, nu) -> np.ndarray:
     """Joint law attaining P(y != z) = TV(mu, nu) with the given marginals.
 
@@ -72,66 +83,29 @@ def maximal_coupling_joint(mu, nu) -> np.ndarray:
     is paired with the residual deficit via an outer product.  The residual
     supports are disjoint, so all off-diagonal mass disagrees.
     """
-    p = _clean_distribution(mu, "mu")
-    q = _clean_distribution(nu, "nu")
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    overlap = np.minimum(p, q)
+    overlap, excess, deficit = _coupling_parts(mu, nu)
     joint = np.diag(overlap)
-    excess = p - overlap
-    deficit = q - overlap
     tv = float(excess.sum())
     if tv > 0.0:
         joint = joint + np.outer(excess, deficit) / tv
     return np.clip(joint, 0.0, None)
 
 
-def _draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, weights.shape[0] - 1)
-
-
-def maximal_coupling_step(mu, nu, randomness: np.random.Generator) -> tuple[int, int]:
-    """One draw (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
+def maximal_coupling_draws(
+    mu, nu, n_draws: int, randomness: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n_draws pairs (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
 
     With probability 1 - TV a shared symbol is drawn from the normalized
     overlap min(mu, nu); otherwise y and z come independently from the
     normalized residuals, whose supports are disjoint.  TV = 1 skips the
-    overlap branch entirely.
+    overlap branch entirely.  Each draw consumes three uniforms.
     """
-    p = _clean_distribution(mu, "mu")
-    q = _clean_distribution(nu, "nu")
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    overlap = np.minimum(p, q)
-    shared = min(float(overlap.sum()), 1.0)
-    excess = p - overlap
-    deficit = q - overlap
-    if shared > 0.0 and (excess.sum() <= 0.0 or randomness.random() < shared):
-        y = _draw(overlap, randomness)
-        return y, y
-    y = _draw(excess, randomness)
-    z = _draw(deficit, randomness)
-    return y, z
-
-
-def maximal_coupling_draws(
-    mu, nu, n_draws: int, randomness: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of maximal-coupling draws; same construction as
-    maximal_coupling_step, three uniforms per draw."""
-    p = _clean_distribution(mu, "mu")
-    q = _clean_distribution(nu, "nu")
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    overlap, excess, deficit = _coupling_parts(mu, nu)
     n = int(n_draws)
     if n < 1:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
-    overlap = np.minimum(p, q)
     shared = min(float(overlap.sum()), 1.0)
-    excess = p - overlap
-    deficit = q - overlap
 
     u_branch = randomness.random(n)
     u_left = randomness.random(n)
@@ -146,7 +120,7 @@ def maximal_coupling_draws(
     else:
         take_shared = np.zeros(n, dtype=bool)
 
-    size = p.shape[0]
+    size = overlap.shape[0]
     if take_shared.any():
         cum = np.cumsum(overlap)
         sym = np.minimum(
@@ -168,59 +142,8 @@ def maximal_coupling_draws(
 
 
 # ============================================================
-# Coupled trajectories from a pivot step
+# The coupled pair as a process over the squared alphabet
 # ============================================================
-
-
-@dataclass(frozen=True)
-class CouplingStep:
-    """One step of a coupled pair: symbols y, z and whether they disagree."""
-
-    step: int
-    y: int
-    z: int
-    disagree: bool
-
-    def __post_init__(self) -> None:
-        if self.disagree != (self.y != self.z):
-            raise ValueError("disagree flag must equal (y != z)")
-
-
-@dataclass(frozen=True)
-class CouplingTrace:
-    """A coupled rollout: shared prefix, pivot states, per-step records."""
-
-    pivot: int
-    prefix: tuple[int, ...]
-    pivot_states: tuple[int, int]
-    steps: tuple[CouplingStep, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.prefix) != self.pivot - 1:
-            raise ValueError(
-                f"prefix must have length pivot-1 = {self.pivot - 1}, got {len(self.prefix)}"
-            )
-        if not self.steps or self.steps[0].step != self.pivot:
-            raise ValueError("steps must start at the pivot")
-        for before, after in zip(self.steps, self.steps[1:]):
-            if after.step != before.step + 1:
-                raise ValueError("steps must be consecutive")
-        first = self.steps[0]
-        if (first.y, first.z) != tuple(self.pivot_states):
-            raise ValueError("first step must carry the pivot states")
-
-    def y_path(self) -> tuple[int, ...]:
-        return self.prefix + tuple(s.y for s in self.steps)
-
-    def z_path(self) -> tuple[int, ...]:
-        return self.prefix + tuple(s.z for s in self.steps)
-
-    def disagreement_vector(self) -> np.ndarray:
-        """0/1 indicator per coordinate 1..N; the shared prefix is all zeros."""
-        out = np.zeros(len(self.prefix) + len(self.steps))
-        for s in self.steps:
-            out[s.step - 1] = 1.0 if s.disagree else 0.0
-        return out
 
 
 def _check_pivot_args(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tuple[int, ...]:
@@ -234,30 +157,6 @@ def _check_pivot_args(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tup
         if not 0 <= a < size:
             raise ValueError(f"symbol {a} outside alphabet of size {size}")
     return pre
-
-
-def coupled_rollout(
-    spec: ProcessSpec, k: int, prefix, x: int, xp: int, randomness: np.random.Generator
-) -> CouplingTrace:
-    """One coupled pair of trajectories, maximally coupled at each step after k."""
-    pre = _check_pivot_args(spec, k, prefix, x, xp)
-    x, xp = int(x), int(xp)
-    y_hist = pre + (x,)
-    z_hist = pre + (xp,)
-    steps = [CouplingStep(step=k, y=x, z=xp, disagree=x != xp)]
-    for j in range(k + 1, spec.horizon + 1):
-        mu = kernel_at(spec, j, y_hist)
-        nu = kernel_at(spec, j, z_hist)
-        y, z = maximal_coupling_step(mu, nu, randomness)
-        steps.append(CouplingStep(step=j, y=y, z=z, disagree=y != z))
-        y_hist += (y,)
-        z_hist += (z,)
-    return CouplingTrace(pivot=k, prefix=pre, pivot_states=(x, xp), steps=tuple(steps))
-
-
-# ============================================================
-# The coupled pair as a process over the squared alphabet
-# ============================================================
 
 
 def coupled_pair_process(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> ProcessSpec:
@@ -398,18 +297,6 @@ def discrepancy_bound(h, k: int) -> np.ndarray:
 # ============================================================
 
 
-def _suffix_expectation(spec: ProcessSpec, fn, hist: tuple[int, ...]) -> float:
-    if len(hist) == spec.horizon:
-        return float(fn(hist))
-    vec = kernel_at(spec, len(hist) + 1, hist)
-    total = 0.0
-    for a in range(spec.alphabet.size):
-        p = float(vec[a])
-        if p != 0.0:
-            total += p * _suffix_expectation(spec, fn, hist + (a,))
-    return total
-
-
 def exact_oscillation(
     spec: ProcessSpec, f, k: int, prefix, budget: int | None = None
 ) -> float:
@@ -419,10 +306,9 @@ def exact_oscillation(
     conditional law of the suffix is defined by the kernels alone.
     """
     pre = _check_pivot_args(spec, k, prefix, 0, 0)
-    fn = getattr(f, "evaluate", f)
     n, size = spec.horizon, spec.alphabet.size
     ensure_budget(size ** (n - k + 1), budget, "exact oscillation enumeration")
-    values = [_suffix_expectation(spec, fn, pre + (a,)) for a in range(size)]
+    values = [conditional_expectation(spec, f, pre + (a,)) for a in range(size)]
     return max(values) - min(values)
 
 

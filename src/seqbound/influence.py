@@ -60,16 +60,22 @@ def tv_distance(mu, nu) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+def _max_pairwise_tv(rows: np.ndarray) -> float:
+    """Largest TV distance between two slices along axis 0, each slice holding
+    probability vectors along the last axis at matching positions."""
+    best = 0.0
+    for x in range(rows.shape[0] - 1):
+        diffs = 0.5 * np.abs(rows[x + 1:] - rows[x]).sum(axis=-1)
+        best = max(best, float(diffs.max()))
+    return best
+
+
 def dobrushin_coefficient(transition) -> float:
     """Largest TV distance between rows of a transition matrix."""
     p = np.asarray(transition, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"transition must be a matrix, got shape {p.shape}")
-    best = 0.0
-    for x in range(p.shape[0] - 1):
-        diffs = 0.5 * np.abs(p[x + 1:] - p[x]).sum(axis=1)
-        best = max(best, float(diffs.max()))
-    return best
+    return _max_pairwise_tv(p)
 
 
 def influence_enumeration_cost(spec: ProcessSpec, prune: bool = True) -> int:
@@ -108,11 +114,7 @@ def interdependence_matrix(
             table[assign] = kernel_at(spec, j, tuple(hist))
         for pos, coord in enumerate(coords):
             flat = np.moveaxis(table, pos, 0).reshape(size, -1, size)
-            best = 0.0
-            for x in range(size - 1):
-                diffs = 0.5 * np.abs(flat[x + 1:] - flat[x]).sum(axis=-1)
-                best = max(best, float(diffs.max()))
-            out[coord - 1, j - 1] = best
+            out[coord - 1, j - 1] = _max_pairwise_tv(flat)
     return InterdependenceMatrix(out)
 
 

@@ -29,6 +29,22 @@ PROBABILITY_TOLERANCE = 1e-12
 Kernel = Callable[[int, tuple[int, ...]], Sequence[float]]
 
 
+def _check_distributions(arr: np.ndarray, name: str, ndim: int) -> None:
+    """Raise ValueError unless ``arr`` has ``ndim`` nonempty axes and every row
+    along its last axis is a probability vector: no entry below
+    -PROBABILITY_TOLERANCE and a sum within PROBABILITY_TOLERANCE of 1.
+
+    A non-finite entry makes the minimum or its row's sum NaN or infinite,
+    which fails both comparisons, so it needs no separate scan.
+    """
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
+    low = arr.min()
+    error = np.abs(arr.sum(axis=-1, keepdims=True) - 1.0).max()
+    if not (low >= -PROBABILITY_TOLERANCE and error <= PROBABILITY_TOLERANCE):
+        raise ValueError(f"{name} is not a probability vector (min {low}, row-sum error {error})")
+
+
 def ensure_budget(required: int, budget: int | None, task: str) -> int:
     """Check an evaluation count against the budget before doing the work."""
     limit = DEFAULT_ENUMERATION_BUDGET if budget is None else int(budget)
@@ -128,13 +144,7 @@ def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarra
     vec = np.array(spec.kernel(step, hist), dtype=float)
     if vec.shape != (size,):
         raise ValueError(f"kernel at step {step} returned shape {vec.shape}, expected ({size},)")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"kernel at step {step} returned non-finite entries")
-    total = float(vec.sum())
-    if float(vec.min()) < -PROBABILITY_TOLERANCE or abs(total - 1.0) > PROBABILITY_TOLERANCE:
-        raise ValueError(
-            f"kernel at step {step} is not a probability vector (min {vec.min()}, sum {total})"
-        )
+    _check_distributions(vec, f"kernel at step {step}", ndim=1)
     np.clip(vec, 0.0, None, out=vec)
     vec.setflags(write=False)
     spec._kernel_cache[key] = vec
@@ -181,10 +191,15 @@ def enumeration_cost(horizon: int, size: int) -> int:
     return size ** horizon
 
 
-def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:
-    """Exact E[f(X)] by depth-first enumeration of positive-probability paths."""
+def conditional_expectation(spec: ProcessSpec, f, prefix: tuple[int, ...]) -> float:
+    """E[f(X) | X_{1:k} = prefix] by depth-first enumeration of the
+    positive-probability suffixes.
+
+    The prefix itself may have probability zero: the conditional law of the
+    suffix is defined by the kernels alone.  Callers check the
+    |A|^(N-k) enumeration cost against their budget first.
+    """
     fn = getattr(f, "evaluate", f)
-    ensure_budget(enumeration_cost(spec.horizon, spec.alphabet.size), budget, "exact expectation")
     size = spec.alphabet.size
 
     def visit(prefix: tuple[int, ...], weight: float) -> float:
@@ -198,7 +213,13 @@ def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:
                 total += visit(prefix + (a,), weight * p)
         return total
 
-    return visit((), 1.0)
+    return visit(tuple(prefix), 1.0)
+
+
+def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:
+    """Exact E[f(X)] by depth-first enumeration of positive-probability paths."""
+    ensure_budget(enumeration_cost(spec.horizon, spec.alphabet.size), budget, "exact expectation")
+    return conditional_expectation(spec, f, ())
 
 
 def prefix_expectation_table(
@@ -230,24 +251,6 @@ def prefix_expectation_table(
 # ---------------------------------------------------------------------------
 
 
-def _check_probability_vector(vec: np.ndarray, name: str) -> None:
-    if vec.ndim != 1 or vec.size < 1:
-        raise ValueError(f"{name} must be a nonempty vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{name} has non-finite entries")
-    if float(vec.min()) < -PROBABILITY_TOLERANCE:
-        raise ValueError(f"{name} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > PROBABILITY_TOLERANCE:
-        raise ValueError(f"{name} sums to {vec.sum()}, not 1")
-
-
-def _check_stochastic_matrix(mat: np.ndarray, name: str) -> None:
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError(f"{name} must be a matrix, got shape {mat.shape}")
-    for r in range(mat.shape[0]):
-        _check_probability_vector(mat[r], f"{name} row {r}")
-
-
 def build_independent(marginals, horizon: int | None = None) -> ProcessSpec:
     """Process with history-free kernels.
 
@@ -264,7 +267,7 @@ def build_independent(marginals, horizon: int | None = None) -> ProcessSpec:
     if horizon is not None and m.shape[0] != int(horizon):
         raise ValueError(f"got {m.shape[0]} marginals for horizon {horizon}")
     n, size = m.shape
-    _check_stochastic_matrix(m, "marginals")
+    _check_distributions(m, "marginals", ndim=2)
     m.setflags(write=False)
 
     def kern(step: int, history: tuple[int, ...]):
@@ -284,11 +287,11 @@ def build_markov(transition, init, horizon: int) -> ProcessSpec:
     """Time-homogeneous chain: step 1 draws from ``init``, later steps read
     only the previous symbol."""
     p = np.array(transition, dtype=float)
-    _check_stochastic_matrix(p, "transition")
+    _check_distributions(p, "transition", ndim=2)
     if p.shape[0] != p.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {p.shape}")
     p0 = np.array(init, dtype=float)
-    _check_probability_vector(p0, "init")
+    _check_distributions(p0, "init", ndim=1)
     if p0.shape[0] != p.shape[0]:
         raise ValueError(f"init length {p0.shape[0]} does not match alphabet {p.shape[0]}")
     n = int(horizon)
@@ -349,7 +352,7 @@ def build_causal_tree(parent, edge_kernels, root_marginal) -> ProcessSpec:
             vec = roots[j - 1]
             if vec is None:
                 raise ValueError(f"node {j} is a root but has no root marginal")
-            _check_probability_vector(vec, f"root marginal of node {j}")
+            _check_distributions(vec, f"root marginal of node {j}", ndim=1)
             vec.setflags(write=False)
             size = vec.shape[0] if size is None else size
             if vec.shape[0] != size:
@@ -358,7 +361,7 @@ def build_causal_tree(parent, edge_kernels, root_marginal) -> ProcessSpec:
             mat = edges[j - 1]
             if mat is None:
                 raise ValueError(f"node {j} has a parent but no edge kernel")
-            _check_stochastic_matrix(mat, f"edge kernel of node {j}")
+            _check_distributions(mat, f"edge kernel of node {j}", ndim=2)
             if mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"edge kernel of node {j} must be square, got {mat.shape}")
             mat.setflags(write=False)
@@ -433,12 +436,7 @@ def build_from_tables(tables) -> ProcessSpec:
             raise ValueError(
                 f"table for step {j} must have shape ({size ** (j - 1)}, {size}), got {a.shape}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"table for step {j} has non-finite entries")
-        if float(a.min()) < -PROBABILITY_TOLERANCE:
-            raise ValueError(f"table for step {j} has negative entries")
-        if np.abs(a.sum(axis=1) - 1.0).max() > PROBABILITY_TOLERANCE:
-            raise ValueError(f"table for step {j} has rows not summing to 1")
+        _check_distributions(a, f"table for step {j}", ndim=2)
         a.setflags(write=False)
         arrs.append(a)
     n = len(arrs)

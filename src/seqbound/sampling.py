@@ -62,16 +62,6 @@ def _inverse_cdf(vec: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(idx, vec.shape[0] - 1)
 
 
-def sample_trajectory(spec: ProcessSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    """One trajectory by chain-rule sampling, consuming one uniform per step."""
-    path: list[int] = []
-    for step in range(1, spec.horizon + 1):
-        vec = kernel_at(spec, step, path)
-        sym = int(_inverse_cdf(vec, np.asarray(rng.random())))
-        path.append(sym)
-    return tuple(path)
-
-
 def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, N) array of trajectories, deterministic in the seed.
 

@@ -111,12 +111,12 @@ class TestClosedForms:
             assert samson_baseline(alpha, c).proxy >= markov_tail(alpha, c).proxy
 
     def test_exact_and_spectral_from_matrix(self, markov3):
-        h = interdependence_matrix(markov3)
+        gamma = causal_resolvent(interdependence_matrix(markov3))
         c = np.array([0.0, 0.0, 1.0])
-        assert abs(exact_tail(h, c).proxy - 1.7301) < 1e-10
-        spectral = spectral_tail(h, c)
+        assert abs(exact_tail(gamma, c).proxy - 1.7301) < 1e-10
+        spectral = spectral_tail(gamma, c)
         assert abs(spectral.proxy - 3.0071832685) < 1e-9
-        assert spectral.proxy >= exact_tail(h, c).proxy
+        assert spectral.proxy >= exact_tail(gamma, c).proxy
 
     def test_uniform_decay_inapplicable_at_critical(self):
         h = np.zeros((2, 2))
@@ -130,6 +130,7 @@ class TestClosedForms:
         c = np.array([0.0, 0.0, 1.0])
         bound = scalar_collapse_tail(gamma, c)
         assert abs(bound.proxy - 3.0 * 2.19 ** 2) < 1e-10
+        assert abs(scalar_collapse_tail(gamma, np.ones(3)).proxy - 3.0 * 2.19 ** 2) < 1e-10
 
 
 # ============================================================
@@ -163,11 +164,6 @@ class TestKontorovich:
             kontorovich_baseline(1.0, np.ones(3))
         with pytest.raises(ValueError):
             kontorovich_baseline(-0.1, np.ones(3))
-
-    def test_resolvent_detail(self, markov3):
-        gamma = causal_resolvent(interdependence_matrix(markov3))
-        bound = kontorovich_baseline(0.4, np.ones(3), resolvent=gamma)
-        assert abs(bound.details["scalar_collapse_proxy"] - 3.0 * 2.19 ** 2) < 1e-10
 
 
 # ============================================================

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from seqbound import (
-    CouplingStep,
-    CouplingTrace,
     all_trajectories,
     build_markov,
     causal_resolvent,
     coupled_pair_process,
-    coupled_rollout,
     discrepancy_bound,
     exact_oscillation,
     exact_pair_discrepancy,
@@ -19,7 +16,7 @@ from seqbound import (
     kernel_at,
     maximal_coupling_draws,
     maximal_coupling_joint,
-    maximal_coupling_step,
+    sample_trajectories,
     simulate_coupled_paths,
     sum_symbols,
     terminal_symbol,
@@ -99,20 +96,18 @@ class TestCouplingJoint:
 
 
 class TestCouplingSampling:
-    def test_step_respects_supports(self):
+    def test_draws_respect_supports(self):
         rng = np.random.default_rng(71)
         mu = np.array([1.0, 0.0, 0.0])
         nu = np.array([0.0, 0.5, 0.5])
-        for _ in range(50):
-            y, z = maximal_coupling_step(mu, nu, rng)
-            assert y == 0 and z in (1, 2)
+        ys, zs = maximal_coupling_draws(mu, nu, 50, rng)
+        assert np.all(ys == 0) and np.all(np.isin(zs, (1, 2)))
 
     def test_identical_marginals_agree_surely(self):
         rng = np.random.default_rng(73)
         mu = np.array([0.3, 0.7])
-        for _ in range(50):
-            y, z = maximal_coupling_step(mu, mu, rng)
-            assert y == z
+        ys, zs = maximal_coupling_draws(mu, mu, 50, rng)
+        assert np.array_equal(ys, zs)
 
     def test_draws_match_marginals_and_tv(self):
         rng = np.random.default_rng(79)
@@ -177,13 +172,13 @@ class TestPairProcess:
         assert abs(sum(z_law.values()) - 1.0) < EXACT_TOL
 
     def test_rollout_trace_shape(self, markov3):
-        trace = coupled_rollout(markov3, k=1, prefix=(), x=0, xp=1,
-                                randomness=np.random.default_rng(3))
-        assert trace.pivot == 1
-        assert trace.pivot_states == (0, 1)
-        assert len(trace.steps) == 3
-        assert trace.disagreement_vector()[0] == 1.0
-        assert trace.y_path()[0] == 0 and trace.z_path()[0] == 1
+        pair = coupled_pair_process(markov3, k=1, prefix=(), x=0, xp=1)
+        assert pair.meta["pivot"] == 1
+        assert pair.meta["pivot_states"] == (0, 1)
+        paths = sample_trajectories(pair, 50, seed=3)
+        assert paths.shape == (50, 3)
+        assert np.all(paths[:, 0] // 2 == 0) and np.all(paths[:, 0] % 2 == 1)
+        assert exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=1)[0] == 1.0
 
     def test_pivot_argument_validation(self, markov3):
         with pytest.raises(ValueError):
@@ -192,13 +187,6 @@ class TestPairProcess:
             coupled_pair_process(markov3, k=2, prefix=(), x=0, xp=1)  # prefix too short
         with pytest.raises(ValueError):
             coupled_pair_process(markov3, k=1, prefix=(), x=0, xp=2)  # symbol range
-
-    def test_coupling_step_validation(self):
-        with pytest.raises(ValueError):
-            CouplingStep(step=2, y=0, z=0, disagree=True)
-        trace_steps = (CouplingStep(step=2, y=0, z=1, disagree=True),)
-        with pytest.raises(ValueError):
-            CouplingTrace(pivot=1, prefix=(), pivot_states=(0, 0), steps=trace_steps)
 
 
 # ============================================================

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqbound import (
+    build_markov,
     causal_resolvent,
     decay_lower_bound,
     interdependence_matrix,
@@ -13,7 +14,7 @@ from seqbound import (
     uniform_decay_profile,
     variance_proxy,
 )
-from conftest import neumann_resolvent
+from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, neumann_resolvent
 
 EXACT_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -57,7 +58,7 @@ class TestCausalResolvent:
 
 
 # ============================================================
-# Spectral norm: power iteration versus SVD
+# Spectral norm: certified LAPACK value versus SVD
 # ============================================================
 
 
@@ -71,8 +72,8 @@ class TestSpectralNorm:
             assert abs(spectral_norm(m) - reference) < NORM_TOL * max(1.0, reference)
 
     def test_needs_second_start(self):
-        # The all-ones start is orthogonal to the top singular direction here;
-        # only the randomized second start sees it.
+        # The top singular direction is orthogonal to the all-ones vector here,
+        # which a solver seeded from a constant start would miss.
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert abs(spectral_norm(m) - 2.0) < NORM_TOL
 
@@ -82,6 +83,24 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_certified_never_below_true_norm(self):
+        # ||Gamma v||_2 / ||v||_2 bounds ||Gamma||_2 from below for every v;
+        # the top right singular vector makes the bound tight.  It is taken
+        # in extended precision so the check itself does not round down.
+        rng = np.random.default_rng(53)
+        cases = []
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            scale = float(rng.choice([0.1, 1.0, 10.0]))
+            cases.append(np.eye(n) + random_strict_upper(rng, n, scale))
+        chain = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 500)
+        cases.append(causal_resolvent(interdependence_matrix(chain)).entries)
+        for gamma in cases:
+            v = np.linalg.svd(gamma)[2][0].astype(np.longdouble)
+            image = gamma.astype(np.longdouble) @ v
+            lower = np.sqrt((image @ image) / (v @ v))
+            assert spectral_norm(gamma) >= lower
 
 
 class TestOperatorNorms:

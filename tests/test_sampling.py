@@ -15,7 +15,6 @@ from seqbound import (
     empirical_tail,
     joint_probability,
     sample_trajectories,
-    sample_trajectory,
     sum_symbols,
     tail_csv_rows,
     terminal_symbol,
@@ -66,11 +65,6 @@ class TestSampler:
         spec = build_markov(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 4)
         paths = sample_trajectories(spec, 2_000, seed=23)
         assert np.all(paths == 0)
-
-    def test_single_rollout(self, markov3):
-        path = sample_trajectory(markov3, np.random.default_rng(1))
-        assert len(path) == 3
-        assert all(s in (0, 1) for s in path)
 
 
 class TestBinomialStderr:
