@@ -130,7 +130,6 @@ class TestClosedForms:
         c = np.array([0.0, 0.0, 1.0])
         bound = scalar_collapse_tail(gamma, c)
         assert abs(bound.proxy - 3.0 * 2.19 ** 2) < 1e-10
-        assert abs(scalar_collapse_tail(gamma, np.ones(3)).proxy - 3.0 * 2.19 ** 2) < 1e-10
 
 
 # ============================================================
@@ -164,6 +163,13 @@ class TestKontorovich:
             kontorovich_baseline(1.0, np.ones(3))
         with pytest.raises(ValueError):
             kontorovich_baseline(-0.1, np.ones(3))
+
+    def test_resolvent_detail(self, markov3):
+        # The resolvent-based scalar collapse is its own row, not a detail of
+        # the Kontorovich baseline.
+        report = compare_bounds(markov3, c=np.ones(3))
+        assert abs(report["scalar_collapse"].proxy - 3.0 * 2.19 ** 2) < 1e-10
+        assert "scalar_collapse_proxy" not in report["kontorovich"].details
 
 
 # ============================================================
