@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .influence import interdependence_matrix, tv_distance
 from .process import (
-    Alphabet,
     ProcessSpec,
     conditional_expectation,
     ensure_budget,
-    kernel_at,
     prefix_expectation_table,
+    spec_from_tables,
+    step_table,
+    table_row,
 )
 from .report import VerificationReport, make_check
 from .resolvent import causal_resolvent
@@ -46,18 +47,19 @@ MARGINAL_SIGMAS = 4.0
 
 
 def _clean_distribution(vec, name: str) -> np.ndarray:
-    """Validate a probability vector, clipping tiny negative rounding to 0."""
+    """Validate probability vectors along the last axis, clipping tiny
+    negative rounding to 0."""
     arr = np.asarray(vec, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim == 0 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty probability vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     if float(arr.min()) < NEGATIVE_MASS_TOLERANCE:
         raise ValueError(f"{name} has negative entries (min {arr.min()})")
     arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"{name} must sum to 1, got {total}")
+    total = arr.sum(axis=-1, keepdims=True)
+    if float(np.abs(total - 1.0).max()) > 1e-12:
+        raise ValueError(f"{name} must sum to 1, got {total.ravel()}")
     return arr / total
 
 
@@ -81,13 +83,15 @@ def maximal_coupling_joint(mu, nu) -> np.ndarray:
 
     Mass min(mu, nu) sits on the diagonal; the residual excess of mu over nu
     is paired with the residual deficit via an outer product.  The residual
-    supports are disjoint, so all off-diagonal mass disagrees.
+    supports are disjoint, so all off-diagonal mass disagrees.  Stacks of
+    distributions along the last axis give the stack of joints, shape
+    (..., |A|, |A|).
     """
     overlap, excess, deficit = _coupling_parts(mu, nu)
-    joint = np.diag(overlap)
-    tv = float(excess.sum())
-    if tv > 0.0:
-        joint = joint + np.outer(excess, deficit) / tv
+    joint = overlap[..., None] * np.eye(overlap.shape[-1])
+    tv = excess.sum(axis=-1)[..., None, None]
+    # Where tv is 0 the excess is 0 too, so the outer product adds nothing.
+    joint = joint + excess[..., :, None] * deficit[..., None, :] / np.where(tv > 0.0, tv, 1.0)
     return np.clip(joint, 0.0, None)
 
 
@@ -102,6 +106,8 @@ def maximal_coupling_draws(
     overlap branch entirely.  Each draw consumes three uniforms.
     """
     overlap, excess, deficit = _coupling_parts(mu, nu)
+    if overlap.ndim != 1:
+        raise ValueError(f"mu and nu must be probability vectors, got shape {overlap.shape}")
     n = int(n_draws)
     if n < 1:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
@@ -163,47 +169,36 @@ def coupled_pair_process(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> 
     """The coupled pair (Y, Z) as a process over pair symbols y*size + z.
 
     Steps up to the pivot are point masses reproducing the shared prefix and
-    the pivot states; every later step is the flattened maximal-coupling
-    joint of the two history-conditioned kernels.  Exact enumeration and the
-    generic trajectory sampler then both apply to the coupled pair.
+    the pivot states.  Every later step reads the base step's signature, and
+    its table row at a pair assignment is the flattened maximal-coupling
+    joint of the two base table rows the Y and Z halves select.  Exact
+    enumeration and the generic trajectory sampler then both apply to the
+    coupled pair.
     """
     pre = _check_pivot_args(spec, k, prefix, x, xp)
     x, xp = int(x), int(xp)
     size = spec.alphabet.size
     pair_size = size * size
-
-    def pair_kernel(step: int, history: Sequence[int]) -> np.ndarray:
-        if step < k:
-            a = pre[step - 1]
-            vec = np.zeros(pair_size)
-            vec[a * size + a] = 1.0
-            return vec
-        if step == k:
-            vec = np.zeros(pair_size)
-            vec[x * size + xp] = 1.0
-            return vec
-        y_hist = tuple(int(p) // size for p in history)
-        z_hist = tuple(int(p) % size for p in history)
-        mu = kernel_at(spec, step, y_hist)
-        nu = kernel_at(spec, step, z_hist)
-        return maximal_coupling_joint(mu, nu).ravel()
-
+    tables = []
+    for j in range(1, spec.horizon + 1):
+        if j <= k:
+            y, z = (pre[j - 1],) * 2 if j < k else (x, xp)
+            table = np.zeros((1, pair_size))
+            table[0, y * size + z] = 1.0
+        else:
+            m = len(spec.signatures[j - 1])
+            ensure_budget(pair_size ** m, None, f"pair kernel table of step {j}")
+            pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
+            weights = size ** np.arange(m - 1, -1, -1)
+            base = step_table(spec, j)
+            mu, nu = base[(pairs // size) @ weights], base[(pairs % size) @ weights]
+            table = maximal_coupling_joint(mu, nu).reshape(-1, pair_size)
+        tables.append(table)
     signatures = tuple(
         frozenset() if j <= k else spec.signatures[j - 1] for j in range(1, spec.horizon + 1)
     )
-    return ProcessSpec(
-        horizon=spec.horizon,
-        alphabet=Alphabet(pair_size),
-        kernel=pair_kernel,
-        signatures=signatures,
-        family="coupled-pair",
-        meta={
-            "pivot": k,
-            "prefix": pre,
-            "pivot_states": (x, xp),
-            "base_alphabet": size,
-        },
-    )
+    meta = {"pivot": k, "prefix": pre, "pivot_states": (x, xp), "base_alphabet": size}
+    return spec_from_tables(tables, signatures, "coupled-pair", meta)
 
 
 def exact_pair_discrepancy(
@@ -223,7 +218,7 @@ def exact_pair_discrepancy(
         nxt: dict[tuple[int, ...], float] = {}
         disagree = 0.0
         for hist, p in frontier.items():
-            vec = kernel_at(pair, j, hist)
+            vec = table_row(pair, j, hist)
             for sym in np.flatnonzero(vec > 0.0):
                 sym = int(sym)
                 q = p * float(vec[sym])
@@ -273,10 +268,9 @@ def simulate_coupled_paths(
     so results are deterministic in (spec, k, prefix, x, xp, n_samples, seed).
     """
     pair = coupled_pair_process(spec, k, prefix, x, xp)
-    size = spec.alphabet.size
+    off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
     paths = sample_trajectories(pair, n_samples, seed)
-    disagree = (paths // size) != (paths % size)
-    v_hat = disagree.mean(axis=0)
+    v_hat = off_diagonal[paths].mean(axis=0)
     return DiscrepancyEstimate(
         v_hat=v_hat,
         stderr=binomial_stderr(v_hat, int(n_samples)),
@@ -317,26 +311,15 @@ def _positive_prefixes(spec: ProcessSpec, depth: int) -> Iterator[tuple[int, ...
     if depth == 0:
         yield ()
         return
-    size = spec.alphabet.size
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        vec = kernel_at(spec, len(prefix) + 1, prefix)
-        # Reverse order keeps the stack popping lexicographically.
-        for a in range(size - 1, -1, -1):
-            if float(vec[a]) > 0.0:
-                child = prefix + (a,)
-                if len(child) == depth:
-                    yield child
-                else:
-                    stack.append(child)
-    return
+    for prefix in _positive_prefixes(spec, depth - 1):
+        for a in np.flatnonzero(table_row(spec, depth, prefix) > 0.0):
+            yield prefix + (int(a),)
 
 
 def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:
     prefix: tuple[int, ...] = ()
     for step in range(1, depth + 1):
-        vec = kernel_at(spec, step, prefix)
+        vec = table_row(spec, step, prefix)
         sym = int(np.flatnonzero(vec > 0.0)[0])
         prefix += (sym,)
     return prefix
@@ -484,22 +467,16 @@ def verify_discrepancy_recursion(
 
 def _marginal_scenarios(spec: ProcessSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Kernel pairs (step, mu, nu) probing each step's context dependence."""
-    size = spec.alphabet.size
     scenarios = []
     for j in range(1, spec.horizon + 1):
-        coords = spec.signature_coords(j)
-        if not coords or size < 2:
-            continue
-        base = [0] * (j - 1)
-        varied = list(base)
-        varied[coords[-1] - 1] = 1
-        scenarios.append(
-            (j, kernel_at(spec, j, tuple(base)), kernel_at(spec, j, tuple(varied)))
-        )
+        # Rows 0 and 1 differ only in the last signature coordinate.
+        if spec.signatures[j - 1] and spec.alphabet.size >= 2:
+            table = step_table(spec, j)
+            scenarios.append((j, table[0], table[1]))
     if not scenarios:
-        first = kernel_at(spec, 1, ())
+        first = step_table(spec, 1)[0]
         if spec.horizon >= 2:
-            scenarios.append((2, first, kernel_at(spec, 2, (0,))))
+            scenarios.append((2, first, step_table(spec, 2)[0]))
         else:
             scenarios.append((1, first, first))
     return scenarios[:8]

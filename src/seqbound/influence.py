@@ -3,21 +3,19 @@
 Entry (i, j) of the interdependence matrix is the largest total-variation
 shift a flip of symbol i can cause in step j's kernel, maximized over every
 assignment of the remaining history coordinates (the same assignment on both
-sides of the flip).  Enumeration runs over the declared context signature
-only: coordinates a step never reads are structural zeros, and all
-out-of-signature coordinates are pinned to symbol 0, which is exact by the
-context-honesty contract.  ``prune=False`` re-enables the full supremum for
-cross-checking.
+sides of the flip).  Each step's kernel table (``step_table``) spans the
+declared context signature only: coordinates a step never reads are
+structural zeros, and all out-of-signature coordinates are pinned to symbol
+0, which is exact by the context-honesty contract.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .process import ProcessSpec, ensure_budget, kernel_at
+from .process import ProcessSpec, ensure_budget, step_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,28 +88,22 @@ def influence_enumeration_cost(spec: ProcessSpec, prune: bool = True) -> int:
 
 
 def interdependence_matrix(
-    spec: ProcessSpec, prune: bool = True, budget: int | None = None
+    spec: ProcessSpec, *, budget: int | None = None
 ) -> InterdependenceMatrix:
-    """Exact influence matrix by enumeration over context signatures.
+    """Exact influence matrix from the per-step kernel tables.
 
-    For each step j the kernel is tabulated over every assignment of the
-    signature coordinates; entry (i, j) is then the largest TV distance
-    between tabulated rows that differ only in coordinate i.
+    Entry (i, j) is the largest TV distance between rows of step j's table
+    that differ only in coordinate i.
     """
     n, size = spec.horizon, spec.alphabet.size
-    ensure_budget(influence_enumeration_cost(spec, prune), budget, "influence matrix enumeration")
+    ensure_budget(influence_enumeration_cost(spec), budget, "influence matrix enumeration")
     out = np.zeros((n, n))
     for j in range(2, n + 1):
-        coords = spec.signature_coords(j) if prune else tuple(range(1, j))
+        coords = spec.signature_coords(j)
         m = len(coords)
         if m == 0:
             continue
-        table = np.empty((size,) * m + (size,))
-        for assign in itertools.product(range(size), repeat=m):
-            hist = [0] * (j - 1)
-            for coord, val in zip(coords, assign):
-                hist[coord - 1] = val
-            table[assign] = kernel_at(spec, j, tuple(hist))
+        table = step_table(spec, j).reshape((size,) * m + (size,))
         for pos, coord in enumerate(coords):
             flat = np.moveaxis(table, pos, 0).reshape(size, -1, size)
             out[coord - 1, j - 1] = _max_pairwise_tv(flat)

@@ -2,11 +2,14 @@
 
 A process is a sequence of conditional kernels: step j draws symbol X_j from
 a distribution determined by the history (X_1, ..., X_{j-1}).  Every step
-also declares which history coordinates its kernel actually reads.  The
-exact algorithms downstream (influence matrices, enumeration oracles, the
-grouped sampler) prune exponential work using that declaration, so honesty
-is part of the contract: perturbing an undeclared coordinate must not change
-the kernel output.  The test suite probes this at random.
+also declares which history coordinates its kernel actually reads, and
+every consumer reads the kernel through one per-step table over the
+assignments of those coordinates (``step_table``).  The exact algorithms
+downstream (influence matrices, enumeration oracles, the sampler) prune
+exponential work that way, so honesty is part of the contract: perturbing an
+undeclared coordinate must not change the kernel output.  The test suite
+compares the influence matrix with a brute-force supremum over full
+histories, which a dishonest kernel fails.
 
 Symbols are dense integer indices 0..size-1; steps and history coordinates
 are 1-based throughout.
@@ -83,8 +86,8 @@ class ProcessSpec:
     kernel : callable
         Map ``(step, history) -> probability vector`` of length
         ``alphabet.size``.  ``step`` is 1-based and ``history`` is the tuple
-        ``(x_1, ..., x_{step-1})``.  Outputs are validated lazily on first
-        use: entries >= 0 and sum 1 within 1e-12.
+        ``(x_1, ..., x_{step-1})``.  Outputs are validated when ``kernel_at``
+        evaluates them: entries >= 0 and sum 1 within 1e-12.
     signatures : tuple of frozenset
         ``signatures[j-1]`` holds the 1-based history coordinates step j's
         kernel reads; must be a subset of {1, ..., j-1}.
@@ -101,7 +104,7 @@ class ProcessSpec:
     signatures: tuple[frozenset[int], ...]
     family: str = "custom"
     meta: Mapping[str, object] = field(default_factory=dict, repr=False)
-    _kernel_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = int(self.horizon)
@@ -124,9 +127,8 @@ class ProcessSpec:
 def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarray:
     """Validated conditional distribution p_step(. | history), read-only.
 
-    Results are cached per (step, signature projection of the history), so
-    histories differing only in coordinates the step does not read cost one
-    kernel call total.
+    Every call evaluates the kernel at the full history; ``step_table`` keeps
+    the evaluations that the library reuses.
     """
     if not 1 <= step <= spec.horizon:
         raise ValueError(f"step must be in 1..{spec.horizon}, got {step}")
@@ -137,18 +139,44 @@ def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarra
     for x in hist:
         if not 0 <= x < size:
             raise ValueError(f"history symbol {x} outside alphabet of size {size}")
-    key = (step, tuple(hist[i - 1] for i in spec.signature_coords(step)))
-    cached = spec._kernel_cache.get(key)
-    if cached is not None:
-        return cached
     vec = np.array(spec.kernel(step, hist), dtype=float)
     if vec.shape != (size,):
         raise ValueError(f"kernel at step {step} returned shape {vec.shape}, expected ({size},)")
     _check_distributions(vec, f"kernel at step {step}", ndim=1)
     np.clip(vec, 0.0, None, out=vec)
     vec.setflags(write=False)
-    spec._kernel_cache[key] = vec
     return vec
+
+
+def step_table(spec: ProcessSpec, step: int) -> np.ndarray:
+    """Kernel of ``step`` at every assignment of its signature coordinates.
+
+    A read-only (|A|^|sig|, |A|) array whose rows follow the assignments in
+    mixed-radix order, first coordinate most significant.  It is built once
+    per step, by ``kernel_at`` with every coordinate outside the signature
+    pinned to 0, and kept on the spec.
+    """
+    table = spec._tables.get(step)
+    if table is None:
+        coords = spec.signature_coords(step)
+        size = spec.alphabet.size
+        ensure_budget(size ** len(coords), None, f"kernel table of step {step}")
+        hist = [0] * (step - 1)
+        rows = []
+        for assign in itertools.product(range(size), repeat=len(coords)):
+            for coord, val in zip(coords, assign):
+                hist[coord - 1] = val
+            rows.append(kernel_at(spec, step, hist))
+        table = np.array(rows)
+        table.setflags(write=False)
+        spec._tables[step] = table
+    return table
+
+
+def table_row(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarray:
+    """The row of ``step_table(spec, step)`` that ``history`` selects."""
+    symbols = (history[i - 1] for i in spec.signature_coords(step))
+    return step_table(spec, step)[mixed_radix_rank(symbols, spec.alphabet.size)]
 
 
 def joint_probability(spec: ProcessSpec, trajectory: Sequence[int]) -> float:
@@ -161,7 +189,7 @@ def joint_probability(spec: ProcessSpec, trajectory: Sequence[int]) -> float:
         raise ValueError("trajectory symbol outside alphabet")
     prob = 1.0
     for j in range(1, spec.horizon + 1):
-        prob *= float(kernel_at(spec, j, traj[: j - 1])[traj[j - 1]])
+        prob *= float(table_row(spec, j, traj)[traj[j - 1]])
         if prob == 0.0:
             return 0.0
     return prob
@@ -205,7 +233,7 @@ def conditional_expectation(spec: ProcessSpec, f, prefix: tuple[int, ...]) -> fl
     def visit(prefix: tuple[int, ...], weight: float) -> float:
         if len(prefix) == spec.horizon:
             return weight * float(fn(prefix))
-        vec = kernel_at(spec, len(prefix) + 1, prefix)
+        vec = table_row(spec, len(prefix) + 1, prefix)
         total = 0.0
         for a in range(size):
             p = float(vec[a])
@@ -241,7 +269,7 @@ def prefix_expectation_table(
         table[traj] = float(fn(traj))
     for depth in range(n - 1, -1, -1):
         for prefix in itertools.product(range(size), repeat=depth):
-            vec = kernel_at(spec, depth + 1, prefix)
+            vec = table_row(spec, depth + 1, prefix)
             table[prefix] = float(sum(float(vec[a]) * table[prefix + (a,)] for a in range(size)))
     return table
 
@@ -415,6 +443,34 @@ def build_sliding_window(width: int, window_kernel, horizon: int, alphabet_size:
     )
 
 
+def spec_from_tables(tables, signatures, family: str, meta: Mapping[str, object]) -> ProcessSpec:
+    """Spec whose step kernels are given as ``step_table`` lays them out.
+
+    ``tables[j-1]`` has one row per assignment of ``signatures[j-1]``; the
+    arrays are validated, clipped at 0 in place and kept as the step tables.
+    """
+    spec = ProcessSpec(
+        horizon=len(tables),
+        alphabet=Alphabet(tables[0].shape[1]),
+        kernel=lambda step, history: table_row(spec, step, history),
+        signatures=signatures,
+        family=family,
+        meta=meta,
+    )
+    size = spec.alphabet.size
+    for j, table in enumerate(tables, start=1):
+        rows = size ** len(spec.signatures[j - 1])
+        if table.shape != (rows, size):
+            raise ValueError(
+                f"table for step {j} must have shape ({rows}, {size}), got {table.shape}"
+            )
+        _check_distributions(table, f"table for step {j}", ndim=2)
+        np.clip(table, 0.0, None, out=table)
+        table.setflags(write=False)
+        spec._tables[j] = table
+    return spec
+
+
 def build_from_tables(tables) -> ProcessSpec:
     """Process from explicit per-step conditional tables.
 
@@ -424,32 +480,7 @@ def build_from_tables(tables) -> ProcessSpec:
     """
     if not tables:
         raise ValueError("need at least one step table")
-    arrs = []
-    size = None
-    for j, t in enumerate(tables, start=1):
-        a = np.array(t, dtype=float)
-        if a.ndim == 1:
-            a = a.reshape(1, -1)
-        if size is None:
-            size = a.shape[1]
-        if a.shape != (size ** (j - 1), size):
-            raise ValueError(
-                f"table for step {j} must have shape ({size ** (j - 1)}, {size}), got {a.shape}"
-            )
-        _check_distributions(a, f"table for step {j}", ndim=2)
-        a.setflags(write=False)
-        arrs.append(a)
-    n = len(arrs)
-
-    def kern(step: int, history: tuple[int, ...]):
-        return arrs[step - 1][mixed_radix_rank(history, size)]
-
-    signatures = tuple(frozenset(range(1, j)) for j in range(1, n + 1))
-    return ProcessSpec(
-        horizon=n,
-        alphabet=Alphabet(size),
-        kernel=kern,
-        signatures=signatures,
-        family="table",
-        meta={"tables": tuple(arrs)},
-    )
+    arrs = [np.array(t, dtype=float) for t in tables]
+    arrs = [a.reshape(1, -1) if a.ndim == 1 else a for a in arrs]
+    signatures = tuple(frozenset(range(1, j)) for j in range(1, len(arrs) + 1))
+    return spec_from_tables(arrs, signatures, "table", {"tables": tuple(arrs)})

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import TailBound
 from .errors import EnumerationBudgetError
-from .process import ProcessSpec, exact_expectation, kernel_at
+from .process import ProcessSpec, exact_expectation, step_table
 from .report import VerificationReport, make_check
 from .targets import evaluate_batch
 
@@ -51,25 +51,16 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # ============================================================
 
 
-def _inverse_cdf(vec: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniform draws through the inverse CDF of a probability vector.
-
-    Zero-probability symbols occupy empty half-open cells, so they are never
-    selected; the final clip only absorbs cumulative-sum rounding below 1.
-    """
-    cum = np.cumsum(vec)
-    idx = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(idx, vec.shape[0] - 1)
-
-
 def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, N) array of trajectories, deterministic in the seed.
 
     Row i consumes row i of a single pre-drawn uniform matrix, one column per
     step, so the result is bit-reproducible and independent of how samples
-    would be scheduled across workers.  Each step groups samples by their
-    signature-projected context and applies one inverse-CDF lookup per
-    distinct context.
+    would be scheduled across workers.  Each step ranks every sample's
+    signature coordinates into a row of the step's kernel table and inverts
+    that row's CDF: the symbol is the number of cumulative sums at or below
+    the uniform, so zero-probability symbols, whose cells are empty, are
+    never selected; the clip only absorbs cumulative-sum rounding below 1.
     """
     n = int(n_samples)
     if n < 1:
@@ -78,23 +69,11 @@ def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndar
     uniforms = np.random.default_rng(seed).random((n, horizon))
     paths = np.zeros((n, horizon), dtype=np.int64)
     for step in range(1, horizon + 1):
-        u = uniforms[:, step - 1]
-        coords = spec.signature_coords(step)
-        col = np.empty(n, dtype=np.int64)
-        if not coords:
-            hist = tuple(int(x) for x in paths[0, : step - 1])
-            col[:] = _inverse_cdf(kernel_at(spec, step, hist), u)
-        else:
-            keys = np.zeros(n, dtype=np.int64)
-            for i in coords:
-                keys = keys * size + paths[:, i - 1]
-            order = np.argsort(keys, kind="stable")
-            boundaries = np.flatnonzero(np.diff(keys[order])) + 1
-            for segment in np.split(order, boundaries):
-                hist = tuple(int(x) for x in paths[segment[0], : step - 1])
-                vec = kernel_at(spec, step, hist)
-                col[segment] = _inverse_cdf(vec, u[segment])
-        paths[:, step - 1] = col
+        coords = [i - 1 for i in spec.signature_coords(step)]
+        weights = size ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
+        cum = np.cumsum(step_table(spec, step), axis=1)
+        drawn = (cum[paths[:, coords] @ weights] <= uniforms[:, step - 1, None]).sum(axis=1)
+        paths[:, step - 1] = np.minimum(drawn, size - 1)
     return paths
 
 

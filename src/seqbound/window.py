@@ -18,8 +18,6 @@ genuinely reads the full window.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import CalibrationError
@@ -120,8 +118,7 @@ def build_calibrated_window(
             f"calibration missed: target {target}, achieved {achieved:.9g} "
             f"(tolerance {tolerance})"
         )
-    meta = dict(spec.meta)
-    meta.update(
+    spec.meta.update(
         {
             "beta": beta,
             "decay": decay,
@@ -129,4 +126,4 @@ def build_calibrated_window(
             "achieved_alpha": achieved,
         }
     )
-    return dataclasses.replace(spec, meta=meta)
+    return spec

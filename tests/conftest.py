@@ -4,7 +4,9 @@ The random factories deliberately produce strictly positive kernels so that
 every prefix has positive probability and exhaustive sweeps really are
 exhaustive.  The Neumann-sum resolvent here is an independent oracle for the
 production back-substitution solver: same mathematical object, different
-algorithm.
+algorithm.  Likewise the brute-force influence matrix reads every full
+history, where production reads the per-step tables over declared
+signatures.
 """
 
 import numpy as np
@@ -17,7 +19,9 @@ from seqbound import (
     build_from_tables,
     build_independent,
     build_markov,
+    build_sliding_window,
     enumeration_cost,
+    mixed_radix_rank,
     table_target,
 )
 
@@ -52,6 +56,23 @@ def brute_force_expectation(spec: ProcessSpec, f: TargetFunction) -> float:
     )
 
 
+def brute_force_influence(spec: ProcessSpec) -> np.ndarray:
+    """Influence matrix as the largest TV distance between kernel_at outputs at
+    any two full histories differing in one coordinate, signatures ignored."""
+    from seqbound import all_trajectories, kernel_at, tv_distance
+
+    n, size = spec.horizon, spec.alphabet.size
+    h = np.zeros((n, n))
+    for j in range(2, n + 1):
+        for hist in all_trajectories(j - 1, size):
+            base = kernel_at(spec, j, hist)
+            for i in range(1, j):
+                for b in range(size):
+                    other = kernel_at(spec, j, hist[: i - 1] + (b,) + hist[i:])
+                    h[i - 1, j - 1] = max(h[i - 1, j - 1], tv_distance(base, other))
+    return h
+
+
 # ============================================================
 # Random scenario factories
 # ============================================================
@@ -69,6 +90,19 @@ def random_positive_tables(rng: np.random.Generator, horizon: int, size: int) ->
 
 def random_positive_spec(rng: np.random.Generator, horizon: int, size: int) -> ProcessSpec:
     return build_from_tables(random_positive_tables(rng, horizon, size))
+
+
+def random_window_spec(rng: np.random.Generator, horizon: int, size: int, width: int):
+    """Sliding window whose kernel is a random table over the visible window."""
+    tables = [
+        rng.dirichlet(np.ones(size), size=size ** min(width, step - 1))
+        for step in range(1, horizon + 1)
+    ]
+
+    def window_kernel(step, window):
+        return tables[step - 1][mixed_radix_rank(window, size)]
+
+    return build_sliding_window(width, window_kernel, horizon, size)
 
 
 def random_table_target(rng: np.random.Generator, horizon: int, size: int) -> TargetFunction:

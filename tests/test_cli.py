@@ -53,6 +53,25 @@ def small_markov_doc(**extra):
 # Subcommands: happy paths
 # ============================================================
 
+SHIPPED_CONFIGS = sorted(path.name for path in CONFIG_DIR.glob("*.yaml"))
+# verify is left out on window.yaml: its sensitivity oracle alone needs 2^100
+# evaluations, over the default budget, so it exits 3.
+SMOKE_RUNS = [
+    (name, command)
+    for name in SHIPPED_CONFIGS
+    for command in ("matrix", "bounds", "verify")
+    if (name, command) != ("window.yaml", "verify")
+]
+
+
+@pytest.mark.parametrize("name, command", SMOKE_RUNS)
+def test_shipped_config_runs(tmp_path, name, command):
+    argv = [command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]
+    if command == "verify":
+        argv += ["--n-samples", "20000"]
+    assert cli.main(argv) == 0
+
+
 
 class TestSubcommands:
     def test_describe(self, capsys):

@@ -1,10 +1,14 @@
 """Maximal coupling, the pair process, and the verification suites."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from seqbound import (
     all_trajectories,
+    build_causal_tree,
+    build_independent,
     build_markov,
     causal_resolvent,
     coupled_pair_process,
@@ -31,6 +35,7 @@ from conftest import (
     random_positive_spec,
     random_table_target,
 )
+from seqbound.coupling import _positive_prefixes
 
 EXACT_TOL = 1e-12
 SIGMA = 4.0
@@ -77,6 +82,18 @@ class TestCouplingJoint:
         joint = maximal_coupling_joint([1.0, 0.0], [0.0, 1.0])
         assert np.trace(joint) == 0.0
         assert abs(joint[0, 1] - 1.0) < EXACT_TOL
+
+    def test_stacked_rows_match_single_calls(self):
+        rng = np.random.default_rng(73)
+        mu = np.array([random_distribution(rng, 4) for _ in range(6)])
+        nu = np.array([random_distribution(rng, 4) for _ in range(6)])
+        nu[0] = mu[0]  # a row with TV 0
+        stacked = maximal_coupling_joint(mu, nu)
+        assert stacked.shape == (6, 4, 4)
+        for row in range(6):
+            assert np.array_equal(stacked[row], maximal_coupling_joint(mu[row], nu[row]))
+        with pytest.raises(ValueError):
+            maximal_coupling_draws(mu, nu, 10, np.random.default_rng(0))
 
     def test_disagreement_minimality_on_randoms(self):
         # No coupling can disagree less often than the total variation distance.
@@ -219,6 +236,27 @@ class TestDiscrepancy:
         v = exact_pair_discrepancy(markov3, k=2, prefix=(0,), x=1, xp=1)
         assert v[0] == 0.0  # prefix coordinate agrees surely
         assert v[1] == 0.0  # equal pivot states
+
+    @pytest.mark.parametrize(
+        "spec, tv",
+        [
+            (build_independent(np.array([0.3, 0.7]), 4), 0.0),
+            # Node 3 is a second root: steps 3 and 4 never see the pivot.
+            (build_causal_tree([0, 1, 0, 3], [[0.6, 0.4], [0.4, 0.6]], [0.5, 0.5]), 0.2),
+        ],
+        ids=["independent", "tree-roots"],
+    )
+    def test_empty_signatures_after_pivot(self, spec, tv):
+        v = exact_pair_discrepancy(spec, k=1, prefix=(), x=0, xp=1)
+        assert np.allclose(v, [1.0, tv, 0.0, 0.0], atol=EXACT_TOL)
+        est = simulate_coupled_paths(spec, k=1, prefix=(), x=0, xp=1, n_samples=20_000, seed=3)
+        assert est.v_hat[0] == 1.0 and est.v_hat[2] == 0.0 and est.v_hat[3] == 0.0
+        assert abs(est.v_hat[1] - tv) <= 3.0 * est.stderr[1]
+
+    def test_positive_prefixes_lexicographic(self):
+        spec = build_independent(np.full(3, 1.0 / 3.0), 3)
+        assert list(_positive_prefixes(spec, 1)) == [(0,), (1,), (2,)]
+        assert list(_positive_prefixes(spec, 2)) == list(itertools.product(range(3), repeat=2))
 
     def test_oscillation_frozen(self, markov3):
         f = terminal_symbol(3, 2)

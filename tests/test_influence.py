@@ -1,4 +1,4 @@
-"""Exact influence matrices: structural zeros and the pruning invariant."""
+"""Exact influence matrices: structural zeros and the brute-force oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbound import (
+    Alphabet,
     EnumerationBudgetError,
+    ProcessSpec,
     build_causal_tree,
     build_independent,
     build_markov,
@@ -17,7 +19,14 @@ from seqbound import (
     tv_distance,
     uniform_decay_profile,
 )
-from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, random_positive_spec, random_tree
+from conftest import (
+    CANONICAL_INIT,
+    CANONICAL_TRANSITION,
+    brute_force_influence,
+    random_positive_spec,
+    random_tree,
+    random_window_spec,
+)
 
 EXACT_TOL = 1e-12
 
@@ -111,23 +120,44 @@ class TestStructure:
 
 
 # ============================================================
-# Pruned versus unpruned enumeration
+# Signature tables versus the full-history supremum
 # ============================================================
 
 
-class TestPruning:
-    def test_prune_matches_full_enumeration(self):
-        rng = np.random.default_rng(29)
-        for _ in range(4):
-            spec = random_positive_spec(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
-            pruned = interdependence_matrix(spec, prune=True)
-            full = interdependence_matrix(spec, prune=False)
-            assert np.max(np.abs(pruned.entries - full.entries)) < EXACT_TOL
+def dishonest_chain() -> ProcessSpec:
+    """Step 3 declares it reads x_2 but reads x_1, with TV 0.8 between its rows."""
 
-    def test_prune_matches_on_markov(self, markov3):
-        pruned = interdependence_matrix(markov3, prune=True)
-        full = interdependence_matrix(markov3, prune=False)
-        assert np.max(np.abs(pruned.entries - full.entries)) < EXACT_TOL
+    def kern(step, history):
+        if step < 3:
+            return [0.5, 0.5]
+        return [0.9, 0.1] if history[0] == 0 else [0.1, 0.9]
+
+    signatures = (frozenset(), frozenset({1}), frozenset({2}))
+    return ProcessSpec(horizon=3, alphabet=Alphabet(2), kernel=kern, signatures=signatures)
+
+
+class TestPruning:
+    def test_matches_brute_force_influence(self):
+        rng = np.random.default_rng(29)
+        specs = []
+        for _ in range(3):
+            size = int(rng.integers(2, 4))
+            n = int(rng.integers(2, 6))
+            transition = rng.dirichlet(np.ones(size), size=size)
+            specs.append(build_markov(transition, rng.dirichlet(np.ones(size)), n))
+            parent = random_tree(rng, n, 2)
+            edges = [rng.dirichlet(np.ones(size), size=size) for _ in parent]
+            specs.append(build_causal_tree(parent, edges, rng.dirichlet(np.ones(size))))
+            specs.append(random_window_spec(rng, n, size, int(rng.integers(1, 4))))
+            specs.append(random_positive_spec(rng, min(n, 4), size))
+        for spec in specs:
+            exact = interdependence_matrix(spec).entries
+            assert np.max(np.abs(exact - brute_force_influence(spec))) < EXACT_TOL
+
+    def test_brute_force_sees_undeclared_reads(self):
+        spec = dishonest_chain()
+        assert interdependence_matrix(spec).entries[0, 2] == 0.0
+        assert abs(brute_force_influence(spec)[0, 2] - 0.8) < EXACT_TOL
 
     def test_pruning_is_cheaper(self, markov8):
         assert influence_enumeration_cost(markov8, prune=True) < influence_enumeration_cost(

@@ -14,11 +14,13 @@ from seqbound import (
     enumeration_cost,
     ensure_budget,
     exact_expectation,
+    interdependence_matrix,
     joint_probability,
     kernel_at,
     mixed_radix_rank,
     mixed_radix_unrank,
     prefix_expectation_table,
+    sample_trajectories,
     sum_symbols,
     table_target,
     terminal_symbol,
@@ -29,7 +31,9 @@ from conftest import (
     brute_force_expectation,
     random_positive_spec,
     random_table_target,
+    random_window_spec,
 )
+from seqbound.process import step_table
 
 EXACT_TOL = 1e-12
 
@@ -106,7 +110,7 @@ class TestConstructors:
 
 
 # ============================================================
-# Kernels and caching
+# Kernels and step tables
 # ============================================================
 
 
@@ -131,6 +135,32 @@ class TestKernelAt:
             kernel_at(markov3, 2, ())
         with pytest.raises(ValueError):
             kernel_at(markov3, 2, (2,))
+
+    def test_step_table_rows_follow_signature_ranks(self):
+        spec = random_window_spec(np.random.default_rng(5), 6, 3, 2)
+        for step in range(1, 7):
+            coords = spec.signature_coords(step)
+            table = step_table(spec, step)
+            assert table.shape == (3 ** len(coords), 3)
+            assert not table.flags.writeable
+            for rank in range(table.shape[0]):
+                hist = [2] * (step - 1)
+                for coord, x in zip(coords, mixed_radix_unrank(rank, len(coords), 3)):
+                    hist[coord - 1] = x
+                assert np.array_equal(table[rank], kernel_at(spec, step, hist))
+
+    @pytest.mark.parametrize("bad", [[0.7, 0.7], [0.5, 0.25, 0.25]], ids=["mass", "shape"])
+    @pytest.mark.parametrize(
+        "consumer",
+        [interdependence_matrix, lambda spec: sample_trajectories(spec, 10, seed=0)],
+        ids=["influence", "sampler"],
+    )
+    def test_bad_window_kernel_rejected(self, bad, consumer):
+        def window_kernel(step, window):
+            return bad if step == 3 else [0.5, 0.5]
+
+        with pytest.raises(ValueError):
+            consumer(build_sliding_window(2, window_kernel, 4, 2))
 
 
 # ============================================================

@@ -14,13 +14,14 @@ from seqbound import (
     default_t_grid,
     empirical_tail,
     joint_probability,
+    kernel_at,
     sample_trajectories,
     sum_symbols,
     tail_csv_rows,
     terminal_symbol,
     tightness_ratios,
 )
-from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, random_positive_spec
+from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, random_positive_spec, random_window_spec
 
 LAW_SIGMAS = 4.0
 
@@ -53,6 +54,17 @@ class TestSampler:
             p = joint_probability(spec, traj)
             stderr = max(np.sqrt(p * (1 - p) / n), 3.0 / n)
             assert abs(counts[idx] / n - p) < LAW_SIGMAS * stderr
+
+    def test_matches_per_sample_inverse_cdf(self):
+        # Reference: one inverse-CDF lookup per sample and step on the kernel
+        # at the sample's full history, with the same uniforms.
+        spec = random_window_spec(np.random.default_rng(19), 6, 3, 2)
+        paths = sample_trajectories(spec, 300, seed=29)
+        uniforms = np.random.default_rng(29).random((300, 6))
+        for row, u in zip(paths, uniforms):
+            for step in range(1, 7):
+                cum = np.cumsum(kernel_at(spec, step, row[: step - 1]))
+                assert row[step - 1] == min(np.searchsorted(cum, u[step - 1], side="right"), 2)
 
     def test_deterministic_in_seed(self, markov3):
         a = sample_trajectories(markov3, 500, seed=3)
