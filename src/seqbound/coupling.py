@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .influence import interdependence_matrix, tv_distance
 from .process import (
     ProcessSpec,
-    conditional_expectation,
     ensure_budget,
+    history_ranks,
+    mixed_radix_unrank,
     prefix_expectation_table,
     spec_from_tables,
     step_table,
     table_row,
+    trajectory_rows,
 )
 from .report import VerificationReport, make_check
 from .resolvent import causal_resolvent
@@ -206,27 +207,26 @@ def exact_pair_discrepancy(
 ) -> np.ndarray:
     """Exact per-step disagreement probabilities v_j = P(Y_j != Z_j).
 
-    Forward dynamic programming over the positive-probability histories of
-    the coupled pair process; no sampling error.
+    A forward pass over the coupled pair process keeps each
+    positive-probability pair history as a path-array row with its
+    probability, and extends it by the positive entries of the step-table
+    row it selects; no sampling error.
     """
     n, size = spec.horizon, spec.alphabet.size
     pair = coupled_pair_process(spec, k, prefix, x, xp)
     ensure_budget((size * size) ** (n - k), budget, "exact pair-process enumeration")
+    disagrees = ~np.eye(size, dtype=bool).ravel()
+    paths = np.zeros((1, n), dtype=np.min_scalar_type(size * size - 1))
+    probs = np.ones(1)
     v = np.zeros(n)
-    frontier: dict[tuple[int, ...], float] = {(): 1.0}
     for j in range(1, n + 1):
-        nxt: dict[tuple[int, ...], float] = {}
-        disagree = 0.0
-        for hist, p in frontier.items():
-            vec = table_row(pair, j, hist)
-            for sym in np.flatnonzero(vec > 0.0):
-                sym = int(sym)
-                q = p * float(vec[sym])
-                nxt[hist + (sym,)] = q
-                if sym // size != sym % size:
-                    disagree += q
-        v[j - 1] = disagree
-        frontier = nxt
+        rows = step_table(pair, j)[history_ranks(pair, j, paths)]
+        hist, sym = np.nonzero(rows > 0.0)
+        probs = probs[hist] * rows[hist, sym]
+        paths = paths[hist]
+        paths[:, j - 1] = sym
+        # Python's sum adds in history order, one term at a time; numpy's adds pairwise.
+        v[j - 1] = sum(probs[disagrees[sym]].tolist())
     return v
 
 
@@ -300,20 +300,8 @@ def exact_oscillation(
     conditional law of the suffix is defined by the kernels alone.
     """
     pre = _check_pivot_args(spec, k, prefix, 0, 0)
-    n, size = spec.horizon, spec.alphabet.size
-    ensure_budget(size ** (n - k + 1), budget, "exact oscillation enumeration")
-    values = [conditional_expectation(spec, f, pre + (a,)) for a in range(size)]
-    return max(values) - min(values)
-
-
-def _positive_prefixes(spec: ProcessSpec, depth: int) -> Iterator[tuple[int, ...]]:
-    """All length-`depth` prefixes with positive probability, lexicographic."""
-    if depth == 0:
-        yield ()
-        return
-    for prefix in _positive_prefixes(spec, depth - 1):
-        for a in np.flatnonzero(table_row(spec, depth, prefix) > 0.0):
-            yield prefix + (int(a),)
+    values = prefix_expectation_table(spec, f, budget, pre)[1]
+    return float(values.max() - values.min())
 
 
 def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:
@@ -336,9 +324,10 @@ def verify_oscillation_bound(
     """Check every conditional oscillation against the resolvent-weighted bound.
 
     First validates the declared sensitivity against the exhaustive oracle
-    (failures short-circuit with per-coordinate witness rows), then walks
-    every positive-probability prefix at every step and compares the exact
-    oscillation with (Gamma c)_k.  Violation rows embed the witness prefix.
+    (failures short-circuit with per-coordinate witness rows), then compares
+    the exact oscillation at every positive-probability prefix, found by a
+    boolean forward pass over the step tables, with (Gamma c)_k.  Violation
+    rows embed the witness prefix.
     """
     n, size = spec.horizon, spec.alphabet.size
     vec = as_sensitivity(c, n)
@@ -368,32 +357,35 @@ def verify_oscillation_bound(
     gamma = causal_resolvent(interdependence_matrix(spec, budget=budget)).entries
     weighted = gamma @ vec
     table = prefix_expectation_table(spec, f, budget)
+    # reachable[r]: the length-(k - 1) prefix of rank r has positive probability.
+    reachable = np.ones(1, dtype=bool)
     for k in range(1, n + 1):
-        worst = -np.inf
-        for prefix in _positive_prefixes(spec, k - 1):
-            children = [table[prefix + (a,)] for a in range(size)]
-            delta = max(children) - min(children)
-            if delta > worst:
-                worst = delta
-            if delta > weighted[k - 1] + EXACT_COMPARISON_TOLERANCE:
-                rows.append(
-                    make_check(
-                        check=f"oscillation_violation[prefix={prefix}]",
-                        observed=delta,
-                        bound=float(weighted[k - 1]),
-                        k=k,
-                        tolerance=EXACT_COMPARISON_TOLERANCE,
-                    )
+        children = table[k].reshape(-1, size)
+        deltas = children.max(axis=1) - children.min(axis=1)
+        violated = reachable & (deltas > weighted[k - 1] + EXACT_COMPARISON_TOLERANCE)
+        for rank in np.flatnonzero(violated).tolist():
+            prefix = mixed_radix_unrank(rank, k - 1, size)
+            rows.append(
+                make_check(
+                    check=f"oscillation_violation[prefix={prefix}]",
+                    observed=deltas[rank],
+                    bound=float(weighted[k - 1]),
+                    k=k,
+                    tolerance=EXACT_COMPARISON_TOLERANCE,
                 )
+            )
         rows.append(
             make_check(
                 check="oscillation_worst",
-                observed=worst,
+                observed=deltas[reachable].max(),
                 bound=float(weighted[k - 1]),
                 k=k,
                 tolerance=EXACT_COMPARISON_TOLERANCE,
             )
         )
+        if k < n:
+            probs = step_table(spec, k)[history_ranks(spec, k, trajectory_rows(k - 1, size))]
+            reachable = (reachable[:, None] & (probs > 0.0)).ravel()
     return VerificationReport(tuple(rows))
 
 

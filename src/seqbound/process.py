@@ -11,6 +11,11 @@ undeclared coordinate must not change the kernel output.  The test suite
 compares the influence matrix with a brute-force supremum over full
 histories, which a dishonest kernel fails.
 
+Exact enumeration is two array passes over the same tables, which
+``history_ranks`` indexes by rows of a path array: a backward pass mixes f
+up to every conditional expectation (``prefix_expectation_table``), and a
+forward pass extends positive-probability histories (``coupling``).
+
 Symbols are dense integer indices 0..size-1; steps and history coordinates
 are 1-based throughout.
 """
@@ -219,59 +224,76 @@ def enumeration_cost(horizon: int, size: int) -> int:
     return size ** horizon
 
 
-def conditional_expectation(spec: ProcessSpec, f, prefix: tuple[int, ...]) -> float:
-    """E[f(X) | X_{1:k} = prefix] by depth-first enumeration of the
-    positive-probability suffixes.
+def history_ranks(spec: ProcessSpec, step: int, paths: np.ndarray) -> np.ndarray:
+    """Row of ``step_table(spec, step)`` that each row of ``paths`` selects.
 
-    The prefix itself may have probability zero: the conditional law of the
-    suffix is defined by the kernels alone.  Callers check the
-    |A|^(N-k) enumeration cost against their budget first.
+    ``paths`` is an integer array with at least ``step - 1`` columns; each
+    row's signature coordinates are ranked in mixed radix, first coordinate
+    most significant.
     """
+    coords = [i - 1 for i in spec.signature_coords(step)]
+    weights = spec.alphabet.size ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
+    return paths[:, coords] @ weights
+
+
+def trajectory_rows(horizon: int, size: int, prefix: Sequence[int] = ()) -> np.ndarray:
+    """Every length-``horizon`` trajectory extending ``prefix``, one row each.
+
+    Rows follow the rank of the free symbols, first symbol most significant,
+    and use the smallest unsigned dtype that holds the alphabet.
+    """
+    m = len(prefix)
+    rows = np.empty((size ** (horizon - m), horizon), dtype=np.min_scalar_type(size - 1))
+    rows[:, :m] = prefix
+    for t in range(horizon - m):
+        rows.reshape(size**t, size, -1, horizon)[:, :, :, m + t] = np.arange(size)[:, None]
+    return rows
+
+
+def evaluate_batch(f, paths: np.ndarray) -> np.ndarray:
+    """Vector of f over the rows of an (n, N) path array."""
+    batch = getattr(f, "batch", None)
+    if batch is not None:
+        return np.asarray(batch(paths), dtype=float)
     fn = getattr(f, "evaluate", f)
-    size = spec.alphabet.size
-
-    def visit(prefix: tuple[int, ...], weight: float) -> float:
-        if len(prefix) == spec.horizon:
-            return weight * float(fn(prefix))
-        vec = table_row(spec, len(prefix) + 1, prefix)
-        total = 0.0
-        for a in range(size):
-            p = float(vec[a])
-            if p > 0.0:
-                total += visit(prefix + (a,), weight * p)
-        return total
-
-    return visit(tuple(prefix), 1.0)
+    return np.array([float(fn(tuple(row))) for row in paths.tolist()])
 
 
 def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:
-    """Exact E[f(X)] by depth-first enumeration of positive-probability paths."""
-    ensure_budget(enumeration_cost(spec.horizon, spec.alphabet.size), budget, "exact expectation")
-    return conditional_expectation(spec, f, ())
+    """Exact E[f(X)], the root of ``prefix_expectation_table``."""
+    return float(prefix_expectation_table(spec, f, budget)[0][0])
 
 
 def prefix_expectation_table(
-    spec: ProcessSpec, f, budget: int | None = None
-) -> dict[tuple[int, ...], float]:
-    """Conditional expectations E[f(X) | X_{1:k} = prefix] for every prefix.
+    spec: ProcessSpec, f, budget: int | None = None, prefix: Sequence[int] = ()
+) -> list[np.ndarray]:
+    """Conditional expectations E[f(X) | X_{1:m+d} = prefix + s], one array per depth d.
 
-    The table covers the full prefix tree, zero-probability branches
-    included: oscillation checks compare conditional values across sibling
-    symbols whether or not a sibling is reachable.  The empty prefix entry is
-    the unconditional expectation.
+    ``table[d]`` lists the suffixes s of length d in rank order, so
+    ``table[0][0]`` is E[f(X) | prefix] and ``table[-1]`` is f, evaluated
+    once by ``evaluate_batch`` on every trajectory extending the prefix.
+    Zero-probability branches are included, since oscillation checks compare
+    reachable and unreachable siblings: the conditional law of a suffix is
+    defined by the kernels alone.  The budget counts the |A|^(N - m)
+    trajectories.
     """
-    fn = getattr(f, "evaluate", f)
-    size, n = spec.alphabet.size, spec.horizon
-    nodes = sum(size ** k for k in range(n + 1))
-    ensure_budget(nodes, budget, "conditional expectation table")
-    table: dict[tuple[int, ...], float] = {}
-    for traj in all_trajectories(n, size):
-        table[traj] = float(fn(traj))
-    for depth in range(n - 1, -1, -1):
-        for prefix in itertools.product(range(size), repeat=depth):
-            vec = table_row(spec, depth + 1, prefix)
-            table[prefix] = float(sum(float(vec[a]) * table[prefix + (a,)] for a in range(size)))
-    return table
+    n, size = spec.horizon, spec.alphabet.size
+    pre = tuple(int(x) for x in prefix)
+    if len(pre) > n or any(not 0 <= x < size for x in pre):
+        raise ValueError(f"prefix {pre} is not a history of this process")
+    ensure_budget(size ** (n - len(pre)), budget, "conditional expectation table")
+    rows = trajectory_rows(n, size, pre)
+    level = evaluate_batch(f, rows)
+    table = [level]
+    for step in range(n, len(pre), -1):
+        # Every size**(n - step + 1)-th row starts a new length-(step - 1) prefix.
+        probs = step_table(spec, step)[history_ranks(spec, step, rows[:: size ** (n - step + 1)])]
+        children = level.reshape(-1, size)
+        level = np.zeros(children.shape[0])
+        for a in range(size):
+            level += probs[:, a] * children[:, a]
+        table.append(level)
+    return table[::-1]
 
 
 # ---------------------------------------------------------------------------

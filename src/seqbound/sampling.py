@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import TailBound
 from .errors import EnumerationBudgetError
-from .process import ProcessSpec, exact_expectation, step_table
+from .process import ProcessSpec, exact_expectation, history_ranks, step_table
 from .report import VerificationReport, make_check
 from .targets import evaluate_batch
 
@@ -67,12 +67,11 @@ def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndar
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     horizon, size = spec.horizon, spec.alphabet.size
     uniforms = np.random.default_rng(seed).random((n, horizon))
-    paths = np.zeros((n, horizon), dtype=np.int64)
+    # Column-major, so each step reads and writes one contiguous column.
+    paths = np.zeros((n, horizon), dtype=np.int64, order="F")
     for step in range(1, horizon + 1):
-        coords = [i - 1 for i in spec.signature_coords(step)]
-        weights = size ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
         cum = np.cumsum(step_table(spec, step), axis=1)
-        drawn = (cum[paths[:, coords] @ weights] <= uniforms[:, step - 1, None]).sum(axis=1)
+        drawn = (cum[history_ranks(spec, step, paths)] <= uniforms[:, step - 1, None]).sum(axis=1)
         paths[:, step - 1] = np.minimum(drawn, size - 1)
     return paths
 

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import Alphabet, all_trajectories, ensure_budget, mixed_radix_rank
+from .process import Alphabet, ensure_budget, evaluate_batch, mixed_radix_rank, trajectory_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -16,8 +16,9 @@ class TargetFunction:
 
     ``sensitivity``, when set, is a valid coordinate-wise bounded-difference
     vector for ``evaluate`` (not necessarily minimal).  ``batch``, when set,
-    maps an (n_samples, N) integer array to the per-row values and must agree
-    with ``evaluate``; the sampler uses it to avoid a Python loop.
+    maps an (n_samples, N) integer array, possibly as narrow as uint8, to the
+    per-row values and must agree with ``evaluate``; the sampler and the
+    exact enumerations use it to avoid a Python loop.
     """
 
     name: str
@@ -39,15 +40,6 @@ def as_sensitivity(c, horizon: int) -> np.ndarray:
     return vec
 
 
-def evaluate_batch(f, paths: np.ndarray) -> np.ndarray:
-    """Vector of f over the rows of an (n, N) path array."""
-    batch = getattr(f, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(paths), dtype=float)
-    fn = getattr(f, "evaluate", f)
-    return np.array([float(fn(tuple(int(v) for v in row))) for row in paths])
-
-
 def lipschitz_vector_oracle(f, alphabet, horizon: int, budget: int | None = None) -> np.ndarray:
     """Minimal single-coordinate bounded-difference vector of f, by exhaustion.
 
@@ -58,11 +50,8 @@ def lipschitz_vector_oracle(f, alphabet, horizon: int, budget: int | None = None
     n = int(horizon)
     if n < 1 or size < 1:
         raise ValueError("horizon and alphabet size must be positive")
-    fn = getattr(f, "evaluate", f)
     ensure_budget(size ** n, budget, "sensitivity oracle")
-    values = np.empty((size,) * n)
-    for traj in all_trajectories(n, size):
-        values[traj] = float(fn(traj))
+    values = evaluate_batch(f, trajectory_rows(n, size)).reshape((size,) * n)
     c = np.empty(n)
     for j in range(n):
         c[j] = float(np.max(values.max(axis=j) - values.min(axis=j)))

@@ -50,15 +50,9 @@ def window_point_symbol(step: int, distance: int, symbol: int, alphabet_size: in
     return (salt + int(symbol)) % int(alphabet_size)
 
 
-def _mixture_window_spec(
-    horizon: int,
-    alphabet_size: int,
-    width: int,
-    beta: float,
-    decay: float = WINDOW_INFLUENCE_DECAY,
-) -> ProcessSpec:
+def _mixture_window_spec(horizon: int, alphabet_size: int, width: int, beta: float) -> ProcessSpec:
     size = int(alphabet_size)
-    weights = tuple(beta * decay ** (d - 1) for d in range(1, int(width) + 1))
+    weights = tuple(beta * WINDOW_INFLUENCE_DECAY ** (d - 1) for d in range(1, int(width) + 1))
     if beta < 0.0 or sum(weights) > 1.0 + 1e-12:
         raise ValueError(f"mixing weight {beta} leaves no probability for the uniform floor")
 

@@ -2,9 +2,10 @@
 
 The random factories deliberately produce strictly positive kernels so that
 every prefix has positive probability and exhaustive sweeps really are
-exhaustive.  The Neumann-sum resolvent here is an independent oracle for the
-production back-substitution solver: same mathematical object, different
-algorithm.  Likewise the brute-force influence matrix reads every full
+exhaustive; only ``random_sparse_spec`` zeroes kernel entries, to exercise
+the zero-probability branches.  The Neumann-sum resolvent here is an
+independent oracle for the production back-substitution solver: same
+mathematical object, different algorithm.  Likewise the brute-force influence matrix reads every full
 history, where production reads the per-step tables over declared
 signatures.
 """
@@ -90,6 +91,18 @@ def random_positive_tables(rng: np.random.Generator, horizon: int, size: int) ->
 
 def random_positive_spec(rng: np.random.Generator, horizon: int, size: int) -> ProcessSpec:
     return build_from_tables(random_positive_tables(rng, horizon, size))
+
+
+def random_sparse_spec(rng: np.random.Generator, horizon: int, size: int) -> ProcessSpec:
+    """General kernels with about 40% of their entries zero, at least one
+    positive entry per row."""
+    tables = []
+    for raw in random_positive_tables(rng, horizon, size):
+        raw = raw * (rng.random(raw.shape) < 0.6)
+        empty = raw.sum(axis=1) == 0.0
+        raw[empty, rng.integers(0, size, size=int(empty.sum()))] = 1.0
+        tables.append(raw / raw.sum(axis=1, keepdims=True))
+    return build_from_tables(tables)
 
 
 def random_window_spec(rng: np.random.Generator, horizon: int, size: int, width: int):

@@ -66,10 +66,16 @@ SMOKE_RUNS = [
 
 @pytest.mark.parametrize("name, command", SMOKE_RUNS)
 def test_shipped_config_runs(tmp_path, name, command):
-    argv = [command, "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]
-    if command == "verify":
-        argv += ["--n-samples", "20000"]
-    assert cli.main(argv) == 0
+    """Each run exits 0, and a second run into another directory writes
+    byte-identical CSVs."""
+    outputs = []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        argv = [command, "--config", str(CONFIG_DIR / name), "--out", str(out)]
+        if command == "verify":
+            argv += ["--n-samples", "20000"]
+        assert cli.main(argv) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 

@@ -1,11 +1,11 @@
 """Maximal coupling, the pair process, and the verification suites."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from seqbound import (
+    EnumerationBudgetError,
+    TargetFunction,
     all_trajectories,
     build_causal_tree,
     build_independent,
@@ -18,6 +18,7 @@ from seqbound import (
     interdependence_matrix,
     joint_probability,
     kernel_at,
+    lipschitz_vector_oracle,
     maximal_coupling_draws,
     maximal_coupling_joint,
     sample_trajectories,
@@ -33,9 +34,9 @@ from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
     random_positive_spec,
+    random_sparse_spec,
     random_table_target,
 )
-from seqbound.coupling import _positive_prefixes
 
 EXACT_TOL = 1e-12
 SIGMA = 4.0
@@ -253,10 +254,29 @@ class TestDiscrepancy:
         assert est.v_hat[0] == 1.0 and est.v_hat[2] == 0.0 and est.v_hat[3] == 0.0
         assert abs(est.v_hat[1] - tv) <= 3.0 * est.stderr[1]
 
-    def test_positive_prefixes_lexicographic(self):
-        spec = build_independent(np.full(3, 1.0 / 3.0), 3)
-        assert list(_positive_prefixes(spec, 1)) == [(0,), (1,), (2,)]
-        assert list(_positive_prefixes(spec, 2)) == list(itertools.product(range(3), repeat=2))
+    def test_matches_brute_force_with_zero_kernel_entries(self):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            horizon = int(rng.integers(2, 5))
+            size = int(rng.integers(2, 4))
+            spec = random_sparse_spec(rng, horizon, size)
+            k = int(rng.integers(1, horizon + 1))
+            prefix = tuple(int(a) for a in rng.integers(0, size, size=k - 1))
+            x, xp = (int(a) for a in rng.integers(0, size, size=2))
+            pair = coupled_pair_process(spec, k, prefix, x, xp)
+            expected = np.zeros(horizon)
+            for path in all_trajectories(horizon, size * size):
+                p = joint_probability(pair, path)
+                expected += [p * (s // size != s % size) for s in path]
+            v = exact_pair_discrepancy(spec, k, prefix, x, xp)
+            assert np.allclose(v, expected, atol=1e-12)
+
+    def test_oscillation_budget_error(self, markov8):
+        f = sum_symbols(8, 2)
+        with pytest.raises(EnumerationBudgetError):
+            exact_oscillation(markov8, f, k=1, prefix=(), budget=255)
+        # The budget counts the trajectories that extend the prefix.
+        assert exact_oscillation(markov8, f, k=5, prefix=(0,) * 4, budget=16) > 0.0
 
     def test_oscillation_frozen(self, markov3):
         f = terminal_symbol(3, 2)
@@ -270,6 +290,18 @@ class TestDiscrepancy:
 
 
 class TestVerifiers:
+    def test_oscillation_skips_unreachable_prefixes(self, markov3):
+        # markov3 starts surely at 0.  At the unreachable prefixes (1,) and
+        # (1, 0) the oscillations of x1 * x3 read 0.7 and 1.0.
+        f = TargetFunction(name="x1*x3", evaluate=lambda x: float(x[0] * x[2]))
+        c = lipschitz_vector_oracle(f, markov3.alphabet, 3)
+        assert np.array_equal(c, [1.0, 0.0, 1.0])
+        report = verify_oscillation_bound(markov3, f, c)
+        worst = {row.k: row.observed for row in report.rows if row.check == "oscillation_worst"}
+        assert worst[2] == 0.0 and worst[3] == 0.0
+        assert abs(exact_oscillation(markov3, f, k=2, prefix=(1,)) - 0.7) < EXACT_TOL
+        assert abs(exact_oscillation(markov3, f, k=3, prefix=(1, 0)) - 1.0) < EXACT_TOL
+
     def test_oscillation_passes_on_chain(self, markov3):
         f = sum_symbols(3, 2)
         report = verify_oscillation_bound(markov3, f, np.asarray(f.sensitivity))

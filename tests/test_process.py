@@ -30,6 +30,7 @@ from conftest import (
     CANONICAL_TRANSITION,
     brute_force_expectation,
     random_positive_spec,
+    random_sparse_spec,
     random_table_target,
     random_window_spec,
 )
@@ -232,13 +233,13 @@ class TestPrefixExpectationTable:
     def test_root_matches_expectation(self, markov3):
         f = terminal_symbol(3, 2)
         table = prefix_expectation_table(markov3, f)
-        assert abs(table[()] - 0.17) < EXACT_TOL
+        assert abs(table[0][0] - 0.17) < EXACT_TOL
 
     def test_leaves_match_target(self, markov3):
         f = sum_symbols(3, 2)
         table = prefix_expectation_table(markov3, f)
         for path in all_trajectories(3, 2):
-            assert abs(table[path] - f.evaluate(path)) < EXACT_TOL
+            assert abs(table[3][mixed_radix_rank(path, 2)] - f.evaluate(path)) < EXACT_TOL
 
     def test_tower_property(self):
         rng = np.random.default_rng(3)
@@ -247,6 +248,57 @@ class TestPrefixExpectationTable:
         table = prefix_expectation_table(spec, f)
         for prefix in [(), (0,), (1,), (0, 1), (1, 0)]:
             step = len(prefix) + 1
+            rank = mixed_radix_rank(prefix, 2)
             vec = kernel_at(spec, step, prefix)
-            blended = sum(vec[s] * table[prefix + (s,)] for s in range(2))
-            assert abs(table[prefix] - blended) < 1e-12
+            blended = sum(vec[s] * table[step][2 * rank + s] for s in range(2))
+            assert abs(table[step - 1][rank] - blended) < 1e-12
+
+    def test_matches_brute_force_with_zero_kernel_entries(self):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            horizon = int(rng.integers(2, 5))
+            size = int(rng.integers(2, 4))
+            spec = random_sparse_spec(rng, horizon, size)
+            f = random_table_target(rng, horizon, size)
+            table = prefix_expectation_table(spec, f)
+            for depth in range(horizon + 1):
+                for prefix in all_trajectories(depth, size):
+                    # Conditional law of the suffix from the kernels, reachable or not.
+                    total = joint = mass = 0.0
+                    for suffix in all_trajectories(horizon - depth, size):
+                        path = prefix + suffix
+                        weight = 1.0
+                        for j in range(depth + 1, horizon + 1):
+                            weight *= kernel_at(spec, j, path[: j - 1])[path[j - 1]]
+                        total += weight * f.evaluate(path)
+                        joint += joint_probability(spec, path) * f.evaluate(path)
+                        mass += joint_probability(spec, path)
+                    value = table[depth][mixed_radix_rank(prefix, size)]
+                    assert abs(value - total) < 1e-12
+                    if mass > 0.0:
+                        assert abs(value - joint / mass) < 1e-10
+
+    def test_prefix_restricts_the_table(self, markov8):
+        f = sum_symbols(8, 2)
+        full = prefix_expectation_table(markov8, f)
+        sub = prefix_expectation_table(markov8, f, prefix=(0, 1, 1))
+        assert [len(level) for level in sub] == [1, 2, 4, 8, 16, 32]
+        rank = mixed_radix_rank((0, 1, 1), 2)
+        for d, level in enumerate(sub):
+            assert np.allclose(level, full[3 + d][rank * 2**d : (rank + 1) * 2**d], atol=1e-12)
+
+    def test_budget_error(self, markov8):
+        f = sum_symbols(8, 2)
+        with pytest.raises(EnumerationBudgetError):
+            prefix_expectation_table(markov8, f, budget=255)
+        # The budget counts the 2^(8 - 4) trajectories that extend the prefix.
+        assert len(prefix_expectation_table(markov8, f, budget=16, prefix=(0,) * 4)[-1]) == 16
+
+    def test_budget_checked_before_allocation(self):
+        # 2^60 trajectories: an allocation before the check would fail with MemoryError.
+        spec = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 60)
+        f = sum_symbols(60, 2)
+        with pytest.raises(EnumerationBudgetError):
+            prefix_expectation_table(spec, f)
+        with pytest.raises(EnumerationBudgetError):
+            exact_expectation(spec, f)
