@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -188,11 +189,10 @@ def cmd_describe(args) -> int:
 
 
 def _matrix_rows(entries: np.ndarray):
-    n = entries.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if entries[i, j] != 0.0:
-                yield (i + 1, j + 1, float(entries[i, j]))
+    # One row at a time, so the CSV writer streams an O(N) slice, not all N^2 cells.
+    for i, row in enumerate(entries, start=1):
+        cols = np.flatnonzero(row)
+        yield from zip(itertools.repeat(i), (cols + 1).tolist(), row[cols].tolist())
 
 
 def cmd_matrix(args) -> int:

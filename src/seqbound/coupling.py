@@ -1,11 +1,13 @@
 """Maximal-coupling machinery and exact verification of the core inequalities.
 
-Couples two copies of a process that share a prefix and diverge at one pivot
-step, using the optimal (maximal) total-variation coupling at every later
-step.  Provides simulation and exact pair-process enumeration of the
-per-step disagreement probabilities, the resolvent row that dominates them,
-exact conditional-oscillation computation, and report-producing verifiers
-for all of the above.
+Couples two copies of a process with the optimal (maximal) total-variation
+coupling at every step, as one coupled-pair process per spec.  Two copies
+that share a prefix and diverge at one pivot step are a prefix of that
+process, and every coupling draw comes from the joint table of
+``maximal_coupling_joint``.  Provides simulation and exact pair-process
+enumeration of the per-step disagreement probabilities, the resolvent row
+that dominates them, exact conditional-oscillation computation, and
+report-producing verifiers for all of the above.
 """
 
 from __future__ import annotations
@@ -69,16 +71,6 @@ def _clean_distribution(vec, name: str) -> np.ndarray:
 # ============================================================
 
 
-def _coupling_parts(mu, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Overlap min(mu, nu), excess mu - overlap and deficit nu - overlap."""
-    p = _clean_distribution(mu, "mu")
-    q = _clean_distribution(nu, "nu")
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    overlap = np.minimum(p, q)
-    return overlap, p - overlap, q - overlap
-
-
 def maximal_coupling_joint(mu, nu) -> np.ndarray:
     """Joint law attaining P(y != z) = TV(mu, nu) with the given marginals.
 
@@ -88,7 +80,12 @@ def maximal_coupling_joint(mu, nu) -> np.ndarray:
     distributions along the last axis give the stack of joints, shape
     (..., |A|, |A|).
     """
-    overlap, excess, deficit = _coupling_parts(mu, nu)
+    p = _clean_distribution(mu, "mu")
+    q = _clean_distribution(nu, "nu")
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    overlap = np.minimum(p, q)
+    excess, deficit = p - overlap, q - overlap
     joint = overlap[..., None] * np.eye(overlap.shape[-1])
     tv = excess.sum(axis=-1)[..., None, None]
     # Where tv is 0 the excess is 0 too, so the outer product adds nothing.
@@ -101,51 +98,20 @@ def maximal_coupling_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n_draws pairs (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
 
-    With probability 1 - TV a shared symbol is drawn from the normalized
-    overlap min(mu, nu); otherwise y and z come independently from the
-    normalized residuals, whose supports are disjoint.  TV = 1 skips the
-    overlap branch entirely.  Each draw consumes three uniforms.
+    One uniform per draw inverts the CDF of the flattened
+    ``maximal_coupling_joint``, scaled by its total: the cell is the number
+    of cumulative sums at or below the uniform, so empty cells are never
+    selected, and it splits into (y, z) = divmod(cell, |A|).
     """
-    overlap, excess, deficit = _coupling_parts(mu, nu)
-    if overlap.ndim != 1:
-        raise ValueError(f"mu and nu must be probability vectors, got shape {overlap.shape}")
+    joint = maximal_coupling_joint(mu, nu)
+    if joint.ndim != 2:
+        raise ValueError(f"mu and nu must be probability vectors, got shape {joint.shape[:-1]}")
     n = int(n_draws)
     if n < 1:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
-    shared = min(float(overlap.sum()), 1.0)
-
-    u_branch = randomness.random(n)
-    u_left = randomness.random(n)
-    u_right = randomness.random(n)
-    ys = np.empty(n, dtype=np.int64)
-    zs = np.empty(n, dtype=np.int64)
-
-    if float(excess.sum()) <= 0.0:
-        take_shared = np.ones(n, dtype=bool)
-    elif shared > 0.0:
-        take_shared = u_branch < shared
-    else:
-        take_shared = np.zeros(n, dtype=bool)
-
-    size = overlap.shape[0]
-    if take_shared.any():
-        cum = np.cumsum(overlap)
-        sym = np.minimum(
-            np.searchsorted(cum, u_left[take_shared] * cum[-1], side="right"), size - 1
-        )
-        ys[take_shared] = sym
-        zs[take_shared] = sym
-    residual = ~take_shared
-    if residual.any():
-        cum_y = np.cumsum(excess)
-        cum_z = np.cumsum(deficit)
-        ys[residual] = np.minimum(
-            np.searchsorted(cum_y, u_left[residual] * cum_y[-1], side="right"), size - 1
-        )
-        zs[residual] = np.minimum(
-            np.searchsorted(cum_z, u_right[residual] * cum_z[-1], side="right"), size - 1
-        )
-    return ys, zs
+    cum = np.cumsum(joint.ravel())
+    cells = np.searchsorted(cum, randomness.random(n) * cum[-1], side="right")
+    return np.divmod(np.minimum(cells, cum.shape[0] - 1), joint.shape[0])
 
 
 # ============================================================
@@ -153,7 +119,9 @@ def maximal_coupling_draws(
 # ============================================================
 
 
-def _check_pivot_args(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tuple[int, ...]:
+def _pivot_prefix(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tuple[int, ...]:
+    """The pivot as a prefix of the coupled pair process: both copies follow
+    ``prefix``, then take x and xp at step k."""
     size = spec.alphabet.size
     if not 1 <= k <= spec.horizon:
         raise ValueError(f"pivot must be in 1..{spec.horizon}, got {k}")
@@ -163,43 +131,35 @@ def _check_pivot_args(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tup
     for a in pre + (int(x), int(xp)):
         if not 0 <= a < size:
             raise ValueError(f"symbol {a} outside alphabet of size {size}")
-    return pre
+    return tuple(a * size + a for a in pre) + (int(x) * size + int(xp),)
 
 
-def coupled_pair_process(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> ProcessSpec:
+def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
     """The coupled pair (Y, Z) as a process over pair symbols y*size + z.
 
-    Steps up to the pivot are point masses reproducing the shared prefix and
-    the pivot states.  Every later step reads the base step's signature, and
-    its table row at a pair assignment is the flattened maximal-coupling
-    joint of the two base table rows the Y and Z halves select.  Exact
-    enumeration and the generic trajectory sampler then both apply to the
-    coupled pair.
+    Every step reads the base step's signature, and its table row at a pair
+    assignment is the flattened maximal-coupling joint of the two base table
+    rows the Y and Z halves select.  A pivot is a prefix of this one process,
+    so exact enumeration and the generic trajectory sampler start after it.
+    The process is built on first use and kept on the base spec.
     """
-    pre = _check_pivot_args(spec, k, prefix, x, xp)
-    x, xp = int(x), int(xp)
+    pair = spec._tables.get("coupled-pair")
+    if pair is not None:
+        return pair
     size = spec.alphabet.size
     pair_size = size * size
     tables = []
     for j in range(1, spec.horizon + 1):
-        if j <= k:
-            y, z = (pre[j - 1],) * 2 if j < k else (x, xp)
-            table = np.zeros((1, pair_size))
-            table[0, y * size + z] = 1.0
-        else:
-            m = len(spec.signatures[j - 1])
-            ensure_budget(pair_size ** m, None, f"pair kernel table of step {j}")
-            pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
-            weights = size ** np.arange(m - 1, -1, -1)
-            base = step_table(spec, j)
-            mu, nu = base[(pairs // size) @ weights], base[(pairs % size) @ weights]
-            table = maximal_coupling_joint(mu, nu).reshape(-1, pair_size)
-        tables.append(table)
-    signatures = tuple(
-        frozenset() if j <= k else spec.signatures[j - 1] for j in range(1, spec.horizon + 1)
-    )
-    meta = {"pivot": k, "prefix": pre, "pivot_states": (x, xp), "base_alphabet": size}
-    return spec_from_tables(tables, signatures, "coupled-pair", meta)
+        m = len(spec.signatures[j - 1])
+        ensure_budget(pair_size ** m, None, f"pair kernel table of step {j}")
+        pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
+        weights = size ** np.arange(m - 1, -1, -1)
+        base = step_table(spec, j)
+        mu, nu = base[(pairs // size) @ weights], base[(pairs % size) @ weights]
+        tables.append(maximal_coupling_joint(mu, nu).reshape(-1, pair_size))
+    pair = spec_from_tables(tables, spec.signatures, "coupled-pair", {"base_alphabet": size})
+    spec._tables["coupled-pair"] = pair
+    return pair
 
 
 def exact_pair_discrepancy(
@@ -207,19 +167,24 @@ def exact_pair_discrepancy(
 ) -> np.ndarray:
     """Exact per-step disagreement probabilities v_j = P(Y_j != Z_j).
 
-    A forward pass over the coupled pair process keeps each
-    positive-probability pair history as a path-array row with its
-    probability, and extends it by the positive entries of the step-table
-    row it selects; no sampling error.
+    v_j for j <= k is read off the pivot prefix.  From there a forward pass
+    over the coupled pair process keeps each positive-probability pair
+    history as a path-array row with its probability, and extends it by the
+    positive entries of the step-table row it selects; no sampling error.
+    The budget counts the (|A|^2)^(N - k) pair suffixes and is checked
+    before the pair process is built.
     """
     n, size = spec.horizon, spec.alphabet.size
-    pair = coupled_pair_process(spec, k, prefix, x, xp)
+    start = _pivot_prefix(spec, k, prefix, x, xp)
     ensure_budget((size * size) ** (n - k), budget, "exact pair-process enumeration")
+    pair = coupled_pair_process(spec)
     disagrees = ~np.eye(size, dtype=bool).ravel()
     paths = np.zeros((1, n), dtype=np.min_scalar_type(size * size - 1))
+    paths[0, :k] = start
     probs = np.ones(1)
     v = np.zeros(n)
-    for j in range(1, n + 1):
+    v[:k] = disagrees[list(start)]
+    for j in range(k + 1, n + 1):
         rows = step_table(pair, j)[history_ranks(pair, j, paths)]
         hist, sym = np.nonzero(rows > 0.0)
         probs = probs[hist] * rows[hist, sym]
@@ -262,14 +227,15 @@ def simulate_coupled_paths(
 ) -> DiscrepancyEstimate:
     """Monte Carlo disagreement frequencies from n_samples coupled rollouts.
 
-    Rollouts are drawn through the pair-process reduction, which applies the
-    maximal coupling of the two history-conditioned kernels at every step
-    after the pivot; sample i consumes row i of one seeded uniform matrix,
-    so results are deterministic in (spec, k, prefix, x, xp, n_samples, seed).
+    ``sample_trajectories`` draws the coupled pair process with the pivot
+    pinned as its prefix, so every step after the pivot applies the maximal
+    coupling of the two history-conditioned kernels; sample i consumes row i
+    of one seeded uniform matrix, so results are deterministic in
+    (spec, k, prefix, x, xp, n_samples, seed).
     """
-    pair = coupled_pair_process(spec, k, prefix, x, xp)
+    start = _pivot_prefix(spec, k, prefix, x, xp)
     off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
-    paths = sample_trajectories(pair, n_samples, seed)
+    paths = sample_trajectories(coupled_pair_process(spec), n_samples, seed, start)
     v_hat = off_diagonal[paths].mean(axis=0)
     return DiscrepancyEstimate(
         v_hat=v_hat,
@@ -299,8 +265,8 @@ def exact_oscillation(
     Conditional values are computed for every symbol, reachable or not: the
     conditional law of the suffix is defined by the kernels alone.
     """
-    pre = _check_pivot_args(spec, k, prefix, 0, 0)
-    values = prefix_expectation_table(spec, f, budget, pre)[1]
+    _pivot_prefix(spec, k, prefix, 0, 0)
+    values = prefix_expectation_table(spec, f, budget, prefix)[1]
     return float(values.max() - values.min())
 
 

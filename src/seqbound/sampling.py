@@ -51,7 +51,9 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # ============================================================
 
 
-def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndarray:
+def sample_trajectories(
+    spec: ProcessSpec, n_samples: int, seed: int, prefix: Sequence[int] = ()
+) -> np.ndarray:
     """(n_samples, N) array of trajectories, deterministic in the seed.
 
     Row i consumes row i of a single pre-drawn uniform matrix, one column per
@@ -61,15 +63,21 @@ def sample_trajectories(spec: ProcessSpec, n_samples: int, seed: int) -> np.ndar
     that row's CDF: the symbol is the number of cumulative sums at or below
     the uniform, so zero-probability symbols, whose cells are empty, are
     never selected; the clip only absorbs cumulative-sum rounding below 1.
+    The columns of ``prefix`` are pinned in every row, and drawing starts
+    after them, from the same uniform matrix.
     """
     n = int(n_samples)
     if n < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     horizon, size = spec.horizon, spec.alphabet.size
+    pre = tuple(int(x) for x in prefix)
+    if len(pre) > horizon or any(not 0 <= x < size for x in pre):
+        raise ValueError(f"prefix {pre} is not a history of this process")
     uniforms = np.random.default_rng(seed).random((n, horizon))
     # Column-major, so each step reads and writes one contiguous column.
     paths = np.zeros((n, horizon), dtype=np.int64, order="F")
-    for step in range(1, horizon + 1):
+    paths[:, : len(pre)] = pre
+    for step in range(len(pre) + 1, horizon + 1):
         cum = np.cumsum(step_table(spec, step), axis=1)
         drawn = (cum[history_ranks(spec, step, paths)] <= uniforms[:, step - 1, None]).sum(axis=1)
         paths[:, step - 1] = np.minimum(drawn, size - 1)

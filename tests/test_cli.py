@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -107,6 +108,21 @@ class TestSubcommands:
         assert all(abs(float(row[2]) - 0.7) < 1e-9 for row in influence[1:])
         resolvent = read_rows(tmp_path / "resolvent.csv")
         assert len(resolvent) == 1 + 36  # dense upper triangle with diagonal
+
+    def test_matrix_rows_match_cell_scan(self):
+        # Reference: a row-major scan of every cell, with -0.0 counted as zero.
+        rng = np.random.default_rng(5)
+        entries = np.triu(rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5))
+        entries[0, 5] = -0.0
+        expected = [
+            (i + 1, j + 1, float(entries[i, j]))
+            for i in range(6)
+            for j in range(6)
+            if entries[i, j] != 0.0
+        ]
+        rows = list(cli._matrix_rows(entries))
+        assert rows == expected
+        assert all(type(x) is int for row in rows for x in row[:2])
 
     def test_bounds(self, tmp_path, capsys):
         assert cli.main(["bounds", "--config", MARKOV, "--out", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqbound import coupling
 from seqbound import (
     EnumerationBudgetError,
     TargetFunction,
@@ -16,7 +17,6 @@ from seqbound import (
     exact_oscillation,
     exact_pair_discrepancy,
     interdependence_matrix,
-    joint_probability,
     kernel_at,
     lipschitz_vector_oracle,
     maximal_coupling_draws,
@@ -143,6 +143,23 @@ class TestCouplingSampling:
                 assert abs(np.mean(ys == k) - p) < SIGMA * max(np.sqrt(p * (1 - p) / n), 3.0 / n)
                 assert abs(np.mean(zs == k) - q) < SIGMA * max(np.sqrt(q * (1 - q) / n), 3.0 / n)
 
+    def test_draws_match_joint_cell_by_cell(self):
+        rng = np.random.default_rng(83)
+        n = 200_000
+        for mu, nu in [
+            (np.array([0.7, 0.3]), np.array([0.4, 0.6])),
+            (np.array([0.5, 0.0, 0.5]), np.array([0.2, 0.3, 0.5])),
+            (np.array([0.1, 0.6, 0.3, 0.0]), np.array([0.4, 0.1, 0.2, 0.3])),
+            (random_distribution(rng, 5), random_distribution(rng, 5)),
+        ]:
+            joint = maximal_coupling_joint(mu, nu)
+            ys, zs = maximal_coupling_draws(mu, nu, n, rng)
+            size = mu.shape[0]
+            freq = np.bincount(ys * size + zs, minlength=size * size).reshape(size, size) / n
+            assert np.all(freq[joint == 0.0] == 0.0)
+            stderr = np.sqrt(joint * (1.0 - joint) / n)
+            assert np.all(np.abs(freq - joint) < SIGMA * stderr + (joint == 0.0))
+
     def test_draws_reproducible(self):
         mu = np.array([0.6, 0.4])
         nu = np.array([0.1, 0.9])
@@ -158,19 +175,25 @@ class TestCouplingSampling:
 
 class TestPairProcess:
     def test_prefix_and_pivot_are_deterministic(self, markov3):
-        pair = coupled_pair_process(markov3, k=2, prefix=(0,), x=0, xp=1)
+        pair = coupled_pair_process(markov3)
         assert pair.alphabet.size == 4
-        vec = kernel_at(pair, 1, ())
-        assert vec[0 * 2 + 0] == 1.0  # both copies pinned to the prefix symbol
-        vec = kernel_at(pair, 2, (0,))
-        assert vec[0 * 2 + 1] == 1.0  # pivot forces (x, xp) = (0, 1)
+        # Pivot 2 after the prefix (0,) with pivot states (0, 1).
+        paths = sample_trajectories(pair, 50, seed=3, prefix=(0 * 2 + 0, 0 * 2 + 1))
+        assert np.all(paths[:, 0] == 0 * 2 + 0)  # both copies pinned to the prefix symbol
+        assert np.all(paths[:, 1] == 0 * 2 + 1)  # pivot forces (x, xp) = (0, 1)
+        v = exact_pair_discrepancy(markov3, k=2, prefix=(0,), x=0, xp=1)
+        assert v[0] == 0.0 and v[1] == 1.0
 
     def test_pair_marginals_reproduce_chain(self, markov3):
-        pair = coupled_pair_process(markov3, k=1, prefix=(), x=0, xp=1)
+        pair = coupled_pair_process(markov3)
         y_law: dict = {}
         z_law: dict = {}
-        for path in all_trajectories(3, 4):
-            p = joint_probability(pair, path)
+        # Pivot 1 with pivot states (0, 1) is the pair prefix (0 * 2 + 1,).
+        for suffix in all_trajectories(2, 4):
+            path = (1,) + suffix
+            p = 1.0
+            for j in range(2, 4):
+                p *= float(kernel_at(pair, j, path[: j - 1])[path[j - 1]])
             if p == 0.0:
                 continue
             y = tuple(s // 2 for s in path)
@@ -190,21 +213,43 @@ class TestPairProcess:
         assert abs(sum(z_law.values()) - 1.0) < EXACT_TOL
 
     def test_rollout_trace_shape(self, markov3):
-        pair = coupled_pair_process(markov3, k=1, prefix=(), x=0, xp=1)
-        assert pair.meta["pivot"] == 1
-        assert pair.meta["pivot_states"] == (0, 1)
-        paths = sample_trajectories(pair, 50, seed=3)
+        pair = coupled_pair_process(markov3)
+        assert pair.family == "coupled-pair"
+        assert pair.meta == {"base_alphabet": 2}
+        paths = sample_trajectories(pair, 50, seed=3, prefix=(0 * 2 + 1,))
         assert paths.shape == (50, 3)
         assert np.all(paths[:, 0] // 2 == 0) and np.all(paths[:, 0] % 2 == 1)
         assert exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=1)[0] == 1.0
 
     def test_pivot_argument_validation(self, markov3):
         with pytest.raises(ValueError):
-            coupled_pair_process(markov3, k=0, prefix=(), x=0, xp=1)
+            exact_pair_discrepancy(markov3, k=0, prefix=(), x=0, xp=1)
         with pytest.raises(ValueError):
-            coupled_pair_process(markov3, k=2, prefix=(), x=0, xp=1)  # prefix too short
+            exact_pair_discrepancy(markov3, k=2, prefix=(), x=0, xp=1)  # prefix too short
         with pytest.raises(ValueError):
-            coupled_pair_process(markov3, k=1, prefix=(), x=0, xp=2)  # symbol range
+            exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=2)  # symbol range
+
+    def test_one_pair_process_per_spec(self, markov3, monkeypatch):
+        calls = []
+
+        def counting(mu, nu):
+            calls.append(np.ndim(mu))
+            return maximal_coupling_joint(mu, nu)
+
+        monkeypatch.setattr(coupling, "maximal_coupling_joint", counting)
+        verify_discrepancy_recursion(markov3, n_samples=2_000, seed=1)
+        # One stacked call per step, shared by every (pivot, pivot pair).
+        assert calls == [2, 2, 2]
+        # Kept on the spec: asking again builds nothing.
+        assert coupled_pair_process(markov3) is coupled_pair_process(markov3)
+        assert len(calls) == 3
+
+    def test_budget_checked_before_the_pair_is_built(self, markov8, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coupling, "maximal_coupling_joint", lambda mu, nu: calls.append(1))
+        with pytest.raises(EnumerationBudgetError):
+            exact_pair_discrepancy(markov8, k=1, prefix=(), x=0, xp=1, budget=4**7 - 1)
+        assert calls == []
 
 
 # ============================================================
@@ -255,19 +300,29 @@ class TestDiscrepancy:
         assert abs(est.v_hat[1] - tv) <= 3.0 * est.stderr[1]
 
     def test_matches_brute_force_with_zero_kernel_entries(self):
+        # Oracle: sum over pair suffixes, each step weighted by the maximal
+        # coupling of the two copies' kernels at their full histories.
         rng = np.random.default_rng(23)
-        for _ in range(6):
+        for _ in range(12):
             horizon = int(rng.integers(2, 5))
             size = int(rng.integers(2, 4))
             spec = random_sparse_spec(rng, horizon, size)
             k = int(rng.integers(1, horizon + 1))
             prefix = tuple(int(a) for a in rng.integers(0, size, size=k - 1))
             x, xp = (int(a) for a in rng.integers(0, size, size=2))
-            pair = coupled_pair_process(spec, k, prefix, x, xp)
+            ys, zs = prefix + (x,), prefix + (xp,)
             expected = np.zeros(horizon)
-            for path in all_trajectories(horizon, size * size):
-                p = joint_probability(pair, path)
-                expected += [p * (s // size != s % size) for s in path]
+            expected[k - 1] = float(x != xp)
+            for suffix in all_trajectories(horizon - k, size * size):
+                y = ys + tuple(s // size for s in suffix)
+                z = zs + tuple(s % size for s in suffix)
+                p = 1.0
+                for j in range(k + 1, horizon + 1):
+                    joint = maximal_coupling_joint(
+                        kernel_at(spec, j, y[: j - 1]), kernel_at(spec, j, z[: j - 1])
+                    )
+                    p *= joint[y[j - 1], z[j - 1]]
+                expected[k:] += [p * (y[j] != z[j]) for j in range(k, horizon)]
             v = exact_pair_discrepancy(spec, k, prefix, x, xp)
             assert np.allclose(v, expected, atol=1e-12)
 

@@ -9,6 +9,7 @@ from seqbound import (
     TailEstimate,
     all_trajectories,
     binomial_stderr,
+    build_independent,
     build_markov,
     check_tail_domination,
     default_t_grid,
@@ -77,6 +78,31 @@ class TestSampler:
         spec = build_markov(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 4)
         paths = sample_trajectories(spec, 2_000, seed=23)
         assert np.all(paths == 0)
+
+    def test_prefix_columns_pinned(self):
+        # The free columns follow the kernel at each sample's history,
+        # read with the same uniforms as an unprefixed draw.
+        spec = random_window_spec(np.random.default_rng(31), 5, 3, 2)
+        paths = sample_trajectories(spec, 200, seed=37, prefix=(2, 0))
+        assert np.all(paths[:, :2] == (2, 0))
+        uniforms = np.random.default_rng(37).random((200, 5))
+        for row, u in zip(paths, uniforms):
+            for step in range(3, 6):
+                cum = np.cumsum(kernel_at(spec, step, row[: step - 1]))
+                assert row[step - 1] == min(np.searchsorted(cum, u[step - 1], side="right"), 2)
+
+    def test_prefix_leaves_independent_columns_unchanged(self):
+        spec = build_independent(np.array([0.3, 0.7]), 5)
+        free = sample_trajectories(spec, 500, seed=41)
+        pinned = sample_trajectories(spec, 500, seed=41, prefix=(1, 0))
+        assert np.all(pinned[:, :2] == (1, 0))
+        assert np.array_equal(pinned[:, 2:], free[:, 2:])
+
+    def test_prefix_validation(self, markov3):
+        with pytest.raises(ValueError):
+            sample_trajectories(markov3, 10, seed=0, prefix=(0, 0, 0, 0))  # longer than N
+        with pytest.raises(ValueError):
+            sample_trajectories(markov3, 10, seed=0, prefix=(0, 2))  # outside the alphabet
 
 
 class TestBinomialStderr:
