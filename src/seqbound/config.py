@@ -211,7 +211,7 @@ class ScenarioConfig:
     run: RunSettings
     sweep: SweepConfig | None
 
-    def build(self, horizon: int | None = None, budget: int | None = None) -> ProcessSpec:
+    def build(self, horizon: int | None = None) -> ProcessSpec:
         """Construct the process, optionally at a different horizon (sweeps)."""
         n = self.horizon if horizon is None else int(horizon)
         params = self.family_params
@@ -239,7 +239,7 @@ class ScenarioConfig:
                 width=params["width"],
                 target_alpha=params["target_alpha"],
                 tolerance=params["tolerance"],
-                budget=self.run.budget if budget is None else budget,
+                budget=self.run.budget,
             )
         else:
             spec = build_from_tables(params["kernels"])

@@ -9,8 +9,8 @@ symbol) contributes weight beta * decay**(d-1) at a symbol obtained by
 adding a hashed (step, distance) offset to the context symbol.  Because the
 offset map is injective in the symbol, changing the context coordinate at
 distance d always moves its point mass, so the influence matrix is exactly
-the banded matrix H[j-d, j] = beta * decay**(d-1), linear in beta: one
-probe fixes the whole calibration curve.  The geometric decay concentrates
+the banded matrix H[j-d, j] = beta * decay**(d-1), and beta is solved in
+closed form from the weight profile.  The geometric decay concentrates
 influence on recent context, which keeps the variance proxy of terminal
 targets essentially independent of the horizon while the kernel still
 genuinely reads the full window.
@@ -50,16 +50,19 @@ def window_point_symbol(step: int, distance: int, symbol: int, alphabet_size: in
     return (salt + int(symbol)) % int(alphabet_size)
 
 
+def _weight_profile(width: int) -> tuple[float, ...]:
+    return tuple(WINDOW_INFLUENCE_DECAY ** (d - 1) for d in range(1, int(width) + 1))
+
+
 def _mixture_window_spec(horizon: int, alphabet_size: int, width: int, beta: float) -> ProcessSpec:
     size = int(alphabet_size)
-    weights = tuple(beta * WINDOW_INFLUENCE_DECAY ** (d - 1) for d in range(1, int(width) + 1))
+    weights = tuple(beta * w for w in _weight_profile(width))
     if beta < 0.0 or sum(weights) > 1.0 + 1e-12:
         raise ValueError(f"mixing weight {beta} leaves no probability for the uniform floor")
 
     def window_kernel(step: int, window) -> np.ndarray:
         visible = len(window)
-        floor = (1.0 - sum(weights[:visible])) / size
-        vec = np.full(size, floor)
+        vec = np.full(size, (1.0 - sum(weights[:visible])) / size)
         for d in range(1, visible + 1):
             vec[window_point_symbol(step, d, window[-d], size)] += weights[d - 1]
         return vec
@@ -77,32 +80,29 @@ def build_calibrated_window(
 ) -> ProcessSpec:
     """Window spec whose exact influence matrix has largest column sum target_alpha.
 
-    Influence scales linearly in the mixing weight, so one probe at a valid
-    weight measures the peak column sum, the weight is solved in closed
-    form, and the result is re-verified against the exact influence oracle.
-    Raises CalibrationError when the target is out of range or cannot be met
-    within ``tolerance``.
+    The last column sees the most distances, so the largest column sum is
+    beta times the weight profile summed over min(width, horizon - 1)
+    distances; beta is solved from it and re-verified against the exact
+    influence matrix.  Raises ValueError for a width or horizon below 1, and
+    CalibrationError when the target is out of range or missed by ``tolerance``.
     """
     target = float(target_alpha)
     if not 0.0 <= target < 1.0:
         raise CalibrationError(f"target influence must lie in [0, 1), got {target}")
+    if int(width) < 1 or int(horizon) < 1:
+        raise ValueError(f"window width and horizon must be positive, got {width} and {horizon}")
 
-    decay = WINDOW_INFLUENCE_DECAY
-    weight_total = sum(decay ** (d - 1) for d in range(1, int(width) + 1))
-    probe_beta = 0.5 / weight_total
-    probe = interdependence_matrix(
-        _mixture_window_spec(horizon, alphabet_size, width, probe_beta), budget=budget
-    )
-    peak = column_sum_alpha(probe)
-    if target > 0.0 and peak == 0.0:
+    profile = _weight_profile(width)
+    reach = sum(profile[: int(horizon) - 1])
+    if target > 0.0 and reach == 0.0:
         raise CalibrationError(
             f"the window kernel carries no context influence; cannot calibrate to {target}"
         )
-    beta = 0.0 if target == 0.0 else probe_beta * target / peak
-    if beta * weight_total > 1.0 + 1e-12:
+    beta = 0.0 if target == 0.0 else target / reach
+    if beta * sum(profile) > 1.0 + 1e-12:
         raise CalibrationError(
             f"target {target} needs mixing weight {beta:.6g}, beyond the valid "
-            f"maximum {1.0 / weight_total:.6g}"
+            f"maximum {1.0 / sum(profile):.6g}"
         )
 
     spec = _mixture_window_spec(horizon, alphabet_size, width, beta)
@@ -115,7 +115,7 @@ def build_calibrated_window(
     spec.meta.update(
         {
             "beta": beta,
-            "decay": decay,
+            "decay": WINDOW_INFLUENCE_DECAY,
             "target_alpha": target,
             "achieved_alpha": achieved,
         }

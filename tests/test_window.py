@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import seqbound.process
+import seqbound.window
 from seqbound import (
     CalibrationError,
     build_calibrated_window,
     causal_resolvent,
     column_sum_alpha,
+    influence_enumeration_cost,
     interdependence_matrix,
     kernel_at,
     variance_proxy,
@@ -48,8 +51,8 @@ class TestPointSymbol:
 
 class TestCalibration:
     def test_hits_target_exactly(self):
-        for size in (2, 3):
-            spec = build_calibrated_window(12, size, 5, 0.8)
+        for n, size in ((12, 2), (12, 3), (3, 2)):  # N=3 is shorter than the window
+            spec = build_calibrated_window(n, size, 5, 0.8)
             h = interdependence_matrix(spec)
             assert abs(column_sum_alpha(h) - 0.8) < CALIB_TOL
             assert abs(spec.meta["achieved_alpha"] - 0.8) < CALIB_TOL
@@ -86,6 +89,47 @@ class TestCalibration:
         assert a.meta["beta"] == b.meta["beta"]
         hist = (1, 0, 1, 1, 0)
         assert np.array_equal(kernel_at(a, 6, hist), kernel_at(b, 6, hist))
+
+    def test_beta_is_closed_form(self):
+        for n, width, target in ((12, 5, 0.8), (3, 5, 0.8), (48, 4, 0.7), (2, 1, 0.3)):
+            spec = build_calibrated_window(n, 2, width, target)
+            reach = sum(WINDOW_INFLUENCE_DECAY ** (d - 1) for d in range(1, min(width, n - 1) + 1))
+            assert spec.meta["beta"] == target / reach
+
+    def test_single_symbol_misses_target(self):
+        with pytest.raises(CalibrationError, match="calibration missed"):
+            build_calibrated_window(10, 1, 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "horizon, size, width", [(10, 2, 0), (10, 2, -1), (0, 2, 2), (10, 0, 2)]
+    )
+    def test_degenerate_shapes_raise_value_error(self, horizon, size, width):
+        with pytest.raises(ValueError):
+            build_calibrated_window(horizon, size, width, 0.5)
+
+    def test_one_influence_build_per_calibration(self, monkeypatch):
+        builds = []
+
+        def counted(spec, **kwargs):
+            builds.append(spec)
+            return interdependence_matrix(spec, **kwargs)
+
+        monkeypatch.setattr(seqbound.window, "interdependence_matrix", counted)
+        spec = build_calibrated_window(12, 2, 4, 0.7)
+        assert builds == [spec]
+
+    def test_kernel_tabulated_once(self, monkeypatch):
+        calls = []
+        kernel = seqbound.process.kernel_at
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(seqbound.process, "kernel_at", counted)
+        spec = build_calibrated_window(48, 4, 4, 0.7)
+        assert influence_enumeration_cost(spec) == 11348
+        assert len(calls) == 11348
 
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
