@@ -24,6 +24,7 @@ from .influence import (
 )
 from .process import ProcessSpec
 from .resolvent import (
+    Resolvent,
     causal_resolvent,
     decay_lower_bound,
     matrix_entries,
@@ -253,6 +254,7 @@ class BoundReport:
 
     scenario: Mapping[str, object]
     bounds: tuple[TailBound, ...]
+    resolvent: Resolvent  # the Gamma every bound was computed from
 
     def __getitem__(self, name: str) -> TailBound:
         for bound in self.bounds:
@@ -369,4 +371,4 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         "sensitivity": tuple(float(v) for v in vec),
         "column_sum_alpha": alpha_cols,
     }
-    return BoundReport(scenario=scenario, bounds=tuple(ordered))
+    return BoundReport(scenario=scenario, bounds=tuple(ordered), resolvent=gamma)

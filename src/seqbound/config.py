@@ -189,12 +189,6 @@ class SweepConfig:
 
     horizons: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.horizons:
-            raise ValueError("sweep horizons must be nonempty")
-        if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
-            raise ValueError("sweep horizons must be strictly increasing")
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:

@@ -7,7 +7,8 @@ process, and every coupling draw comes from the joint table of
 ``maximal_coupling_joint``.  Provides simulation and exact pair-process
 enumeration of the per-step disagreement probabilities, the resolvent row
 that dominates them, exact conditional-oscillation computation, and
-report-producing verifiers for all of the above.
+report-producing verifiers for all of the above, which take the resolvent
+of a ``BoundReport`` and f's ``prefix_expectation_table`` as given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .influence import interdependence_matrix, tv_distance
+from .influence import tv_distance
 from .process import (
     ProcessSpec,
     ensure_budget,
@@ -30,9 +31,9 @@ from .process import (
     trajectory_rows,
 )
 from .report import VerificationReport, make_check
-from .resolvent import causal_resolvent
+from .resolvent import causal_resolvent, matrix_entries
 from .sampling import binomial_stderr, sample_trajectories
-from .targets import as_sensitivity, lipschitz_vector_oracle
+from .targets import as_sensitivity, bounded_differences
 
 # ============================================================
 # Tolerances
@@ -284,20 +285,20 @@ def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:
 # ============================================================
 
 
-def verify_oscillation_bound(
-    spec: ProcessSpec, f, c, budget: int | None = None
-) -> VerificationReport:
+def verify_oscillation_bound(spec: ProcessSpec, table, gamma, c) -> VerificationReport:
     """Check every conditional oscillation against the resolvent-weighted bound.
 
-    First validates the declared sensitivity against the exhaustive oracle
-    (failures short-circuit with per-coordinate witness rows), then compares
-    the exact oscillation at every positive-probability prefix, found by a
-    boolean forward pass over the step tables, with (Gamma c)_k.  Violation
-    rows embed the witness prefix.
+    ``table`` is f's ``prefix_expectation_table(spec, f)``.  First validates
+    the declared sensitivity against the exhaustive oracle, read off f's
+    values in ``table[-1]`` (failures short-circuit with per-coordinate
+    witness rows), then compares the exact oscillation at every
+    positive-probability prefix, found by a boolean forward pass over the
+    step tables, with (Gamma c)_k.  Violation rows embed the witness prefix.
     """
     n, size = spec.horizon, spec.alphabet.size
     vec = as_sensitivity(c, n)
-    oracle = lipschitz_vector_oracle(f, spec.alphabet, n, budget)
+    weighted = matrix_entries(gamma) @ vec
+    oracle = bounded_differences(table[-1].reshape((size,) * n))
     excess = oracle - vec
     if float(excess.max()) > DECLARED_SENSITIVITY_TOLERANCE:
         rows = [
@@ -320,9 +321,6 @@ def verify_oscillation_bound(
         )
     ]
 
-    gamma = causal_resolvent(interdependence_matrix(spec, budget=budget)).entries
-    weighted = gamma @ vec
-    table = prefix_expectation_table(spec, f, budget)
     # reachable[r]: the length-(k - 1) prefix of rank r has positive probability.
     reachable = np.ones(1, dtype=bool)
     for k in range(1, n + 1):
@@ -357,11 +355,12 @@ def verify_oscillation_bound(
 
 def verify_discrepancy_recursion(
     spec: ProcessSpec,
+    gamma,
     n_samples: int = 100_000,
     seed: int = 0,
     budget: int | None = None,
 ) -> VerificationReport:
-    """Check exact and sampled disagreement probabilities against resolvent rows.
+    """Check exact and sampled disagreement probabilities against rows of Gamma.
 
     For every pivot k (at the lexicographically first positive-probability
     prefix) and every ordered pivot-state pair, the exactly enumerated v
@@ -371,7 +370,9 @@ def verify_discrepancy_recursion(
     RECURSION_SIGMAS standard errors and respect the same bound.
     """
     n, size = spec.horizon, spec.alphabet.size
-    gamma = causal_resolvent(interdependence_matrix(spec, budget=budget)).entries
+    gamma = matrix_entries(gamma)
+    if gamma.shape != (n, n):
+        raise ValueError(f"resolvent must be {n} x {n}, got shape {gamma.shape}")
     rows = []
     mc_pair: tuple[int, int] = (0, 0)
     mc_exact = np.zeros(n)

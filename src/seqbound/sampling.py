@@ -54,7 +54,7 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 def sample_trajectories(
     spec: ProcessSpec, n_samples: int, seed: int, prefix: Sequence[int] = ()
 ) -> np.ndarray:
-    """(n_samples, N) array of trajectories, deterministic in the seed.
+    """(n_samples, N) unsigned-integer array of trajectories, deterministic in the seed.
 
     Row i consumes row i of a single pre-drawn uniform matrix, one column per
     step, so the result is bit-reproducible and independent of how samples
@@ -75,7 +75,7 @@ def sample_trajectories(
         raise ValueError(f"prefix {pre} is not a history of this process")
     uniforms = np.random.default_rng(seed).random((n, horizon))
     # Column-major, so each step reads and writes one contiguous column.
-    paths = np.zeros((n, horizon), dtype=np.int64, order="F")
+    paths = np.zeros((n, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     paths[:, : len(pre)] = pre
     for step in range(len(pre) + 1, horizon + 1):
         cum = np.cumsum(step_table(spec, step), axis=1)

@@ -51,10 +51,12 @@ def lipschitz_vector_oracle(f, alphabet, horizon: int, budget: int | None = None
     if n < 1 or size < 1:
         raise ValueError("horizon and alphabet size must be positive")
     ensure_budget(size ** n, budget, "sensitivity oracle")
-    values = evaluate_batch(f, trajectory_rows(n, size)).reshape((size,) * n)
-    c = np.empty(n)
-    for j in range(n):
-        c[j] = float(np.max(values.max(axis=j) - values.min(axis=j)))
+    return bounded_differences(evaluate_batch(f, trajectory_rows(n, size)).reshape((size,) * n))
+
+
+def bounded_differences(values: np.ndarray) -> np.ndarray:
+    """Largest swing of f along each axis of its value table, shape (|A|,) * N."""
+    c = np.array([np.max(values.max(axis=j) - values.min(axis=j)) for j in range(values.ndim)])
     c.setflags(write=False)
     return c
 

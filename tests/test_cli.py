@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
+import seqbound
 from seqbound import cli
 from seqbound.cli import BOUNDS_HEADER, MATRIX_HEADER, SWEEP_HEADER
+from seqbound.config import load_config
 from seqbound.report import VERIFICATION_HEADER
 from seqbound.sampling import TAIL_HEADER
 
@@ -55,7 +57,7 @@ def small_markov_doc(**extra):
 # ============================================================
 
 SHIPPED_CONFIGS = sorted(path.name for path in CONFIG_DIR.glob("*.yaml"))
-# verify is left out on window.yaml: its sensitivity oracle alone needs 2^100
+# verify is left out on window.yaml: f's exhaustive table alone needs 2^100
 # evaluations, over the default budget, so it exits 3.  sweep needs a
 # sweep section, which only window.yaml has.
 SMOKE_RUNS = [
@@ -79,6 +81,63 @@ def test_shipped_config_runs(tmp_path, name, command):
         outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
     assert outputs[0] and outputs[0] == outputs[1]
 
+
+
+# Calls during verify, each exact quantity built once: one influence matrix
+# and resolvent (from compare_bounds, besides window calibration's own
+# influence matrix), no separate sensitivity oracle, and two exhaustive
+# evaluations of f (the suites' prefix-expectation table and the tail
+# centering's exact expectation).
+VERIFY_CALLS = {
+    "window_small.yaml": {
+        "interdependence_matrix": 2,
+        "causal_resolvent": 1,
+        "lipschitz_vector_oracle": 0,
+        "exhaustive evaluate_batch": 2,
+    },
+    "markov.yaml": {
+        "interdependence_matrix": 1,
+        "causal_resolvent": 1,
+        "lipschitz_vector_oracle": 0,
+        "exhaustive evaluate_batch": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CALLS))
+def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
+    config = load_config(CONFIG_DIR / name)
+    trajectories = config.alphabet_size ** config.horizon
+    calls = dict.fromkeys(VERIFY_CALLS[name], 0)
+
+    def counting(key, original, selects=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[key] += bool(selects(*args))
+            return original(*args, **kwargs)
+
+        return original, wrapper
+
+    wrapped = [
+        counting("interdependence_matrix", seqbound.interdependence_matrix),
+        counting("causal_resolvent", seqbound.causal_resolvent),
+        counting("lipschitz_vector_oracle", seqbound.lipschitz_vector_oracle),
+        counting(
+            "exhaustive evaluate_batch",
+            seqbound.evaluate_batch,
+            lambda f, paths: paths.shape[0] == trajectories,
+        ),
+    ]
+    # Every module that bound a counted function by name reaches its wrapper.
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] != "seqbound":
+            continue
+        for attr, value in list(vars(module).items()):
+            for original, wrapper in wrapped:
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    argv = ["verify", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--n-samples", "20000"]) == 0
+    assert calls == VERIFY_CALLS[name]
 
 
 class TestSubcommands:

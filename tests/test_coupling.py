@@ -21,6 +21,7 @@ from seqbound import (
     lipschitz_vector_oracle,
     maximal_coupling_draws,
     maximal_coupling_joint,
+    prefix_expectation_table,
     sample_trajectories,
     simulate_coupled_paths,
     sum_symbols,
@@ -47,6 +48,16 @@ def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     if raw.sum() == 0.0:
         raw[0] = 1.0
     return raw / raw.sum()
+
+
+def resolvent_of(spec):
+    return causal_resolvent(interdependence_matrix(spec))
+
+
+def oscillation_report(spec, f, c):
+    """The oscillation suite as ``verify`` runs it: on the spec's resolvent
+    and f's prefix-expectation table."""
+    return verify_oscillation_bound(spec, prefix_expectation_table(spec, f), resolvent_of(spec), c)
 
 
 # ============================================================
@@ -236,8 +247,9 @@ class TestPairProcess:
             calls.append(np.ndim(mu))
             return maximal_coupling_joint(mu, nu)
 
+        gamma = resolvent_of(markov3)
         monkeypatch.setattr(coupling, "maximal_coupling_joint", counting)
-        verify_discrepancy_recursion(markov3, n_samples=2_000, seed=1)
+        verify_discrepancy_recursion(markov3, gamma, n_samples=2_000, seed=1)
         # One stacked call per step, shared by every (pivot, pivot pair).
         assert calls == [2, 2, 2]
         # Kept on the spec: asking again builds nothing.
@@ -351,7 +363,7 @@ class TestVerifiers:
         f = TargetFunction(name="x1*x3", evaluate=lambda x: float(x[0] * x[2]))
         c = lipschitz_vector_oracle(f, markov3.alphabet, 3)
         assert np.array_equal(c, [1.0, 0.0, 1.0])
-        report = verify_oscillation_bound(markov3, f, c)
+        report = oscillation_report(markov3, f, c)
         worst = {row.k: row.observed for row in report.rows if row.check == "oscillation_worst"}
         assert worst[2] == 0.0 and worst[3] == 0.0
         assert abs(exact_oscillation(markov3, f, k=2, prefix=(1,)) - 0.7) < EXACT_TOL
@@ -359,7 +371,7 @@ class TestVerifiers:
 
     def test_oscillation_passes_on_chain(self, markov3):
         f = sum_symbols(3, 2)
-        report = verify_oscillation_bound(markov3, f, np.asarray(f.sensitivity))
+        report = oscillation_report(markov3, f, np.asarray(f.sensitivity))
         assert report.passed
         checks = {row.check for row in report.rows}
         assert "sensitivity_declared" in checks
@@ -367,23 +379,35 @@ class TestVerifiers:
 
     def test_oscillation_catches_undersized_declaration(self, markov3):
         f = sum_symbols(3, 2)
-        report = verify_oscillation_bound(markov3, f, np.full(3, 0.25))
+        report = oscillation_report(markov3, f, np.full(3, 0.25))
         assert not report.passed
         assert all(row.check == "sensitivity_declared" for row in report.failures())
 
     def test_oscillation_tight_on_terminal_target(self, markov3):
         f = terminal_symbol(3, 2)
-        report = verify_oscillation_bound(markov3, f, np.asarray(f.sensitivity))
+        report = oscillation_report(markov3, f, np.asarray(f.sensitivity))
         assert report.passed
         worst = {row.k: row for row in report.rows if row.check == "oscillation_worst"}
         assert abs(worst[1].observed - 0.49) < EXACT_TOL
         assert abs(worst[1].bound - 0.49) < EXACT_TOL
 
+    def test_suites_reject_quantities_of_another_shape(self, markov3, markov8):
+        f = sum_symbols(3, 2)
+        c = np.asarray(f.sensitivity)
+        table = prefix_expectation_table(markov3, f)
+        with pytest.raises(ValueError):
+            verify_oscillation_bound(markov3, table, resolvent_of(markov8), c)
+        with pytest.raises(ValueError):
+            prefix_table = prefix_expectation_table(markov3, f, prefix=(0,))
+            verify_oscillation_bound(markov3, prefix_table, resolvent_of(markov3), c)
+        with pytest.raises(ValueError):
+            verify_discrepancy_recursion(markov3, resolvent_of(markov8), n_samples=1_000)
+
     def test_recursion_passes_on_random_specs(self):
         rng = np.random.default_rng(83)
         for _ in range(3):
             spec = random_positive_spec(rng, int(rng.integers(2, 5)), 2)
-            report = verify_discrepancy_recursion(spec, n_samples=20_000, seed=7)
+            report = verify_discrepancy_recursion(spec, resolvent_of(spec), n_samples=20_000, seed=7)
             assert report.passed
 
     def test_coupling_marginals_pass(self, markov3, star_tree):

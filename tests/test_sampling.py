@@ -12,6 +12,7 @@ from seqbound import (
     build_independent,
     build_markov,
     check_tail_domination,
+    coupled_pair_process,
     default_t_grid,
     empirical_tail,
     joint_probability,
@@ -22,6 +23,7 @@ from seqbound import (
     terminal_symbol,
     tightness_ratios,
 )
+from seqbound.process import step_table
 from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, random_positive_spec, random_window_spec
 
 LAW_SIGMAS = 4.0
@@ -97,6 +99,21 @@ class TestSampler:
         pinned = sample_trajectories(spec, 500, seed=41, prefix=(1, 0))
         assert np.all(pinned[:, :2] == (1, 0))
         assert np.array_equal(pinned[:, 2:], free[:, 2:])
+
+    def test_paths_use_the_narrowest_unsigned_dtype(self, markov3):
+        assert sample_trajectories(markov3, 100, seed=5).dtype == np.uint8
+        pair = coupled_pair_process(markov3)
+        pair_paths = sample_trajectories(pair, 100, seed=5, prefix=(1,))
+        assert pair_paths.dtype == np.uint8 and pair_paths.max() < 4
+        # 300 symbols: uint16, and symbols above 255 do not wrap.
+        spec = build_independent(np.full(300, 1.0 / 300.0), 4)
+        paths = sample_trajectories(spec, 2_000, seed=43)
+        assert paths.dtype == np.uint16
+        cum = np.cumsum(step_table(spec, 1)[0])
+        uniforms = np.random.default_rng(43).random((2_000, 4))
+        expected = np.minimum(np.searchsorted(cum, uniforms, side="right"), 299)
+        assert np.array_equal(paths, expected)
+        assert 255 < paths.max() < 300
 
     def test_prefix_validation(self, markov3):
         with pytest.raises(ValueError):

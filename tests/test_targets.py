@@ -6,6 +6,7 @@ import pytest
 from seqbound import (
     Alphabet,
     EnumerationBudgetError,
+    TargetFunction,
     as_sensitivity,
     constant,
     count_symbol,
@@ -13,12 +14,14 @@ from seqbound import (
     evaluate_batch,
     lipschitz_vector_oracle,
     parity,
+    prefix_expectation_table,
     sum_symbols,
     table_target,
     terminal_indicator,
     terminal_symbol,
 )
-from conftest import random_table_target
+from seqbound.targets import bounded_differences
+from conftest import random_positive_spec, random_sparse_spec, random_table_target
 
 ORACLE_TOL = 1e-12
 
@@ -53,6 +56,27 @@ class TestDeclaredSensitivities:
         oracle = lipschitz_vector_oracle(f, Alphabet(3), 3)
         assert oracle.shape == (3,)
         assert np.all(oracle >= 0.0)
+
+    def test_table_oracle_equals_exhaustive_oracle(self):
+        # verify reads the oracle off f's prefix-expectation table, whose last
+        # level holds f on every trajectory in the oracle's rank order.
+        rng = np.random.default_rng(47)
+        for case in range(12):
+            horizon, size = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            make = random_sparse_spec if case % 2 else random_positive_spec
+            spec = make(rng, horizon, size)
+            table_f = random_table_target(rng, horizon, size)
+            for f in (
+                table_f,
+                TargetFunction("table, no batch", table_f.evaluate),
+                sum_symbols(horizon, size),
+                parity(horizon),
+                terminal_indicator(horizon, size, 1),
+            ):
+                values = prefix_expectation_table(spec, f)[-1].reshape((size,) * horizon)
+                oracle = lipschitz_vector_oracle(f, spec.alphabet, horizon)
+                assert np.array_equal(bounded_differences(values), oracle)
+                assert not bounded_differences(values).flags.writeable
 
     def test_frozen_values(self):
         assert tuple(sum_symbols(3, 2).sensitivity) == (1.0, 1.0, 1.0)
