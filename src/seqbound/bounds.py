@@ -100,7 +100,7 @@ def uniform_decay_tail(profile, c) -> TailBound:
     """Proxy ||c||_2^2 / (1 - S)^2 from a distance-decay profile with sum S."""
     lower = decay_lower_bound(profile)
     phi = np.asarray(getattr(profile, "phi", profile), dtype=float)
-    total = float(phi.sum())
+    total = math.fsum(phi)
     vec = _free_sensitivity(c)
     if lower is None:
         return TailBound(
@@ -203,8 +203,9 @@ def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
 def kontorovich_baseline(alpha, c) -> TailBound:
     """Unconditional geometric-matrix baseline, comparison-only.
 
-    Builds the dense matrix with entries alpha^(j-i) above the diagonal and
-    reports its infinity norm sum_{k=1}^{N-1} alpha^k.  The proxy
+    Reports the infinity norm sum_{k=1}^{N-1} alpha^k of the geometric
+    matrix with entries alpha^(j-i) above the diagonal, summed as a series
+    without building the matrix.  The proxy
     N * ((1-alpha)/(1-2*alpha))^2 * ||c||_inf^2 diverges for alpha >= 1/2,
     which is flagged rather than raised.
     """

@@ -5,15 +5,15 @@ coupling at every step, as one coupled-pair process per spec.  Two copies
 that share a prefix and diverge at one pivot step are a prefix of that
 process, and every coupling draw comes from the joint table of
 ``maximal_coupling_joint``.  Provides simulation and exact pair-process
-enumeration of the per-step disagreement probabilities, the resolvent row
-that dominates them, exact conditional-oscillation computation, and
-report-producing verifiers for all of the above, which take the resolvent
-of a ``BoundReport`` and f's ``prefix_expectation_table`` as given.
+enumeration of the per-step disagreement probabilities, one pass per pivot
+step for all pivot pairs, the resolvent row that dominates them, exact
+conditional-oscillation computation, and report-producing verifiers for all
+of the above, which take the resolvent of a ``BoundReport`` and f's
+``prefix_expectation_table`` as given.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .influence import tv_distance
 from .process import (
     ProcessSpec,
+    _check_distributions,
     ensure_budget,
     history_ranks,
     mixed_radix_unrank,
@@ -39,8 +40,6 @@ from .targets import as_sensitivity, bounded_differences
 # Tolerances
 # ============================================================
 
-# Inputs may carry accumulated rounding; anything below this is treated as 0.
-NEGATIVE_MASS_TOLERANCE = -1e-15
 # Slack allowed when an exact quantity is compared against an exact bound.
 EXACT_COMPARISON_TOLERANCE = 1e-9
 # Slack allowed when a declared sensitivity is compared against the oracle.
@@ -48,23 +47,6 @@ DECLARED_SENSITIVITY_TOLERANCE = 1e-12
 # Monte Carlo allowances, in standard errors.
 RECURSION_SIGMAS = 3.0
 MARGINAL_SIGMAS = 4.0
-
-
-def _clean_distribution(vec, name: str) -> np.ndarray:
-    """Validate probability vectors along the last axis, clipping tiny
-    negative rounding to 0."""
-    arr = np.asarray(vec, dtype=float)
-    if arr.ndim == 0 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty probability vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    if float(arr.min()) < NEGATIVE_MASS_TOLERANCE:
-        raise ValueError(f"{name} has negative entries (min {arr.min()})")
-    arr = np.clip(arr, 0.0, None)
-    total = arr.sum(axis=-1, keepdims=True)
-    if float(np.abs(total - 1.0).max()) > 1e-12:
-        raise ValueError(f"{name} must sum to 1, got {total.ravel()}")
-    return arr / total
 
 
 # ============================================================
@@ -79,12 +61,16 @@ def maximal_coupling_joint(mu, nu) -> np.ndarray:
     is paired with the residual deficit via an outer product.  The residual
     supports are disjoint, so all off-diagonal mass disagrees.  Stacks of
     distributions along the last axis give the stack of joints, shape
-    (..., |A|, |A|).
+    (..., |A|, |A|).  Inputs pass ``_check_distributions``, then are clipped
+    at 0 and renormalised.
     """
-    p = _clean_distribution(mu, "mu")
-    q = _clean_distribution(nu, "nu")
+    p, q = np.asarray(mu, dtype=float), np.asarray(nu, dtype=float)
+    _check_distributions(p, "mu", ndim=max(p.ndim, 1))
+    _check_distributions(q, "nu", ndim=max(q.ndim, 1))
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    p, q = np.clip(p, 0.0, None), np.clip(q, 0.0, None)
+    p, q = p / p.sum(axis=-1, keepdims=True), q / q.sum(axis=-1, keepdims=True)
     overlap = np.minimum(p, q)
     excess, deficit = p - overlap, q - overlap
     joint = overlap[..., None] * np.eye(overlap.shape[-1])
@@ -100,9 +86,9 @@ def maximal_coupling_draws(
     """n_draws pairs (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
 
     One uniform per draw inverts the CDF of the flattened
-    ``maximal_coupling_joint``, scaled by its total: the cell is the number
-    of cumulative sums at or below the uniform, so empty cells are never
-    selected, and it splits into (y, z) = divmod(cell, |A|).
+    ``maximal_coupling_joint`` by ``sample_trajectories``' rule: the cell is
+    the number of cumulative sums at or below the uniform, clipped to the
+    last cell, and it splits into (y, z) = divmod(cell, |A|).
     """
     joint = maximal_coupling_joint(mu, nu)
     if joint.ndim != 2:
@@ -111,7 +97,7 @@ def maximal_coupling_draws(
     if n < 1:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
     cum = np.cumsum(joint.ravel())
-    cells = np.searchsorted(cum, randomness.random(n) * cum[-1], side="right")
+    cells = np.searchsorted(cum, randomness.random(n), side="right")
     return np.divmod(np.minimum(cells, cum.shape[0] - 1), joint.shape[0])
 
 
@@ -164,36 +150,45 @@ def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
 
 
 def exact_pair_discrepancy(
-    spec: ProcessSpec, k: int, prefix, x: int, xp: int, budget: int | None = None
+    spec: ProcessSpec, k: int, prefix, x, xp, budget: int | None = None
 ) -> np.ndarray:
     """Exact per-step disagreement probabilities v_j = P(Y_j != Z_j).
 
     v_j for j <= k is read off the pivot prefix.  From there a forward pass
     over the coupled pair process keeps each positive-probability pair
-    history as a path-array row with its probability, and extends it by the
-    positive entries of the step-table row it selects; no sampling error.
-    The budget counts the (|A|^2)^(N - k) pair suffixes and is checked
-    before the pair process is built.
+    history as a path-array row with its probability and pivot pair, and
+    extends it by the positive entries of the step-table row it selects; no
+    sampling error.  Equal-length vectors x and xp give one row of v per
+    pivot pair, from one pass.  The budget counts the (|A|^2)^(N - k) pair
+    suffixes of one pivot pair and is checked before the pair process is
+    built.
     """
     n, size = spec.horizon, spec.alphabet.size
-    start = _pivot_prefix(spec, k, prefix, x, xp)
+    shape = np.shape(x)
+    if np.shape(xp) != shape or len(shape) > 1 or 0 in shape:
+        raise ValueError(f"x, xp must be symbols or equal-length vectors: {shape}, {np.shape(xp)}")
+    pairs = zip(np.ravel(x).tolist(), np.ravel(xp).tolist())
+    starts = [_pivot_prefix(spec, k, prefix, a, b) for a, b in pairs]
     ensure_budget((size * size) ** (n - k), budget, "exact pair-process enumeration")
     pair = coupled_pair_process(spec)
     disagrees = ~np.eye(size, dtype=bool).ravel()
-    paths = np.zeros((1, n), dtype=np.min_scalar_type(size * size - 1))
-    paths[0, :k] = start
-    probs = np.ones(1)
-    v = np.zeros(n)
-    v[:k] = disagrees[list(start)]
+    count = len(starts)
+    paths = np.zeros((count, n), dtype=np.min_scalar_type(size * size - 1))
+    paths[:, :k] = starts
+    origin = np.arange(count)
+    probs = np.ones(count)
+    v = np.zeros((count, n))
+    v[:, :k] = disagrees[paths[:, :k]]
     for j in range(k + 1, n + 1):
         rows = step_table(pair, j)[history_ranks(pair, j, paths)]
         hist, sym = np.nonzero(rows > 0.0)
         probs = probs[hist] * rows[hist, sym]
-        paths = paths[hist]
+        paths, origin = paths[hist], origin[hist]
         paths[:, j - 1] = sym
-        # Python's sum adds in history order, one term at a time; numpy's adds pairwise.
-        v[j - 1] = sum(probs[disagrees[sym]].tolist())
-    return v
+        # bincount adds each pair's terms one at a time in history order.
+        hit = disagrees[sym]
+        v[:, j - 1] = np.bincount(origin[hit], probs[hit], minlength=count)
+    return v if shape else v[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,20 +368,16 @@ def verify_discrepancy_recursion(
     gamma = matrix_entries(gamma)
     if gamma.shape != (n, n):
         raise ValueError(f"resolvent must be {n} x {n}, got shape {gamma.shape}")
+    xs, xps = np.divmod(np.arange(size * size), size)
+    # The first positive prefixes of every length are prefixes of the longest.
+    first = _first_positive_prefix(spec, n - 1)
     rows = []
-    mc_pair: tuple[int, int] = (0, 0)
-    mc_exact = np.zeros(n)
-    best_mass = -np.inf
     for k in range(1, n + 1):
-        prefix = _first_positive_prefix(spec, k - 1)
-        worst = np.zeros(n)
-        for x, xp in itertools.product(range(size), repeat=2):
-            v = exact_pair_discrepancy(spec, k, prefix, x, xp, budget)
-            np.maximum(worst, v, out=worst)
-            if k == 1 and float(v.sum()) > best_mass:
-                best_mass = float(v.sum())
-                mc_pair = (x, xp)
-                mc_exact = v
+        v = exact_pair_discrepancy(spec, k, first[: k - 1], xs, xps, budget)
+        if k == 1:
+            best = int(np.argmax(v.sum(axis=1)))
+            mc_pair, mc_exact = (int(xs[best]), int(xps[best])), v[best]
+        worst = v.max(axis=0)
         for j in range(1, n + 1):
             rows.append(
                 make_check(

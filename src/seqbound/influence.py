@@ -11,6 +11,7 @@ structural zeros, and all out-of-signature coordinates are pinned to symbol
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,9 @@ class DecayProfile:
 
 
 def uniform_decay_profile(h) -> DecayProfile:
-    """phi_k = max_i H[i, i+k] for k = 1..N-1, with S = sum phi_k."""
+    """phi_k = max_i H[i, i+k] for k = 1..N-1, with S = sum phi_k correctly rounded."""
     arr = influence_entries(h)
     n = arr.shape[0]
     phi = tuple(float(np.diagonal(arr, offset=k).max()) for k in range(1, n))
-    total = float(sum(phi))
+    total = math.fsum(phi)
     return DecayProfile(phi=phi, total=total, sub_critical=total < 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,13 +134,14 @@ def spectral_decay(gamma) -> float:
 
 
 def decay_lower_bound(profile) -> float | None:
-    """(1 - S)^2 when the decay profile sums to S < 1; None otherwise."""
+    """(1 - S)^2 when the decay profile's correctly rounded sum S is below 1;
+    None otherwise."""
     phi = np.asarray(getattr(profile, "phi", profile), dtype=float)
     if phi.ndim != 1:
         raise ValueError(f"profile must be a vector, got shape {phi.shape}")
     if phi.size and float(phi.min()) < 0.0:
         raise ValueError("profile entries must be nonnegative")
-    total = float(phi.sum())
+    total = math.fsum(phi)
     if total >= 1.0:
         return None
     return (1.0 - total) ** 2

@@ -85,21 +85,26 @@ def test_shipped_config_runs(tmp_path, name, command):
 
 # Calls during verify, each exact quantity built once: one influence matrix
 # and resolvent (from compare_bounds, besides window calibration's own
-# influence matrix), no separate sensitivity oracle, and two exhaustive
+# influence matrix), no separate sensitivity oracle, two exhaustive
 # evaluations of f (the suites' prefix-expectation table and the tail
-# centering's exact expectation).
+# centering's exact expectation), one exact pair pass per pivot step for
+# all pivot pairs, and one walk of the first positive prefix.
 VERIFY_CALLS = {
     "window_small.yaml": {
         "interdependence_matrix": 2,
         "causal_resolvent": 1,
         "lipschitz_vector_oracle": 0,
         "exhaustive evaluate_batch": 2,
+        "exact_pair_discrepancy": 8,
+        "_first_positive_prefix": 1,
     },
     "markov.yaml": {
         "interdependence_matrix": 1,
         "causal_resolvent": 1,
         "lipschitz_vector_oracle": 0,
         "exhaustive evaluate_batch": 2,
+        "exact_pair_discrepancy": 8,
+        "_first_positive_prefix": 1,
     },
 }
 
@@ -126,6 +131,8 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
             seqbound.evaluate_batch,
             lambda f, paths: paths.shape[0] == trajectories,
         ),
+        counting("exact_pair_discrepancy", seqbound.exact_pair_discrepancy),
+        counting("_first_positive_prefix", seqbound.coupling._first_positive_prefix),
     ]
     # Every module that bound a counted function by name reaches its wrapper.
     for key, module in list(sys.modules.items()):

@@ -107,6 +107,29 @@ class TestCouplingJoint:
         with pytest.raises(ValueError):
             maximal_coupling_draws(mu, nu, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "mu, nu",
+        [
+            ([1.0 + 2e-12, -2e-12], [0.5, 0.5]),
+            ([0.5, 0.5], [np.nan, 1.0]),
+            ([np.inf, 0.0], [0.5, 0.5]),
+            ([0.5, 0.5 + 1e-11], [0.5, 0.5]),
+            ([], []),
+            (1.0, 1.0),
+            ([0.5, 0.5], [0.2, 0.3, 0.5]),
+        ],
+        ids=["negative", "nan", "inf", "row-sum", "empty", "0-d", "shapes"],
+    )
+    def test_rejects_non_distributions(self, mu, nu):
+        with pytest.raises(ValueError):
+            maximal_coupling_joint(mu, nu)
+
+    def test_clips_rounding_below_zero(self):
+        joint = maximal_coupling_joint([1.0 + 5e-13, -5e-13], [0.5, 0.5])
+        assert float(joint.min()) == 0.0
+        assert np.array_equal(joint.sum(axis=0), [0.5, 0.5])
+        assert np.array_equal(joint.sum(axis=1), [1.0, 0.0])
+
     def test_disagreement_minimality_on_randoms(self):
         # No coupling can disagree less often than the total variation distance.
         rng = np.random.default_rng(67)
@@ -239,6 +262,8 @@ class TestPairProcess:
             exact_pair_discrepancy(markov3, k=2, prefix=(), x=0, xp=1)  # prefix too short
         with pytest.raises(ValueError):
             exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=2)  # symbol range
+        with pytest.raises(ValueError):
+            exact_pair_discrepancy(markov3, k=1, prefix=(), x=[0, 1], xp=[1])  # pair lengths
 
     def test_one_pair_process_per_spec(self, markov3, monkeypatch):
         calls = []
@@ -337,6 +362,20 @@ class TestDiscrepancy:
                 expected[k:] += [p * (y[j] != z[j]) for j in range(k, horizon)]
             v = exact_pair_discrepancy(spec, k, prefix, x, xp)
             assert np.allclose(v, expected, atol=1e-12)
+
+    def test_pivot_pairs_in_one_pass_equal_single_pairs(self):
+        rng = np.random.default_rng(29)
+        for make in (random_positive_spec, random_sparse_spec) * 4:
+            horizon = int(rng.integers(2, 6))
+            size = int(rng.integers(2, 4))
+            spec = make(rng, horizon, size)
+            xs, xps = np.divmod(np.arange(size * size), size)
+            for k in range(1, horizon + 1):
+                prefix = tuple(int(a) for a in rng.integers(0, size, size=k - 1))
+                v = exact_pair_discrepancy(spec, k, prefix, xs, xps)
+                assert v.shape == (size * size, horizon)
+                for row, (x, xp) in enumerate(zip(xs, xps)):
+                    assert np.array_equal(v[row], exact_pair_discrepancy(spec, k, prefix, x, xp))
 
     def test_oscillation_budget_error(self, markov8):
         f = sum_symbols(8, 2)

@@ -12,6 +12,7 @@ from seqbound import (
     spectral_decay,
     spectral_norm,
     uniform_decay_profile,
+    uniform_decay_tail,
     variance_proxy,
 )
 from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, neumann_resolvent
@@ -155,6 +156,18 @@ class TestProxy:
         h = np.zeros((2, 2))
         h[0, 1] = 1.0
         assert decay_lower_bound(uniform_decay_profile(h)) is None
+
+    def test_decay_sum_is_one_correctly_rounded_sum(self):
+        # Ten distances of 0.1: a left-to-right float sum reads 0.9999999999999999,
+        # the correctly rounded sum 1.0.  Every reader of S must agree.
+        h = np.triu(np.full((11, 11), 0.1), k=1)
+        profile = uniform_decay_profile(h)
+        assert profile.total == 1.0
+        assert not profile.sub_critical
+        assert decay_lower_bound(profile) is None
+        bound = uniform_decay_tail(profile, np.ones(11))
+        assert not bound.applicable
+        assert bound.details["profile_sum"] == 1.0
 
     def test_kappa_dominates_relaxation(self):
         rng = np.random.default_rng(47)
