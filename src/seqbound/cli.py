@@ -237,10 +237,11 @@ def cmd_verify(args) -> int:
     config, out = _load(args)
     spec = config.build()
     f = config.target()
-    c = config.sensitivity(spec, f)
     run = config.run
-    # f's table first, so its budget check fails before H and Gamma are built.
+    # f's table first: its budget check fails before H and Gamma are built,
+    # and its last level, f on every trajectory, serves an oracle sensitivity.
     table = prefix_expectation_table(spec, f, run.budget)
+    c = config.sensitivity(spec, f, table[-1])
     bound_report = compare_bounds(spec, f=f, c=c, budget=run.budget)
     gamma = bound_report.resolvent
     suites = [

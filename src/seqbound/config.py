@@ -32,6 +32,7 @@ from .process import (
 from .targets import (
     TargetFunction,
     as_sensitivity,
+    bounded_differences,
     constant,
     count_symbol,
     lipschitz_vector_oracle,
@@ -267,14 +268,21 @@ class ScenarioConfig:
             return constant(n, params["value"])
         return table_target(params["values"], n, s)
 
-    def sensitivity(self, spec: ProcessSpec, f: TargetFunction) -> np.ndarray:
-        """Resolve the sensitivity vector per the configured mode."""
+    def sensitivity(
+        self, spec: ProcessSpec, f: TargetFunction, values: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Resolve the sensitivity vector per the configured mode.
+
+        Where the mode needs the exhaustive oracle, ``values``, f on every
+        trajectory in rank order (the last level of f's
+        ``prefix_expectation_table``), stands in for another pass over f.
+        """
         if self.sensitivity_mode == "declared":
             return as_sensitivity(self.declared_sensitivity, spec.horizon)
-        if self.sensitivity_mode == "oracle":
-            return lipschitz_vector_oracle(f, spec.alphabet, spec.horizon, self.run.budget)
-        if f.sensitivity is not None:
+        if self.sensitivity_mode != "oracle" and f.sensitivity is not None:
             return as_sensitivity(f.sensitivity, spec.horizon)
+        if values is not None:
+            return bounded_differences(np.reshape(values, (spec.alphabet.size,) * spec.horizon))
         return lipschitz_vector_oracle(f, spec.alphabet, spec.horizon, self.run.budget)
 
 

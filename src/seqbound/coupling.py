@@ -86,9 +86,10 @@ def maximal_coupling_draws(
     """n_draws pairs (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
 
     One uniform per draw inverts the CDF of the flattened
-    ``maximal_coupling_joint`` by ``sample_trajectories``' rule: the cell is
-    the number of cumulative sums at or below the uniform, clipped to the
-    last cell, and it splits into (y, z) = divmod(cell, |A|).
+    ``maximal_coupling_joint``: the cell is the number of cumulative sums at
+    or below the uniform, clipped to the last cell, which equals
+    ``sample_trajectories``' count over all sums but the last.  It splits
+    into (y, z) = divmod(cell, |A|).
     """
     joint = maximal_coupling_joint(mu, nu)
     if joint.ndim != 2:
@@ -225,8 +226,8 @@ def simulate_coupled_paths(
 
     ``sample_trajectories`` draws the coupled pair process with the pivot
     pinned as its prefix, so every step after the pivot applies the maximal
-    coupling of the two history-conditioned kernels; sample i consumes row i
-    of one seeded uniform matrix, so results are deterministic in
+    coupling of the two history-conditioned kernels; sample i reads the i-th
+    N uniforms of one seeded stream, so results are deterministic in
     (spec, k, prefix, x, xp, n_samples, seed).
     """
     start = _pivot_prefix(spec, k, prefix, x, xp)

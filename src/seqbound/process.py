@@ -229,11 +229,14 @@ def history_ranks(spec: ProcessSpec, step: int, paths: np.ndarray) -> np.ndarray
 
     ``paths`` is an integer array with at least ``step - 1`` columns; each
     row's signature coordinates are ranked in mixed radix, first coordinate
-    most significant.
+    most significant, by Horner's rule in ``intp``.
     """
-    coords = [i - 1 for i in spec.signature_coords(step)]
-    weights = spec.alphabet.size ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
-    return paths[:, coords] @ weights
+    size = spec.alphabet.size
+    key = np.zeros(paths.shape[0], dtype=np.intp)
+    for i in spec.signature_coords(step):
+        key *= size
+        key += paths[:, i - 1]
+    return key
 
 
 def trajectory_rows(horizon: int, size: int, prefix: Sequence[int] = ()) -> np.ndarray:

@@ -20,6 +20,11 @@ VERIFICATION_HEADER = ("check", "k", "j", "observed", "bound", "slack", "pass")
 
 def format_number(value) -> str:
     """Deterministic text for one CSV cell."""
+    # Fast path for the exact builtin types that fill most cells.
+    if type(value) is float:
+        return "" if math.isnan(value) else f"{value:.{SIGNIFICANT_DIGITS}g}"
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -50,21 +50,28 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # Forward sampling
 # ============================================================
 
+# Rows of uniforms drawn at a time: the sampler's memory beside its paths is
+# at most SAMPLE_BLOCK_ROWS * N float64s.
+SAMPLE_BLOCK_ROWS = 2048
+
 
 def sample_trajectories(
     spec: ProcessSpec, n_samples: int, seed: int, prefix: Sequence[int] = ()
 ) -> np.ndarray:
     """(n_samples, N) unsigned-integer array of trajectories, deterministic in the seed.
 
-    Row i consumes row i of a single pre-drawn uniform matrix, one column per
-    step, so the result is bit-reproducible and independent of how samples
-    would be scheduled across workers.  Each step ranks every sample's
-    signature coordinates into a row of the step's kernel table and inverts
-    that row's CDF: the symbol is the number of cumulative sums at or below
-    the uniform, so zero-probability symbols, whose cells are empty, are
-    never selected; the clip only absorbs cumulative-sum rounding below 1.
-    The columns of ``prefix`` are pinned in every row, and drawing starts
-    after them, from the same uniform matrix.
+    Row i reads the i-th N uniforms of one seeded stream, one per step, so the
+    result is bit-reproducible and independent of how samples would be
+    scheduled across workers.  The stream is drawn ``SAMPLE_BLOCK_ROWS`` rows
+    at a time into one reused buffer, so memory beside the paths is one
+    block.  Each step ranks every sample's signature coordinates into a row
+    of the step's kernel table and inverts that row's CDF: the symbol is the
+    number of the row's first |A| - 1 cumulative sums at or below the
+    uniform, so zero-probability symbols, whose cells are empty, are never
+    selected.  No clip is needed: cumulative sums are monotone, so the last
+    one is at or below the uniform only when all others are, whether or not
+    rounding leaves it below 1.  The columns of ``prefix`` are pinned in
+    every row, and drawing starts after them, with the same uniforms.
     """
     n = int(n_samples)
     if n < 1:
@@ -73,14 +80,22 @@ def sample_trajectories(
     pre = tuple(int(x) for x in prefix)
     if len(pre) > horizon or any(not 0 <= x < size for x in pre):
         raise ValueError(f"prefix {pre} is not a history of this process")
-    uniforms = np.random.default_rng(seed).random((n, horizon))
+    steps = range(len(pre) + 1, horizon + 1)
+    # (|A| - 1, table rows): one column of cumulative sums per context.
+    cums = {step: np.cumsum(step_table(spec, step), axis=1)[:, :-1].T.copy() for step in steps}
     # Column-major, so each step reads and writes one contiguous column.
     paths = np.zeros((n, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     paths[:, : len(pre)] = pre
-    for step in range(len(pre) + 1, horizon + 1):
-        cum = np.cumsum(step_table(spec, step), axis=1)
-        drawn = (cum[history_ranks(spec, step, paths)] <= uniforms[:, step - 1, None]).sum(axis=1)
-        paths[:, step - 1] = np.minimum(drawn, size - 1)
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((min(n, SAMPLE_BLOCK_ROWS), horizon))
+    for start in range(0, n, SAMPLE_BLOCK_ROWS):
+        rows = paths[start : start + SAMPLE_BLOCK_ROWS]
+        uniforms = rng.random(out=buffer[: rows.shape[0]]).T
+        for step in steps:
+            key = history_ranks(spec, step, rows)
+            rows[:, step - 1] = (cums[step][:, key] <= uniforms[step - 1]).sum(
+                axis=0, dtype=paths.dtype
+            )
     return paths
 
 

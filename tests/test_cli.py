@@ -14,7 +14,7 @@ import seqbound
 from seqbound import cli
 from seqbound.cli import BOUNDS_HEADER, MATRIX_HEADER, SWEEP_HEADER
 from seqbound.config import load_config
-from seqbound.report import VERIFICATION_HEADER
+from seqbound.report import VERIFICATION_HEADER, format_number
 from seqbound.sampling import TAIL_HEADER
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -106,12 +106,27 @@ VERIFY_CALLS = {
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
     },
+    # The oracle sensitivity is read off f's table, not a third pass over f.
+    "markov.yaml, oracle sensitivity": {
+        "interdependence_matrix": 1,
+        "causal_resolvent": 1,
+        "lipschitz_vector_oracle": 0,
+        "exhaustive evaluate_batch": 2,
+        "exact_pair_discrepancy": 8,
+        "_first_positive_prefix": 1,
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_CALLS))
 def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
-    config = load_config(CONFIG_DIR / name)
+    base, _, mode = name.partition(", ")
+    path = CONFIG_DIR / base
+    if mode == "oracle sensitivity":
+        doc = yaml.safe_load(path.read_text())
+        doc["sensitivity"] = {"mode": "oracle"}
+        path = write_yaml(tmp_path / "oracle.yaml", doc)
+    config = load_config(path)
     trajectories = config.alphabet_size ** config.horizon
     calls = dict.fromkeys(VERIFY_CALLS[name], 0)
 
@@ -142,9 +157,22 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
             for original, wrapper in wrapped:
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
-    argv = ["verify", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path)]
     assert cli.main(argv + ["--n-samples", "20000"]) == 0
     assert calls == VERIFY_CALLS[name]
+
+
+def test_builtin_cells_format_as_numpy_cells():
+    # Exact float and int take a fast path; numpy scalars, bool, None and
+    # str take the general one, and both agree.
+    floats = [0.0, -0.0, 0.1 + 0.2, 1e-300, -2.5e17, 1 / 3, float("inf"), float("-inf")]
+    for x in floats:
+        assert format_number(x) == format_number(np.float64(x)) == f"{x:.12g}"
+    assert format_number(float("nan")) == format_number(np.float64("nan")) == ""
+    for i in (0, -7, 2**70):
+        assert format_number(i) == str(i)
+    assert (format_number(np.int64(-7)), format_number(np.uint8(7))) == ("-7", "7")
+    assert [format_number(v) for v in (True, False, None, "x")] == ["1", "0", "", "x"]
 
 
 class TestSubcommands:

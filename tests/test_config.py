@@ -12,6 +12,7 @@ from seqbound import (
     DEFAULT_SEED,
     load_config,
     parse_config,
+    prefix_expectation_table,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -205,8 +206,11 @@ class TestBuilders:
         doc = minimal_markov(sensitivity={"mode": "oracle"})
         config = parse_config(doc)
         spec = config.build()
-        c = config.sensitivity(spec, config.target())
+        f = config.target()
+        c = config.sensitivity(spec, f)
         assert np.allclose(c, [1.0, 1.0, 1.0], atol=1e-12)
+        values = prefix_expectation_table(spec, f)[-1]
+        assert np.array_equal(config.sensitivity(spec, f, values), c)
 
     def test_table_family_and_target(self):
         doc = {
@@ -229,6 +233,9 @@ class TestBuilders:
         assert f.evaluate((1, 1)) == 3.0
         c = config.sensitivity(spec, f)  # falls back to the oracle
         assert np.allclose(c, [2.0, 1.0], atol=1e-12)
+        # f's values in rank order give the oracle's vector without a new pass.
+        values = prefix_expectation_table(spec, f)[-1]
+        assert np.array_equal(config.sensitivity(spec, f, values), c)
 
 
 # ============================================================

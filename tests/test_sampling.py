@@ -1,5 +1,7 @@
 """Vectorized trajectory sampling and empirical tail estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from seqbound import (
     joint_probability,
     kernel_at,
     sample_trajectories,
+    sampling,
     sum_symbols,
     tail_csv_rows,
     terminal_symbol,
@@ -120,6 +123,63 @@ class TestSampler:
             sample_trajectories(markov3, 10, seed=0, prefix=(0, 0, 0, 0))  # longer than N
         with pytest.raises(ValueError):
             sample_trajectories(markov3, 10, seed=0, prefix=(0, 2))  # outside the alphabet
+
+
+def one_shot_reference(spec, n, seed, prefix=()):
+    """The sampler without blocks: one (n, N) uniform matrix, ranks by an
+    int64 weight product, and the count over all cumulative sums clipped at
+    |A| - 1."""
+    size = spec.alphabet.size
+    uniforms = np.random.default_rng(seed).random((n, spec.horizon))
+    paths = np.zeros((n, spec.horizon), dtype=np.min_scalar_type(size - 1))
+    paths[:, : len(prefix)] = prefix
+    for step in range(len(prefix) + 1, spec.horizon + 1):
+        coords = [i - 1 for i in spec.signature_coords(step)]
+        weights = size ** np.arange(len(coords) - 1, -1, -1, dtype=np.int64)
+        ranks = paths[:, coords].astype(np.int64) @ weights
+        cum = np.cumsum(step_table(spec, step), axis=1)
+        drawn = (cum[ranks] <= uniforms[:, step - 1, None]).sum(axis=1)
+        paths[:, step - 1] = np.minimum(drawn, size - 1)
+    return paths
+
+
+def markov_spec(horizon):
+    return build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, horizon)
+
+
+BLOCK_CASES = {
+    "markov3, n not a multiple of the block": (lambda: markov_spec(3), 52, ()),
+    "markov3, n below the block": (lambda: markov_spec(3), 5, ()),
+    "window": (lambda: random_window_spec(np.random.default_rng(53), 7, 3, 2), 40, ()),
+    "pinned pair": (lambda: coupled_pair_process(markov_spec(5)), 30, (0, 1)),
+    "300 symbols": (lambda: build_independent(np.full(300, 1.0 / 300.0), 4), 30, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_blocks_equal_one_shot_draw(monkeypatch, name):
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+    build, n, prefix = BLOCK_CASES[name]
+    spec = build()
+    paths = sample_trajectories(spec, n, seed=59, prefix=prefix)
+    expected = one_shot_reference(spec, n, 59, prefix)
+    assert paths.dtype == expected.dtype
+    assert np.array_equal(paths, expected)
+
+
+def test_memory_beside_paths_is_bounded_by_the_block():
+    # One block of uniforms, not the (n, N) matrix (64 MB here), besides the
+    # returned paths.
+    horizon = 400
+    spec = markov_spec(horizon)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        paths = sample_trajectories(spec, 20_000, seed=61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - paths.nbytes < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
 
 
 class TestBinomialStderr:
