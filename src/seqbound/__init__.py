@@ -32,8 +32,6 @@ from .config import (
 )
 from .coupling import (
     coupled_pair_process,
-    discrepancy_bound,
-    exact_oscillation,
     exact_pair_discrepancy,
     maximal_coupling_draws,
     maximal_coupling_joint,
@@ -54,16 +52,13 @@ from .influence import (
 from .process import (
     Alphabet,
     ProcessSpec,
-    all_trajectories,
     build_causal_tree,
     build_from_tables,
     build_independent,
     build_markov,
     build_sliding_window,
     ensure_budget,
-    enumeration_cost,
     exact_expectation,
-    joint_probability,
     kernel_at,
     mixed_radix_rank,
     mixed_radix_unrank,
@@ -115,7 +110,6 @@ __all__ = [
     "TailBound",
     "TailEstimate",
     "TargetFunction",
-    "all_trajectories",
     "as_sensitivity",
     "binomial_stderr",
     "build_calibrated_window",
@@ -133,19 +127,15 @@ __all__ = [
     "coupled_pair_process",
     "decay_lower_bound",
     "default_t_grid",
-    "discrepancy_bound",
     "dobrushin_coefficient",
     "empirical_tail",
     "ensure_budget",
-    "enumeration_cost",
     "evaluate_batch",
     "exact_expectation",
-    "exact_oscillation",
     "exact_pair_discrepancy",
     "exact_tail",
     "influence_enumeration_cost",
     "interdependence_matrix",
-    "joint_probability",
     "kernel_at",
     "kontorovich_baseline",
     "lipschitz_vector_oracle",

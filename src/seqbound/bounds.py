@@ -66,12 +66,23 @@ class TailBound:
         return min(1.0, 2.0 * math.exp(-2.0 * t * t / self.proxy))
 
 
-def _checked_alpha(alpha, name: str, upper: float = math.inf) -> float:
+def _checked_alpha(alpha, name: str) -> float:
     a = float(alpha)
-    if not math.isfinite(a) or a < 0.0 or a >= upper:
-        top = "" if math.isinf(upper) else f" and below {upper:g}"
-        raise ValueError(f"{name} requires a contraction coefficient >= 0{top}, got {alpha}")
+    if not math.isfinite(a) or a < 0.0:
+        raise ValueError(f"{name} requires a contraction coefficient >= 0, got {alpha}")
     return a
+
+
+def _not_contracting(name: str, a: float, certified: bool = True) -> TailBound:
+    """The inapplicable row of a bound that needs a contraction coefficient below 1."""
+    return TailBound(
+        name=name,
+        proxy=None,
+        applicable=False,
+        certified=certified,
+        reason=f"contraction coefficient {a:g} is not below 1",
+        details={"alpha": a},
+    )
 
 
 def _free_sensitivity(c) -> np.ndarray:
@@ -137,13 +148,7 @@ def markov_tail(alpha, c) -> TailBound:
     a = _checked_alpha(alpha, "markov_tail")
     vec = _free_sensitivity(c)
     if a >= 1.0:
-        return TailBound(
-            name="markov",
-            proxy=None,
-            applicable=False,
-            reason=f"contraction coefficient {a:g} is not below 1",
-            details={"alpha": a},
-        )
+        return _not_contracting("markov", a)
     return TailBound(
         name="markov",
         proxy=float(vec @ vec) / (1.0 - a) ** 2,
@@ -151,28 +156,22 @@ def markov_tail(alpha, c) -> TailBound:
     )
 
 
-def tree_tail(alpha, out_degree, horizon) -> TailBound:
-    """Sub-critical tree bound for unit sensitivities: proxy N / (1 - alpha*D)^2."""
+def tree_tail(alpha, out_degree, c) -> TailBound:
+    """Sub-critical tree bound for unit sensitivities: proxy N / (1 - alpha*D)^2
+    with N = len(c); any other c gets an inapplicable row."""
     d = int(out_degree)
     if d != out_degree or d < 1:
         raise ValueError(f"out-degree must be a positive integer, got {out_degree}")
-    n = int(horizon)
-    if n < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     a = _checked_alpha(alpha, "tree_tail")
-    if a * d >= 1.0:
-        return TailBound(
-            name="tree",
-            proxy=None,
-            applicable=False,
-            reason=f"alpha * D = {a * d:g} reaches the critical value 1",
-            details={"alpha": a, "out_degree": float(d)},
-        )
-    return TailBound(
-        name="tree",
-        proxy=n / (1.0 - a * d) ** 2,
-        details={"alpha": a, "out_degree": float(d)},
-    )
+    vec = _free_sensitivity(c)
+    details = {"alpha": a, "out_degree": float(d)}
+    if not np.all(vec == 1.0):
+        reason = "stated for unit sensitivity vectors only"
+    elif a * d >= 1.0:
+        reason = f"alpha * D = {a * d:g} reaches the critical value 1"
+    else:
+        return TailBound(name="tree", proxy=vec.shape[0] / (1.0 - a * d) ** 2, details=details)
+    return TailBound(name="tree", proxy=None, applicable=False, reason=reason, details=details)
 
 
 def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
@@ -207,10 +206,13 @@ def kontorovich_baseline(alpha, c) -> TailBound:
     matrix with entries alpha^(j-i) above the diagonal, summed as a series
     without building the matrix.  The proxy
     N * ((1-alpha)/(1-2*alpha))^2 * ||c||_inf^2 diverges for alpha >= 1/2,
-    which is flagged rather than raised.
+    which is flagged rather than raised; at alpha >= 1 the row is
+    inapplicable, as ``markov_tail``'s is.
     """
-    a = _checked_alpha(alpha, "kontorovich_baseline", upper=1.0)
+    a = _checked_alpha(alpha, "kontorovich_baseline")
     vec = _free_sensitivity(c)
+    if a >= 1.0:
+        return _not_contracting("kontorovich", a, certified=False)
     n = vec.shape[0]
     cinf = float(vec.max()) if vec.size else 0.0
     delta_inf = float(sum(a ** k for k in range(1, n)))
@@ -236,9 +238,12 @@ def kontorovich_baseline(alpha, c) -> TailBound:
 
 
 def samson_baseline(alpha, c) -> TailBound:
-    """Square-root contraction baseline, comparison-only: ||c||_2^2 / (1 - sqrt(alpha))^2."""
-    a = _checked_alpha(alpha, "samson_baseline", upper=1.0)
+    """Square-root contraction baseline, comparison-only: ||c||_2^2 / (1 - sqrt(alpha))^2,
+    inapplicable at alpha >= 1."""
+    a = _checked_alpha(alpha, "samson_baseline")
     vec = _free_sensitivity(c)
+    if a >= 1.0:
+        return _not_contracting("samson", a, certified=False)
     multiplier = 1.0 / (1.0 - math.sqrt(a)) ** 2
     return TailBound(
         name="samson",
@@ -334,25 +339,11 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
     alpha_cols = column_sum_alpha(infl)
     if spec.family == "markov":
         a = dobrushin_coefficient(spec.meta["transition"])
-        rows.append(markov_tail(a, vec))
-        if a < 1.0:
-            rows.append(kontorovich_baseline(a, vec))
-            rows.append(samson_baseline(a, vec))
-        else:
-            reason = f"contraction coefficient {a:g} is not below 1"
-            rows.append(TailBound("kontorovich", None, applicable=False, certified=False, reason=reason))
-            rows.append(TailBound("samson", None, applicable=False, certified=False, reason=reason))
+        rows += [markov_tail(a, vec), kontorovich_baseline(a, vec), samson_baseline(a, vec)]
     if spec.family == "tree":
         a = float(infl.entries.max()) if infl.entries.size else 0.0
         d = max(int(spec.meta.get("out_degree", 0)), 1)
-        if np.all(vec == 1.0):
-            rows.append(tree_tail(a, d, spec.horizon))
-        else:
-            rows.append(TailBound(
-                "tree", None, applicable=False,
-                reason="stated for unit sensitivity vectors only",
-                details={"alpha": a, "out_degree": float(d)},
-            ))
+        rows.append(tree_tail(a, d, vec))
     if vec.shape[0] >= 1 and np.all(vec[:-1] == 0.0):
         rows.append(sparse_terminal_tail(alpha_cols, float(vec[-1])))
     for row in rows:

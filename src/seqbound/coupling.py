@@ -6,10 +6,10 @@ that share a prefix and diverge at one pivot step are a prefix of that
 process, and every coupling draw comes from the joint table of
 ``maximal_coupling_joint``.  Provides simulation and exact pair-process
 enumeration of the per-step disagreement probabilities, one pass per pivot
-step for all pivot pairs, the resolvent row that dominates them, exact
-conditional-oscillation computation, and report-producing verifiers for all
-of the above, which take the resolvent of a ``BoundReport`` and f's
-``prefix_expectation_table`` as given.
+step for all pivot pairs, and report-producing verifiers that compare them,
+and f's conditional oscillations, with the resolvent of a ``BoundReport``:
+the suites take that resolvent and f's ``prefix_expectation_table`` as
+given.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from .process import (
     ensure_budget,
     history_ranks,
     mixed_radix_unrank,
-    prefix_expectation_table,
     spec_from_tables,
     step_table,
     table_row,
     trajectory_rows,
 )
 from .report import VerificationReport, make_check
-from .resolvent import causal_resolvent, matrix_entries
+from .resolvent import matrix_entries
 from .sampling import binomial_stderr, sample_trajectories
 from .targets import as_sensitivity, bounded_differences
 
@@ -239,32 +238,6 @@ def simulate_coupled_paths(
         stderr=binomial_stderr(v_hat, int(n_samples)),
         n_samples=int(n_samples),
     )
-
-
-def discrepancy_bound(h, k: int) -> np.ndarray:
-    """Row k of the causal resolvent: the vector dominating v for any pivot-k pair."""
-    gamma = causal_resolvent(h).entries
-    if not 1 <= k <= gamma.shape[0]:
-        raise ValueError(f"pivot must be in 1..{gamma.shape[0]}, got {k}")
-    return gamma[k - 1].copy()
-
-
-# ============================================================
-# Exact conditional oscillations
-# ============================================================
-
-
-def exact_oscillation(
-    spec: ProcessSpec, f, k: int, prefix, budget: int | None = None
-) -> float:
-    """Largest swing of E[f(X) | X_{1:k}] over the step-k symbol.
-
-    Conditional values are computed for every symbol, reachable or not: the
-    conditional law of the suffix is defined by the kernels alone.
-    """
-    _pivot_prefix(spec, k, prefix, 0, 0)
-    values = prefix_expectation_table(spec, f, budget, prefix)[1]
-    return float(values.max() - values.min())
 
 
 def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ a distribution determined by the history (X_1, ..., X_{j-1}).  Every step
 also declares which history coordinates its kernel actually reads, and
 every consumer reads the kernel through one per-step table over the
 assignments of those coordinates (``step_table``).  The exact algorithms
-downstream (influence matrices, enumeration oracles, the sampler) prune
+downstream (influence matrices, conditional-expectation tables, the sampler) prune
 exponential work that way, so honesty is part of the contract: perturbing an
 undeclared coordinate must not change the kernel output.  The test suite
 compares the influence matrix with a brute-force supremum over full
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class Alphabet:
         if size != self.size or size < 1:
             raise ValueError(f"alphabet size must be a positive integer, got {self.size!r}")
         object.__setattr__(self, "size", size)
-
-    def symbols(self) -> range:
-        return range(self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,26 +181,6 @@ def table_row(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarra
     return step_table(spec, step)[mixed_radix_rank(symbols, spec.alphabet.size)]
 
 
-def joint_probability(spec: ProcessSpec, trajectory: Sequence[int]) -> float:
-    """Chain-rule probability of a full trajectory."""
-    traj = tuple(int(x) for x in trajectory)
-    if len(traj) != spec.horizon:
-        raise ValueError(f"trajectory must have length {spec.horizon}, got {len(traj)}")
-    size = spec.alphabet.size
-    if any(not 0 <= x < size for x in traj):
-        raise ValueError("trajectory symbol outside alphabet")
-    prob = 1.0
-    for j in range(1, spec.horizon + 1):
-        prob *= float(table_row(spec, j, traj)[traj[j - 1]])
-        if prob == 0.0:
-            return 0.0
-    return prob
-
-
-def all_trajectories(horizon: int, size: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(size), repeat=horizon)
-
-
 def mixed_radix_rank(symbols: Sequence[int], size: int) -> int:
     """Rank of a symbol tuple, first symbol most significant."""
     rank = 0
@@ -217,11 +194,6 @@ def mixed_radix_unrank(rank: int, length: int, size: int) -> tuple[int, ...]:
     for pos in range(length - 1, -1, -1):
         rank, out[pos] = divmod(rank, size)
     return tuple(out)
-
-
-def enumeration_cost(horizon: int, size: int) -> int:
-    """Worst-case trajectory count |A|^N, the unit used for budget checks."""
-    return size ** horizon
 
 
 def history_ranks(spec: ProcessSpec, step: int, paths: np.ndarray) -> np.ndarray:
@@ -239,17 +211,15 @@ def history_ranks(spec: ProcessSpec, step: int, paths: np.ndarray) -> np.ndarray
     return key
 
 
-def trajectory_rows(horizon: int, size: int, prefix: Sequence[int] = ()) -> np.ndarray:
-    """Every length-``horizon`` trajectory extending ``prefix``, one row each.
+def trajectory_rows(horizon: int, size: int) -> np.ndarray:
+    """Every length-``horizon`` trajectory, one row each.
 
-    Rows follow the rank of the free symbols, first symbol most significant,
-    and use the smallest unsigned dtype that holds the alphabet.
+    Rows follow the rank, first symbol most significant, and use the
+    smallest unsigned dtype that holds the alphabet.
     """
-    m = len(prefix)
-    rows = np.empty((size ** (horizon - m), horizon), dtype=np.min_scalar_type(size - 1))
-    rows[:, :m] = prefix
-    for t in range(horizon - m):
-        rows.reshape(size**t, size, -1, horizon)[:, :, :, m + t] = np.arange(size)[:, None]
+    rows = np.empty((size**horizon, horizon), dtype=np.min_scalar_type(size - 1))
+    for t in range(horizon):
+        rows.reshape(size**t, size, -1, horizon)[:, :, :, t] = np.arange(size)[:, None]
     return rows
 
 
@@ -267,28 +237,22 @@ def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:
     return float(prefix_expectation_table(spec, f, budget)[0][0])
 
 
-def prefix_expectation_table(
-    spec: ProcessSpec, f, budget: int | None = None, prefix: Sequence[int] = ()
-) -> list[np.ndarray]:
-    """Conditional expectations E[f(X) | X_{1:m+d} = prefix + s], one array per depth d.
+def prefix_expectation_table(spec: ProcessSpec, f, budget: int | None = None) -> list[np.ndarray]:
+    """Conditional expectations E[f(X) | X_{1:d} = s], one array per depth d.
 
-    ``table[d]`` lists the suffixes s of length d in rank order, so
-    ``table[0][0]`` is E[f(X) | prefix] and ``table[-1]`` is f, evaluated
-    once by ``evaluate_batch`` on every trajectory extending the prefix.
-    Zero-probability branches are included, since oscillation checks compare
-    reachable and unreachable siblings: the conditional law of a suffix is
-    defined by the kernels alone.  The budget counts the |A|^(N - m)
-    trajectories.
+    ``table[d]`` lists the prefixes s of length d in rank order, so
+    ``table[0][0]`` is E[f(X)] and ``table[-1]`` is f, evaluated once by
+    ``evaluate_batch`` on every trajectory.  Zero-probability branches are
+    included, since oscillation checks compare reachable and unreachable
+    siblings: the conditional law of a suffix is defined by the kernels
+    alone.  The budget counts the |A|^N trajectories.
     """
     n, size = spec.horizon, spec.alphabet.size
-    pre = tuple(int(x) for x in prefix)
-    if len(pre) > n or any(not 0 <= x < size for x in pre):
-        raise ValueError(f"prefix {pre} is not a history of this process")
-    ensure_budget(size ** (n - len(pre)), budget, "conditional expectation table")
-    rows = trajectory_rows(n, size, pre)
+    ensure_budget(size**n, budget, "conditional expectation table")
+    rows = trajectory_rows(n, size)
     level = evaluate_batch(f, rows)
     table = [level]
-    for step in range(n, len(pre), -1):
+    for step in range(n, 0, -1):
         # Every size**(n - step + 1)-th row starts a new length-(step - 1) prefix.
         probs = step_table(spec, step)[history_ranks(spec, step, rows[:: size ** (n - step + 1)])]
         children = level.reshape(-1, size)

@@ -35,10 +35,6 @@ class Resolvent:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def matrix_entries(m) -> np.ndarray:
     """Raw float entries of a matrix, Resolvent, or InterdependenceMatrix."""

@@ -3,12 +3,24 @@
 The random factories deliberately produce strictly positive kernels so that
 every prefix has positive probability and exhaustive sweeps really are
 exhaustive; only ``random_sparse_spec`` zeroes kernel entries, to exercise
-the zero-probability branches.  The Neumann-sum resolvent here is an
-independent oracle for the production back-substitution solver: same
-mathematical object, different algorithm.  Likewise the brute-force influence matrix reads every full
-history, where production reads the per-step tables over declared
-signatures.
+the zero-probability branches.
+
+The oracles, which no library code calls:
+
+- ``all_trajectories`` lists every length-N tuple in rank order;
+- ``joint_probability`` is the chain rule over ``kernel_at`` at full
+  histories, where production reads the per-step tables over declared
+  signatures, and ``brute_force_expectation`` sums it against f;
+- ``brute_force_influence`` is the largest TV distance between ``kernel_at``
+  outputs at full histories, signatures ignored;
+- ``exact_oscillation`` reads the swing of one prefix's children off f's
+  full ``prefix_expectation_table``, one table per call;
+- ``neumann_resolvent`` is the finite power sum, an independent algorithm
+  for the production back-substitution solver, and ``discrepancy_bound``
+  is row k of the production resolvent.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,9 +33,12 @@ from seqbound import (
     build_independent,
     build_markov,
     build_sliding_window,
-    enumeration_cost,
+    causal_resolvent,
+    kernel_at,
     mixed_radix_rank,
+    prefix_expectation_table,
     table_target,
+    tv_distance,
 )
 
 CANONICAL_TRANSITION = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -47,10 +62,25 @@ def neumann_resolvent(h: np.ndarray) -> np.ndarray:
     return total
 
 
-def brute_force_expectation(spec: ProcessSpec, f: TargetFunction) -> float:
-    """Expectation by full trajectory enumeration, independent of the DFS oracle."""
-    from seqbound import all_trajectories, joint_probability
+def all_trajectories(horizon: int, size: int):
+    return itertools.product(range(size), repeat=horizon)
 
+
+def joint_probability(spec: ProcessSpec, trajectory) -> float:
+    """Chain-rule probability of a full trajectory, each step's kernel read
+    by ``kernel_at`` at the full history."""
+    traj = tuple(int(x) for x in trajectory)
+    prob = 1.0
+    for j in range(1, spec.horizon + 1):
+        prob *= float(kernel_at(spec, j, traj[: j - 1])[traj[j - 1]])
+        if prob == 0.0:
+            return 0.0
+    return prob
+
+
+def brute_force_expectation(spec: ProcessSpec, f: TargetFunction) -> float:
+    """Expectation by full trajectory enumeration, independent of the
+    conditional-expectation table."""
     return sum(
         joint_probability(spec, path) * f.evaluate(path)
         for path in all_trajectories(spec.horizon, spec.alphabet.size)
@@ -60,8 +90,6 @@ def brute_force_expectation(spec: ProcessSpec, f: TargetFunction) -> float:
 def brute_force_influence(spec: ProcessSpec) -> np.ndarray:
     """Influence matrix as the largest TV distance between kernel_at outputs at
     any two full histories differing in one coordinate, signatures ignored."""
-    from seqbound import all_trajectories, kernel_at, tv_distance
-
     n, size = spec.horizon, spec.alphabet.size
     h = np.zeros((n, n))
     for j in range(2, n + 1):
@@ -72,6 +100,20 @@ def brute_force_influence(spec: ProcessSpec) -> np.ndarray:
                     other = kernel_at(spec, j, hist[: i - 1] + (b,) + hist[i:])
                     h[i - 1, j - 1] = max(h[i - 1, j - 1], tv_distance(base, other))
     return h
+
+
+def exact_oscillation(spec: ProcessSpec, f, k: int, prefix, budget=None) -> float:
+    """Largest swing of E[f(X) | X_{1:k}] over the step-k symbol after ``prefix``,
+    reachable or not."""
+    size = spec.alphabet.size
+    rank = mixed_radix_rank(prefix, size)
+    children = prefix_expectation_table(spec, f, budget)[k][rank * size : (rank + 1) * size]
+    return float(children.max() - children.min())
+
+
+def discrepancy_bound(h, k: int) -> np.ndarray:
+    """Row k of the causal resolvent: the vector dominating v for any pivot-k pair."""
+    return causal_resolvent(h).entries[k - 1]
 
 
 # ============================================================
@@ -119,7 +161,7 @@ def random_window_spec(rng: np.random.Generator, horizon: int, size: int, width:
 
 
 def random_table_target(rng: np.random.Generator, horizon: int, size: int) -> TargetFunction:
-    values = rng.uniform(-1.0, 1.0, size=enumeration_cost(horizon, size))
+    values = rng.uniform(-1.0, 1.0, size=size**horizon)
     return table_target(values, horizon, size)
 
 

@@ -16,24 +16,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_positive_spec, random_table_target, random_tree
+from conftest import (
+    all_trajectories,
+    discrepancy_bound,
+    exact_oscillation,
+    random_positive_spec,
+    random_table_target,
+    random_tree,
+)
 from seqbound import cli
 from seqbound.bounds import compare_bounds, kontorovich_baseline
 from seqbound.config import load_config
 from seqbound.coupling import (
-    discrepancy_bound,
-    exact_oscillation,
     exact_pair_discrepancy,
     maximal_coupling_draws,
     simulate_coupled_paths,
 )
 from seqbound.influence import column_sum_alpha, interdependence_matrix, tv_distance
-from seqbound.process import (
-    all_trajectories,
-    build_causal_tree,
-    build_independent,
-    build_markov,
-)
+from seqbound.process import build_causal_tree, build_independent, build_markov
 from seqbound.resolvent import (
     causal_resolvent,
     operator_norms,

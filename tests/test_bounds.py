@@ -88,11 +88,17 @@ class TestClosedForms:
         assert markov_tail(1.0, np.ones(3)).applicable is False
 
     def test_tree_frozen(self):
-        bound = tree_tail(0.2, 3, 15)
+        bound = tree_tail(0.2, 3, np.ones(15))
         assert abs(bound.proxy - 15.0 / 0.16) < 1e-10  # 93.75
-        assert tree_tail(0.5, 2, 15).applicable is False
+        assert tree_tail(0.5, 2, np.ones(15)).applicable is False
         with pytest.raises(ValueError):
-            tree_tail(0.2, 0, 15)
+            tree_tail(0.2, 0, np.ones(15))
+        c = np.ones(15)
+        c[-1] = 0.5
+        bound = tree_tail(0.2, 3, c)
+        assert bound.applicable is False
+        assert bound.reason == "stated for unit sensitivity vectors only"
+        assert bound.details == {"alpha": 0.2, "out_degree": 3.0}
 
     def test_sparse_terminal_frozen(self):
         assert abs(sparse_terminal_tail(0.8, 1.0).proxy - 25.0) < 1e-10
@@ -159,10 +165,14 @@ class TestKontorovich:
         assert abs(bound.details["delta_inf_norm"] - 2.0 / 3.0) < EXACT_TOL
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            kontorovich_baseline(1.0, np.ones(3))
+        for baseline in (kontorovich_baseline, samson_baseline):
+            bound = baseline(1.0, np.ones(3))
+            assert bound.applicable is False and bound.certified is False
+            assert bound.reason == "contraction coefficient 1 is not below 1"
         with pytest.raises(ValueError):
             kontorovich_baseline(-0.1, np.ones(3))
+        with pytest.raises(ValueError):
+            samson_baseline(float("nan"), np.ones(3))
 
     def test_resolvent_detail(self, markov3):
         # The resolvent-based scalar collapse is its own row, not a detail of

@@ -381,3 +381,17 @@ class TestModuleEntry:
         )
         assert result.returncode == 0
         assert "scenario: markov" in result.stdout
+
+    def test_public_names_resolve_once(self):
+        names = seqbound.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert getattr(seqbound, name) is not None
+        test_oracles = {
+            "all_trajectories",
+            "discrepancy_bound",
+            "enumeration_cost",
+            "exact_oscillation",
+            "joint_probability",
+        }
+        assert test_oracles.isdisjoint(names)

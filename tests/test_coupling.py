@@ -7,14 +7,11 @@ from seqbound import coupling
 from seqbound import (
     EnumerationBudgetError,
     TargetFunction,
-    all_trajectories,
     build_causal_tree,
     build_independent,
     build_markov,
     causal_resolvent,
     coupled_pair_process,
-    discrepancy_bound,
-    exact_oscillation,
     exact_pair_discrepancy,
     interdependence_matrix,
     kernel_at,
@@ -34,6 +31,9 @@ from seqbound import (
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
+    all_trajectories,
+    discrepancy_bound,
+    exact_oscillation,
     random_positive_spec,
     random_sparse_spec,
     random_table_target,
@@ -381,8 +381,6 @@ class TestDiscrepancy:
         f = sum_symbols(8, 2)
         with pytest.raises(EnumerationBudgetError):
             exact_oscillation(markov8, f, k=1, prefix=(), budget=255)
-        # The budget counts the trajectories that extend the prefix.
-        assert exact_oscillation(markov8, f, k=5, prefix=(0,) * 4, budget=16) > 0.0
 
     def test_oscillation_frozen(self, markov3):
         f = terminal_symbol(3, 2)
@@ -437,8 +435,8 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_oscillation_bound(markov3, table, resolvent_of(markov8), c)
         with pytest.raises(ValueError):
-            prefix_table = prefix_expectation_table(markov3, f, prefix=(0,))
-            verify_oscillation_bound(markov3, prefix_table, resolvent_of(markov3), c)
+            long_table = prefix_expectation_table(markov8, sum_symbols(8, 2))
+            verify_oscillation_bound(markov3, long_table, resolvent_of(markov3), c)
         with pytest.raises(ValueError):
             verify_discrepancy_recursion(markov3, resolvent_of(markov8), n_samples=1_000)
 

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from seqbound import (
+    Alphabet,
     EnumerationBudgetError,
-    all_trajectories,
+    ProcessSpec,
     build_causal_tree,
     build_from_tables,
     build_independent,
     build_markov,
     build_sliding_window,
-    enumeration_cost,
     ensure_budget,
     exact_expectation,
     interdependence_matrix,
-    joint_probability,
     kernel_at,
     mixed_radix_rank,
     mixed_radix_unrank,
@@ -28,7 +27,9 @@ from seqbound import (
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
+    all_trajectories,
     brute_force_expectation,
+    joint_probability,
     random_positive_spec,
     random_sparse_spec,
     random_table_target,
@@ -192,9 +193,6 @@ class TestEnumeration:
         assert err.value.required == 10_000
         assert err.value.budget == 100
 
-    def test_enumeration_cost(self):
-        assert enumeration_cost(10, 2) == 1024
-
 
 # ============================================================
 # Exact expectation oracles
@@ -223,6 +221,24 @@ class TestExactExpectation:
     def test_budget_error(self, markov8):
         with pytest.raises(EnumerationBudgetError):
             exact_expectation(markov8, sum_symbols(8, 2), budget=10)
+
+    def test_brute_force_sees_an_undeclared_read(self):
+        # Step 3 declares {2} but reads x1.  The step table pins x1 to 0, so
+        # every table consumer sees P(x3 = 1) = 0.8; the kernels give 0.45.
+        def kernel(step, history):
+            if step < 3:
+                return [0.5, 0.5]
+            return [0.2, 0.8] if history[0] == 0 else [0.9, 0.1]
+
+        spec = ProcessSpec(
+            horizon=3,
+            alphabet=Alphabet(2),
+            kernel=kernel,
+            signatures=(frozenset(), frozenset(), frozenset({2})),
+        )
+        f = terminal_symbol(3, 2)
+        assert abs(exact_expectation(spec, f) - 0.8) < EXACT_TOL
+        assert abs(brute_force_expectation(spec, f) - 0.45) < EXACT_TOL
 
     def test_joint_probability_frozen(self, markov3):
         assert abs(joint_probability(markov3, (0, 0, 1)) - 0.09) < EXACT_TOL
@@ -278,21 +294,10 @@ class TestPrefixExpectationTable:
                     if mass > 0.0:
                         assert abs(value - joint / mass) < 1e-10
 
-    def test_prefix_restricts_the_table(self, markov8):
-        f = sum_symbols(8, 2)
-        full = prefix_expectation_table(markov8, f)
-        sub = prefix_expectation_table(markov8, f, prefix=(0, 1, 1))
-        assert [len(level) for level in sub] == [1, 2, 4, 8, 16, 32]
-        rank = mixed_radix_rank((0, 1, 1), 2)
-        for d, level in enumerate(sub):
-            assert np.allclose(level, full[3 + d][rank * 2**d : (rank + 1) * 2**d], atol=1e-12)
-
     def test_budget_error(self, markov8):
         f = sum_symbols(8, 2)
         with pytest.raises(EnumerationBudgetError):
             prefix_expectation_table(markov8, f, budget=255)
-        # The budget counts the 2^(8 - 4) trajectories that extend the prefix.
-        assert len(prefix_expectation_table(markov8, f, budget=16, prefix=(0,) * 4)[-1]) == 16
 
     def test_budget_checked_before_allocation(self):
         # 2^60 trajectories: an allocation before the check would fail with MemoryError.

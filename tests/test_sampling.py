@@ -9,7 +9,6 @@ from seqbound import (
     EnumerationBudgetError,
     TailBound,
     TailEstimate,
-    all_trajectories,
     binomial_stderr,
     build_independent,
     build_markov,
@@ -17,7 +16,6 @@ from seqbound import (
     coupled_pair_process,
     default_t_grid,
     empirical_tail,
-    joint_probability,
     kernel_at,
     sample_trajectories,
     sampling,
@@ -27,7 +25,14 @@ from seqbound import (
     tightness_ratios,
 )
 from seqbound.process import step_table
-from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, random_positive_spec, random_window_spec
+from conftest import (
+    CANONICAL_INIT,
+    CANONICAL_TRANSITION,
+    all_trajectories,
+    joint_probability,
+    random_positive_spec,
+    random_window_spec,
+)
 
 LAW_SIGMAS = 4.0
 

@@ -10,7 +10,6 @@ from seqbound import (
     as_sensitivity,
     constant,
     count_symbol,
-    enumeration_cost,
     evaluate_batch,
     lipschitz_vector_oracle,
     parity,
@@ -113,7 +112,7 @@ class TestEvaluation:
     def test_table_target_length_check(self):
         with pytest.raises(ValueError):
             table_target(np.zeros(7), 3, 2)
-        values = np.arange(enumeration_cost(3, 2), dtype=float)
+        values = np.arange(2**3, dtype=float)
         f = table_target(values, 3, 2)
         assert f.evaluate((1, 1, 1)) == 7.0
 
