@@ -23,6 +23,7 @@ are 1-based throughout.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -48,7 +49,10 @@ def _check_distributions(arr: np.ndarray, name: str, ndim: int) -> None:
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
     low = arr.min()
-    error = np.abs(arr.sum(axis=-1, keepdims=True) - 1.0).max()
+    if ndim == 1:
+        error = abs(arr.sum() - 1.0)
+    else:
+        error = np.abs(arr.sum(axis=-1, keepdims=True) - 1.0).max()
     if not (low >= -PROBABILITY_TOLERANCE and error <= PROBABILITY_TOLERANCE):
         raise ValueError(f"{name} is not a probability vector (min {low}, row-sum error {error})")
 
@@ -126,26 +130,49 @@ class ProcessSpec:
         return tuple(sorted(self.signatures[step - 1]))
 
 
+def _symbols(values: Sequence[int], size: int, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints in 0..size-1, else ValueError naming the
+    first offending symbol.
+
+    ``operator.index`` accepts ints, numpy integers and bools and rejects a
+    float rather than truncating it.  Conversion and range check run in C;
+    the offender is looked for only on failure.
+    """
+    try:
+        symbols = tuple(map(operator.index, values))
+    except TypeError:
+        for x in values:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(f"{what} symbol {x} is not an integer") from None
+        raise
+    if symbols and not (min(symbols) >= 0 and max(symbols) < size):
+        bad = next(x for x in symbols if not 0 <= x < size)
+        raise ValueError(f"{what} symbol {bad} outside alphabet of size {size}")
+    return symbols
+
+
 def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarray:
     """Validated conditional distribution p_step(. | history), read-only.
 
     Every call evaluates the kernel at the full history; ``step_table`` keeps
-    the evaluations that the library reuses.
+    the evaluations that the library reuses.  The history is converted and
+    range-checked in C by ``_symbols``, so each step-table row pays one
+    O(step) check and no per-symbol interpreter work; the builtin window
+    kernel reads offsets hashed once per spec, not per call.
     """
     if not 1 <= step <= spec.horizon:
         raise ValueError(f"step must be in 1..{spec.horizon}, got {step}")
-    hist = tuple(int(x) for x in history)
+    size = spec.alphabet.size
+    hist = _symbols(history, size, "history")
     if len(hist) != step - 1:
         raise ValueError(f"history for step {step} must have length {step - 1}, got {len(hist)}")
-    size = spec.alphabet.size
-    for x in hist:
-        if not 0 <= x < size:
-            raise ValueError(f"history symbol {x} outside alphabet of size {size}")
     vec = np.array(spec.kernel(step, hist), dtype=float)
     if vec.shape != (size,):
         raise ValueError(f"kernel at step {step} returned shape {vec.shape}, expected ({size},)")
     _check_distributions(vec, f"kernel at step {step}", ndim=1)
-    np.clip(vec, 0.0, None, out=vec)
+    np.maximum(vec, 0.0, out=vec)
     vec.setflags(write=False)
     return vec
 
@@ -454,7 +481,7 @@ def spec_from_tables(tables, signatures, family: str, meta: Mapping[str, object]
                 f"table for step {j} must have shape ({rows}, {size}), got {table.shape}"
             )
         _check_distributions(table, f"table for step {j}", ndim=2)
-        np.clip(table, 0.0, None, out=table)
+        np.maximum(table, 0.0, out=table)
         table.setflags(write=False)
         spec._tables[j] = table
     return spec

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bounds import TailBound
 from .errors import EnumerationBudgetError
-from .process import ProcessSpec, exact_expectation, history_ranks, step_table
+from .process import ProcessSpec, _symbols, exact_expectation, history_ranks, step_table
 from .report import VerificationReport, make_check
 from .targets import evaluate_batch
 
@@ -71,14 +71,15 @@ def sample_trajectories(
     selected.  No clip is needed: cumulative sums are monotone, so the last
     one is at or below the uniform only when all others are, whether or not
     rounding leaves it below 1.  The columns of ``prefix`` are pinned in
-    every row, and drawing starts after them, with the same uniforms.
+    every row, and drawing starts after them, with the same uniforms; a
+    prefix symbol that is not an integer in 0..|A|-1 raises ValueError.
     """
     n = int(n_samples)
     if n < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     horizon, size = spec.horizon, spec.alphabet.size
-    pre = tuple(int(x) for x in prefix)
-    if len(pre) > horizon or any(not 0 <= x < size for x in pre):
+    pre = _symbols(prefix, size, "prefix")
+    if len(pre) > horizon:
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
     # (|A| - 1, table rows): one column of cumulative sums per context.

@@ -6,7 +6,8 @@ largest column sum of the exact influence matrix hits a requested value.
 The kernel at step j mixes a uniform floor with one point mass per visible
 context coordinate: the coordinate at distance d (the d-th most recent
 symbol) contributes weight beta * decay**(d-1) at a symbol obtained by
-adding a hashed (step, distance) offset to the context symbol.  Because the
+adding a hashed (step, distance) offset to the context symbol.  The offsets
+are hashed once per spec, into an (N, W) table the kernel reads.  Because the
 offset map is injective in the symbol, changing the context coordinate at
 distance d always moves its point mass, so the influence matrix is exactly
 the banded matrix H[j-d, j] = beta * decay**(d-1), and beta is solved in
@@ -63,11 +64,20 @@ def _mixture_window_spec(horizon: int, alphabet_size: int, width: int, beta: flo
     def window_kernel(step: int, window) -> np.ndarray:
         visible = len(window)
         vec = np.full(size, (1.0 - sum(weights[:visible])) / size)
+        row = offsets[step - 1]
         for d in range(1, visible + 1):
-            vec[window_point_symbol(step, d, window[-d], size)] += weights[d - 1]
+            vec[(row[d - 1] + window[-d]) % size] += weights[d - 1]
         return vec
 
-    return build_sliding_window(width, window_kernel, horizon, size)
+    spec = build_sliding_window(width, window_kernel, horizon, size)
+    # Hashed once per spec, after the alphabet is validated: offsets[j-1][d-1]
+    # is window_point_symbol(j, d, 0, A), so the kernel's point mass lands on
+    # window_point_symbol(j, d, x, A).
+    offsets = [
+        tuple(window_point_symbol(j, d, 0, size) for d in range(1, len(weights) + 1))
+        for j in range(1, spec.horizon + 1)
+    ]
+    return spec
 
 
 def build_calibrated_window(

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seqbound.process
 from seqbound import (
     Alphabet,
     EnumerationBudgetError,
@@ -35,7 +38,8 @@ from conftest import (
     random_table_target,
     random_window_spec,
 )
-from seqbound.process import step_table
+from seqbound.process import _check_distributions, step_table
+from seqbound.window import _mixture_window_spec
 
 EXACT_TOL = 1e-12
 
@@ -138,6 +142,28 @@ class TestKernelAt:
         with pytest.raises(ValueError):
             kernel_at(markov3, 2, (2,))
 
+    def test_error_names_the_first_offending_symbol(self, markov3):
+        with pytest.raises(ValueError, match=r"history symbol 5 outside alphabet of size 2"):
+            kernel_at(markov3, 3, (5, -1))
+
+    @pytest.mark.parametrize(
+        "bad", [1.7, np.float64(1.7), 1.0], ids=["float", "numpy-float", "whole-float"]
+    )
+    def test_non_integral_symbols_rejected(self, markov3, bad):
+        # int() would truncate the symbol and read another history's row.
+        with pytest.raises(ValueError, match=rf"history symbol {bad} is not an integer"):
+            kernel_at(markov3, 3, [0, bad])
+        with pytest.raises(ValueError, match=rf"prefix symbol {bad} is not an integer"):
+            sample_trajectories(markov3, 1, seed=0, prefix=(bad,))
+
+    @pytest.mark.parametrize(
+        "symbol", [1, np.int64(1), np.uint8(1), True], ids=["int", "int64", "uint8", "bool"]
+    )
+    def test_integer_like_symbols_accepted(self, markov3, symbol):
+        assert np.array_equal(kernel_at(markov3, 3, [0, symbol]), kernel_at(markov3, 3, (0, 1)))
+        pinned = sample_trajectories(markov3, 20, seed=3, prefix=(symbol,))
+        assert np.array_equal(pinned, sample_trajectories(markov3, 20, seed=3, prefix=(1,)))
+
     def test_step_table_rows_follow_signature_ranks(self):
         spec = random_window_spec(np.random.default_rng(5), 6, 3, 2)
         for step in range(1, 7):
@@ -163,6 +189,104 @@ class TestKernelAt:
 
         with pytest.raises(ValueError):
             consumer(build_sliding_window(2, window_kernel, 4, 2))
+
+
+BUILTIN_FAMILIES = {
+    "independent": lambda: build_independent(np.array([0.2, 0.3, 0.5]), 5),
+    "markov": lambda: build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 7),
+    "tree": lambda: build_causal_tree(
+        [0, 1, 1, 2, 0, 5], np.array([[0.6, 0.4], [0.1, 0.9]]), np.array([0.5, 0.5])
+    ),
+    "window": lambda: _mixture_window_spec(9, 3, 4, 0.3),
+}
+
+
+class TestTabulationCalls:
+    """Each step-table row is one validated ``kernel_at`` call, which the
+    benchmark's kernel counters read."""
+
+    @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
+    def test_one_kernel_call_per_table_row(self, monkeypatch, family):
+        calls = []
+        kernel = seqbound.process.kernel_at
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(seqbound.process, "kernel_at", counted)
+        spec = BUILTIN_FAMILIES[family]()
+        assert spec.family == family
+        size = spec.alphabet.size
+        for step in range(1, spec.horizon + 1):
+            step_table(spec, step)
+            step_table(spec, step)  # kept on the spec: no second build
+        assert len(calls) == sum(size ** len(sig) for sig in spec.signatures)
+
+
+def vector_cases():
+    """Vectors on both sides of the validator's thresholds: near-probability
+    vectors nudged by a few multiples of the tolerance, and raw floats."""
+    nudges = st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 1e-11, 0.5]).flatmap(
+        lambda e: st.sampled_from([e, -e])
+    )
+    weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(lambda w: sum(w) > 0)
+
+    @st.composite
+    def nudged(draw):
+        w = np.array(draw(weights))
+        vec = w / w.sum()
+        vec[draw(st.integers(0, len(vec) - 1))] += draw(nudges)
+        return vec
+
+    raw = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6)
+    return st.one_of(nudged(), raw.map(np.array))
+
+
+def one_ulp_either_side(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+EDGE_VECTORS = (
+    [np.array([s]) for s in one_ulp_either_side(1.0 + 1e-12) + one_ulp_either_side(1.0 - 1e-12)]
+    + [np.array([0.25, s - 0.25]) for s in one_ulp_either_side(1.0 + 1e-12)]
+    + [
+        np.array([-1e-12, 1.0 + 1e-12]),
+        np.array([-1e-12, 1.0]),
+        np.array([np.nan, 1.0]),
+        np.array([np.inf, 0.0]),
+        np.array([np.inf, -np.inf]),
+        np.array([0.5, 0.5]),
+    ]
+)
+
+
+def rejects(vec, ndim):
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge row sums
+            _check_distributions(vec, "v", ndim=ndim)
+    except ValueError:
+        return True
+    return False
+
+
+class TestDistributionCheck:
+    """A vector passes the 1-d check exactly when it passes as a one-row matrix."""
+
+    @pytest.mark.parametrize("vec", EDGE_VECTORS, ids=lambda v: repr(v.tolist()))
+    def test_edge_cases_agree(self, vec):
+        assert rejects(vec, 1) == rejects(vec[None, :], 2)
+
+    @given(vector_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_and_two_dim_paths_agree(self, vec):
+        assert rejects(vec, 1) == rejects(vec[None, :], 2)
+
+    def test_thresholds(self):
+        assert not rejects(np.array([0.5, 0.5]), 1)
+        assert rejects(np.array([-2e-12, 1.0 + 2e-12]), 1)
+        assert rejects(np.array([0.5, 0.5 + 2e-12]), 1)
+        assert rejects(np.array([np.nan, 1.0]), 1)
 
 
 # ============================================================

@@ -1,5 +1,7 @@
 """Calibrated sliding-window scenarios."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,27 @@ class TestCalibration:
         spec = build_calibrated_window(48, 4, 4, 0.7)
         assert influence_enumeration_cost(spec) == 11348
         assert len(calls) == 11348
+
+    @pytest.mark.parametrize(
+        "horizon, size, width, target",
+        [(100, 2, 5, 0.8), (3, 3, 5, 0.5), (4, 2, 4, 0.6), (6, 1, 3, 0.0), (7, 3, 3, 0.0)],
+        ids=["window.yaml", "N<W", "N=W", "A=1", "target-0"],
+    )
+    def test_tables_equal_the_per_row_hash_formula(self, horizon, size, width, target):
+        # The kernel reads offsets hashed once per spec; every row must equal
+        # the formula that hashes each (step, distance, symbol) on the spot.
+        spec = build_calibrated_window(horizon, size, width, target)
+        beta = spec.meta["beta"]
+        weights = [beta * WINDOW_INFLUENCE_DECAY ** (d - 1) for d in range(1, width + 1)]
+        for step in range(1, horizon + 1):
+            visible = len(spec.signature_coords(step))
+            rows = []
+            for window in itertools.product(range(size), repeat=visible):
+                vec = np.full(size, (1.0 - sum(weights[:visible])) / size)
+                for d in range(1, visible + 1):
+                    vec[window_point_symbol(step, d, window[-d], size)] += weights[d - 1]
+                rows.append(np.maximum(vec, 0.0))
+            assert np.array_equal(seqbound.process.step_table(spec, step), np.array(rows))
 
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
