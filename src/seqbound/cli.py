@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
                 spec, gamma, n_samples=run.n_samples, seed=run.seed, budget=run.budget
             ),
         ),
-        ("coupling-marginals", verify_coupling_marginals(spec, n_draws=run.n_samples, seed=run.seed)),
+        ("coupling-marginals", verify_coupling_marginals(spec)),
     ]
     grid = _resolved_grid(config, c)
     estimate = empirical_tail(

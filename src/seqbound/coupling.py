@@ -1,15 +1,16 @@
 """Maximal-coupling machinery and exact verification of the core inequalities.
 
 Couples two copies of a process with the optimal (maximal) total-variation
-coupling at every step, as one coupled-pair process per spec.  Two copies
-that share a prefix and diverge at one pivot step are a prefix of that
-process, and every coupling draw comes from the joint table of
-``maximal_coupling_joint``.  Provides simulation and exact pair-process
-enumeration of the per-step disagreement probabilities, one pass per pivot
-step for all pivot pairs, and report-producing verifiers that compare them,
-and f's conditional oscillations, with the resolvent of a ``BoundReport``:
-the suites take that resolvent and f's ``prefix_expectation_table`` as
-given.
+coupling at every step, as one coupled-pair process per spec whose step
+tables are ``maximal_coupling_joint`` of two base rows.  Two copies that
+share a prefix and diverge at one pivot step are a prefix of that process,
+so the generic trajectory sampler draws the coupled paths.  Provides
+simulation and exact pair-process enumeration of the per-step disagreement
+probabilities, one pass per pivot step for all pivot pairs, and
+report-producing verifiers: the pair tables against their base rows, and
+the disagreement probabilities and f's conditional oscillations against the
+resolvent of a ``BoundReport``.  The suites take that resolvent and f's
+``prefix_expectation_table`` as given.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .influence import tv_distance
 from .process import (
     ProcessSpec,
     _check_distributions,
+    _symbols,
     ensure_budget,
     history_ranks,
     mixed_radix_unrank,
@@ -45,6 +46,7 @@ EXACT_COMPARISON_TOLERANCE = 1e-9
 DECLARED_SENSITIVITY_TOLERANCE = 1e-12
 # Monte Carlo allowances, in standard errors.
 RECURSION_SIGMAS = 3.0
+# No suite uses it; bench/checks.py imports it.
 MARGINAL_SIGMAS = 4.0
 
 
@@ -85,10 +87,9 @@ def maximal_coupling_draws(
     """n_draws pairs (y, z) with y ~ mu, z ~ nu and P(y != z) = TV(mu, nu).
 
     One uniform per draw inverts the CDF of the flattened
-    ``maximal_coupling_joint``: the cell is the number of cumulative sums at
-    or below the uniform, clipped to the last cell, which equals
-    ``sample_trajectories``' count over all sums but the last.  It splits
-    into (y, z) = divmod(cell, |A|).
+    ``maximal_coupling_joint`` by ``sample_trajectories``' rule: the cell is
+    the number of cumulative sums, all but the last, at or below the
+    uniform.  It splits into (y, z) = divmod(cell, |A|).
     """
     joint = maximal_coupling_joint(mu, nu)
     if joint.ndim != 2:
@@ -97,8 +98,8 @@ def maximal_coupling_draws(
     if n < 1:
         raise ValueError(f"n_draws must be positive, got {n_draws}")
     cum = np.cumsum(joint.ravel())
-    cells = np.searchsorted(cum, randomness.random(n), side="right")
-    return np.divmod(np.minimum(cells, cum.shape[0] - 1), joint.shape[0])
+    cells = np.searchsorted(cum[:-1], randomness.random(n), side="right")
+    return np.divmod(cells, joint.shape[0])
 
 
 # ============================================================
@@ -106,19 +107,30 @@ def maximal_coupling_draws(
 # ============================================================
 
 
-def _pivot_prefix(spec: ProcessSpec, k: int, prefix, x: int, xp: int) -> tuple[int, ...]:
+def _pivot_prefix(spec: ProcessSpec, k: int, prefix, x, xp) -> tuple[int, ...]:
     """The pivot as a prefix of the coupled pair process: both copies follow
     ``prefix``, then take x and xp at step k."""
     size = spec.alphabet.size
     if not 1 <= k <= spec.horizon:
         raise ValueError(f"pivot must be in 1..{spec.horizon}, got {k}")
-    pre = tuple(int(a) for a in prefix)
+    pre = _symbols(prefix, size, "prefix")
     if len(pre) != k - 1:
         raise ValueError(f"prefix must have length {k - 1}, got {len(pre)}")
-    for a in pre + (int(x), int(xp)):
-        if not 0 <= a < size:
-            raise ValueError(f"symbol {a} outside alphabet of size {size}")
-    return tuple(a * size + a for a in pre) + (int(x) * size + int(xp),)
+    y, z = _symbols((x, xp), size, "pivot")
+    return tuple(a * size + a for a in pre) + (y * size + z,)
+
+
+def _pair_halves(spec: ProcessSpec, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base rows (mu, nu) that the Y and Z halves of each row of the pair
+    step table select, as two (|A|^(2 |sig|), |A|) arrays in row order."""
+    size = spec.alphabet.size
+    pair_size = size * size
+    m = len(spec.signatures[step - 1])
+    ensure_budget(pair_size ** m, None, f"pair kernel table of step {step}")
+    pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
+    weights = size ** np.arange(m - 1, -1, -1)
+    base = step_table(spec, step)
+    return base[(pairs // size) @ weights], base[(pairs % size) @ weights]
 
 
 def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
@@ -134,16 +146,10 @@ def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
     if pair is not None:
         return pair
     size = spec.alphabet.size
-    pair_size = size * size
-    tables = []
-    for j in range(1, spec.horizon + 1):
-        m = len(spec.signatures[j - 1])
-        ensure_budget(pair_size ** m, None, f"pair kernel table of step {j}")
-        pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
-        weights = size ** np.arange(m - 1, -1, -1)
-        base = step_table(spec, j)
-        mu, nu = base[(pairs // size) @ weights], base[(pairs % size) @ weights]
-        tables.append(maximal_coupling_joint(mu, nu).reshape(-1, pair_size))
+    tables = [
+        maximal_coupling_joint(*_pair_halves(spec, j)).reshape(-1, size * size)
+        for j in range(1, spec.horizon + 1)
+    ]
     pair = spec_from_tables(tables, spec.signatures, "coupled-pair", {"base_alphabet": size})
     spec._tables["coupled-pair"] = pair
     return pair
@@ -389,58 +395,36 @@ def verify_discrepancy_recursion(
     return VerificationReport(tuple(rows))
 
 
-def _marginal_scenarios(spec: ProcessSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Kernel pairs (step, mu, nu) probing each step's context dependence."""
-    scenarios = []
-    for j in range(1, spec.horizon + 1):
-        # Rows 0 and 1 differ only in the last signature coordinate.
-        if spec.signatures[j - 1] and spec.alphabet.size >= 2:
-            table = step_table(spec, j)
-            scenarios.append((j, table[0], table[1]))
-    if not scenarios:
-        first = step_table(spec, 1)[0]
-        if spec.horizon >= 2:
-            scenarios.append((2, first, step_table(spec, 2)[0]))
-        else:
-            scenarios.append((1, first, first))
-    return scenarios[:8]
+def verify_coupling_marginals(spec: ProcessSpec) -> VerificationReport:
+    """Check every row of the coupled pair process against its base rows.
 
-
-def verify_coupling_marginals(
-    spec: ProcessSpec, n_draws: int = 200_000, seed: int = 0
-) -> VerificationReport:
-    """Check maximal-coupling marginals and disagreement rate empirically.
-
-    For kernel pairs drawn from the spec (two histories differing in one
-    context coordinate), both empirical marginals must match the kernels and
-    the empirical disagreement must match their TV distance, all within
-    MARGINAL_SIGMAS binomial standard errors.  Row coordinates: k is the
-    step, j the 1-based symbol.
+    Each pair step-table row, as a |A| x |A| joint, must have the Y half's
+    base row mu as its Y marginal, the Z half's base row nu as its Z
+    marginal, and off-diagonal mass TV(mu, nu), all exactly, up to
+    EXACT_COMPARISON_TOLERANCE.  One row per (step, check): k is the step
+    and the observed value the worst absolute deviation over its rows.
     """
-    rng = np.random.default_rng(seed)
-    n = int(n_draws)
+    pair = coupled_pair_process(spec)
+    size = spec.alphabet.size
+    disagrees = ~np.eye(size, dtype=bool).ravel()
     rows = []
-    for step, mu, nu in _marginal_scenarios(spec):
-        ys, zs = maximal_coupling_draws(mu, nu, n, rng)
-        for side, draws, target in (("y", ys, mu), ("z", zs, nu)):
-            for a in range(target.shape[0]):
-                p = float(target[a])
-                rows.append(
-                    make_check(
-                        check=f"coupling_marginal_{side}",
-                        observed=abs(float((draws == a).mean()) - p),
-                        bound=MARGINAL_SIGMAS * float(binomial_stderr(p, n)),
-                        k=step,
-                        j=a + 1,
-                    )
+    for j in range(1, spec.horizon + 1):
+        mu, nu = _pair_halves(spec, j)
+        table = step_table(pair, j)
+        joint = table.reshape(-1, size, size)
+        tv = 0.5 * np.abs(mu - nu).sum(axis=-1)
+        for check, deviation in (
+            ("coupling_marginal_exact_y", joint.sum(axis=2) - mu),
+            ("coupling_marginal_exact_z", joint.sum(axis=1) - nu),
+            ("coupling_disagreement_exact", table[:, disagrees].sum(axis=1) - tv),
+        ):
+            rows.append(
+                make_check(
+                    check=check,
+                    observed=np.abs(deviation).max(),
+                    bound=0.0,
+                    k=j,
+                    tolerance=EXACT_COMPARISON_TOLERANCE,
                 )
-        tv = tv_distance(mu, nu)
-        rows.append(
-            make_check(
-                check="coupling_disagreement",
-                observed=abs(float((ys != zs).mean()) - tv),
-                bound=MARGINAL_SIGMAS * float(binomial_stderr(tv, n)),
-                k=step,
             )
-        )
     return VerificationReport(tuple(rows))

@@ -88,7 +88,9 @@ def test_shipped_config_runs(tmp_path, name, command):
 # influence matrix), no separate sensitivity oracle, two exhaustive
 # evaluations of f (the suites' prefix-expectation table and the tail
 # centering's exact expectation), one exact pair pass per pivot step for
-# all pivot pairs, and one walk of the first positive prefix.
+# all pivot pairs, one walk of the first positive prefix, and one stacked
+# maximal-coupling joint per step: the coupling suite checks the pair
+# tables the recursion suite built and builds none itself.
 VERIFY_CALLS = {
     "window_small.yaml": {
         "interdependence_matrix": 2,
@@ -97,6 +99,7 @@ VERIFY_CALLS = {
         "exhaustive evaluate_batch": 2,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
+        "maximal_coupling_joint": 8,
     },
     "markov.yaml": {
         "interdependence_matrix": 1,
@@ -105,6 +108,7 @@ VERIFY_CALLS = {
         "exhaustive evaluate_batch": 2,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
+        "maximal_coupling_joint": 8,
     },
     # The oracle sensitivity is read off f's table, not a third pass over f.
     "markov.yaml, oracle sensitivity": {
@@ -114,6 +118,7 @@ VERIFY_CALLS = {
         "exhaustive evaluate_batch": 2,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
+        "maximal_coupling_joint": 8,
     },
 }
 
@@ -148,6 +153,7 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
         ),
         counting("exact_pair_discrepancy", seqbound.exact_pair_discrepancy),
         counting("_first_positive_prefix", seqbound.coupling._first_positive_prefix),
+        counting("maximal_coupling_joint", seqbound.maximal_coupling_joint),
     ]
     # Every module that bound a counted function by name reaches its wrapper.
     for key, module in list(sys.modules.items()):
@@ -160,6 +166,18 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
     argv = ["verify", "--config", str(path), "--out", str(tmp_path)]
     assert cli.main(argv + ["--n-samples", "20000"]) == 0
     assert calls == VERIFY_CALLS[name]
+
+
+def test_coupling_rows_do_not_depend_on_the_seed(tmp_path):
+    rows = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        argv = ["verify", "--config", MARKOV, "--out", str(out), "--seed", seed]
+        assert cli.main(argv + ["--n-samples", "20000"]) == 0
+        lines = (out / "verification.csv").read_bytes().splitlines()
+        rows.append([line for line in lines if line.startswith(b"coupling_")])
+    assert len(rows[0]) == 3 * 8
+    assert rows[0] == rows[1]
 
 
 def test_builtin_cells_format_as_numpy_cells():

@@ -1,5 +1,7 @@
 """Maximal coupling, the pair process, and the verification suites."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ def random_distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     if raw.sum() == 0.0:
         raw[0] = 1.0
     return raw / raw.sum()
+
+
+class GivenUniforms:
+    """Stands in for a Generator whose ``random(n)`` returns given uniforms."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self.values.shape[0]
+        return self.values
 
 
 def resolvent_of(spec):
@@ -194,6 +207,27 @@ class TestCouplingSampling:
             stderr = np.sqrt(joint * (1.0 - joint) / n)
             assert np.all(np.abs(freq - joint) < SIGMA * stderr + (joint == 0.0))
 
+    def test_inversion_equals_the_clipped_count_over_all_sums(self):
+        # Reference: the number of cumulative sums at or below u, clipped to
+        # the last cell.  Uniforms sit on and one ulp below every sum, and
+        # zero cells repeat sums.
+        rng = np.random.default_rng(89)
+        for _ in range(2_000):
+            size = int(rng.integers(1, 6))
+            laws = []
+            for _ in range(2):
+                raw = rng.uniform(size=size) * (rng.uniform(size=size) < 0.6)
+                raw[int(rng.integers(size))] += float(raw.sum() == 0.0)
+                laws.append(raw / raw.sum())
+            cum = np.cumsum(maximal_coupling_joint(*laws).ravel())
+            u = np.concatenate([cum, np.nextafter(cum, -np.inf), rng.random(8)])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            expected = np.divmod(
+                np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1), size
+            )
+            ys, zs = maximal_coupling_draws(*laws, u.shape[0], GivenUniforms(u))
+            assert np.array_equal(ys, expected[0]) and np.array_equal(zs, expected[1])
+
     def test_draws_reproducible(self):
         mu = np.array([0.6, 0.4])
         nu = np.array([0.1, 0.9])
@@ -264,6 +298,35 @@ class TestPairProcess:
             exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=2)  # symbol range
         with pytest.raises(ValueError):
             exact_pair_discrepancy(markov3, k=1, prefix=(), x=[0, 1], xp=[1])  # pair lengths
+
+    @pytest.mark.parametrize(
+        "prefix, x, xp, named",
+        [
+            ((0.9,), 0, 1, "prefix symbol 0.9"),
+            ((0,), 1.6, 0.2, "pivot symbol 1.6"),
+            ((0,), 1, 0.2, "pivot symbol 0.2"),
+            ((0,), np.float64(1.0), 0, "pivot symbol 1.0"),
+        ],
+    )
+    def test_non_integral_symbols_rejected(self, markov3, prefix, x, xp, named):
+        match = re.escape(named) + " is not an integer"
+        with pytest.raises(ValueError, match=match):
+            exact_pair_discrepancy(markov3, 2, prefix, x, xp)
+        with pytest.raises(ValueError, match=match):
+            exact_pair_discrepancy(markov3, 2, prefix, [x], [xp])
+        with pytest.raises(ValueError, match=match):
+            simulate_coupled_paths(markov3, 2, prefix, x, xp, n_samples=10, seed=0)
+
+    def test_numpy_integer_symbols_accepted(self, markov3):
+        expected = exact_pair_discrepancy(markov3, 2, (0,), 1, 0)
+        assert np.array_equal(
+            exact_pair_discrepancy(markov3, 2, (np.int64(0),), np.uint8(1), np.int32(0)), expected
+        )
+        xs, xps = np.divmod(np.arange(4), 2)
+        assert np.array_equal(exact_pair_discrepancy(markov3, 2, np.array([0]), xs, xps)[2], expected)
+        a = simulate_coupled_paths(markov3, 2, (0,), xs[2], xps[2], n_samples=50, seed=4)
+        b = simulate_coupled_paths(markov3, 2, (0,), 1, 0, n_samples=50, seed=4)
+        assert np.array_equal(a.v_hat, b.v_hat)
 
     def test_one_pair_process_per_spec(self, markov3, monkeypatch):
         calls = []
@@ -449,8 +512,74 @@ class TestVerifiers:
 
     def test_coupling_marginals_pass(self, markov3, star_tree):
         for spec in (markov3, star_tree):
-            report = verify_coupling_marginals(spec, n_draws=200_000, seed=11)
+            report = verify_coupling_marginals(spec)
             assert report.passed
-            checks = {row.check for row in report.rows}
-            assert "coupling_marginal_y" in checks
-            assert "coupling_disagreement" in checks
+            assert [(row.check, row.k, row.j) for row in report.rows] == [
+                (check, k, None)
+                for k in range(1, spec.horizon + 1)
+                for check in COUPLING_CHECKS
+            ]
+
+
+COUPLING_CHECKS = (
+    "coupling_marginal_exact_y",
+    "coupling_marginal_exact_z",
+    "coupling_disagreement_exact",
+)
+
+
+def product_joint(mu, nu):
+    """The independent coupling: right marginals, too much disagreement."""
+    return np.asarray(mu)[..., :, None] * np.asarray(nu)[..., None, :]
+
+
+def moved_joint(axis: int):
+    """The maximal joint with 1e-6 of each row's largest cell moved one
+    cell along ``axis`` (2: to the next column, 1: to the next row)."""
+
+    def joint(mu, nu):
+        out = maximal_coupling_joint(mu, nu).copy()
+        size = out.shape[-1]
+        flat = out.reshape(-1, size * size)
+        rows = np.arange(flat.shape[0])
+        y, z = np.divmod(flat.argmax(axis=1), size)
+        to = y * size + (z + 1) % size if axis == 2 else (y + 1) % size * size + z
+        flat[rows, y * size + z] -= 1e-6
+        flat[rows, to] += 1e-6
+        return out
+
+    return joint
+
+
+SPEC_MAKERS = {
+    "markov": lambda: build_markov(CANONICAL_TRANSITION, np.array([0.5, 0.5]), 4),
+    "tree": lambda: build_causal_tree([0, 1, 1, 2], np.array([[0.6, 0.4], [0.3, 0.7]]), [0.5, 0.5]),
+    "random": lambda: random_positive_spec(np.random.default_rng(97), 4, 3),
+}
+
+
+class TestCouplingSuitePower:
+    @pytest.mark.parametrize("name", sorted(SPEC_MAKERS))
+    def test_product_coupling_fails_disagreement(self, name, monkeypatch):
+        monkeypatch.setattr(coupling, "maximal_coupling_joint", product_joint)
+        report = verify_coupling_marginals(SPEC_MAKERS[name]())
+        assert report.failures()
+        assert {row.check for row in report.failures()} == {"coupling_disagreement_exact"}
+
+    @pytest.mark.parametrize("axis, side", [(2, "z"), (1, "y")])
+    @pytest.mark.parametrize("name", sorted(SPEC_MAKERS))
+    def test_moved_mass_fails_a_marginal(self, name, axis, side, monkeypatch):
+        monkeypatch.setattr(coupling, "maximal_coupling_joint", moved_joint(axis))
+        spec = SPEC_MAKERS[name]()
+        report = verify_coupling_marginals(spec)
+        failed = {(row.check, row.k) for row in report.failures()}
+        expected = {(f"coupling_marginal_exact_{side}", k) for k in range(1, spec.horizon + 1)}
+        assert expected <= failed
+        other = "y" if side == "z" else "z"
+        assert all(row.passed for row in report.rows if row.check == f"coupling_marginal_exact_{other}")
+
+    def test_reads_the_pair_tables_verify_built(self, markov3, monkeypatch):
+        pair = coupled_pair_process(markov3)
+        monkeypatch.setattr(coupling, "maximal_coupling_joint", product_joint)
+        assert verify_coupling_marginals(markov3).passed
+        assert coupled_pair_process(markov3) is pair
