@@ -61,7 +61,6 @@ from .process import (
     exact_expectation,
     kernel_at,
     mixed_radix_rank,
-    mixed_radix_unrank,
     prefix_expectation_table,
 )
 from .resolvent import (
@@ -144,7 +143,6 @@ __all__ = [
     "maximal_coupling_draws",
     "maximal_coupling_joint",
     "mixed_radix_rank",
-    "mixed_radix_unrank",
     "operator_norms",
     "parity",
     "parse_config",

@@ -91,16 +91,10 @@ def _resolve_int(
         return flag_value
     raw = _env(env_name)
     if raw is not None:
-        where = f"${ENV_PREFIX}{env_name}"
         try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(where, f"expected an integer, got {raw!r}") from None
-        if value < minimum:
-            raise ConfigError(where, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(where, f"must be <= {maximum}, got {value}")
-        return value
+            return _int_at_least(minimum, maximum)(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"${ENV_PREFIX}{env_name}", str(exc)) from None
     return config_value
 
 
@@ -331,6 +325,9 @@ def cmd_sweep(args) -> int:
 
 
 def _int_at_least(minimum: int, maximum: int | None = None):
+    """Parser of an integer in minimum..maximum, for a flag or an environment
+    variable; a bad value raises ArgumentTypeError saying why."""
+
     def convert(text: str) -> int:
         try:
             value = int(text)

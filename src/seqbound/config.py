@@ -215,18 +215,10 @@ class ScenarioConfig:
         elif self.family == "independent":
             marginals = np.asarray(params["marginals"], dtype=float)
             spec = build_independent(marginals, n if marginals.ndim == 1 else None)
-            if spec.horizon != n:
-                raise ValueError(
-                    f"independent scenario is pinned to horizon {spec.horizon}, asked for {n}"
-                )
         elif self.family == "tree":
             spec = build_causal_tree(
                 params["parent"], params["edge_transition"], params["root_marginal"]
             )
-            if spec.horizon != n:
-                raise ValueError(
-                    f"tree scenario is pinned to horizon {spec.horizon}, asked for {n}"
-                )
         elif self.family == "window":
             spec = build_calibrated_window(
                 horizon=n,
@@ -238,10 +230,11 @@ class ScenarioConfig:
             )
         else:
             spec = build_from_tables(params["kernels"])
-            if spec.horizon != n:
-                raise ValueError(
-                    f"table scenario is pinned to horizon {spec.horizon}, asked for {n}"
-                )
+        # Independent matrices, trees and tables fix their own horizon.
+        if spec.horizon != n:
+            raise ValueError(
+                f"{self.family} scenario is pinned to horizon {spec.horizon}, asked for {n}"
+            )
         if spec.alphabet.size != self.alphabet_size:
             raise ValueError(
                 f"config declares alphabet {self.alphabet_size} but the kernels "

@@ -22,13 +22,12 @@ import numpy as np
 from .process import (
     ProcessSpec,
     _check_distributions,
+    _coordinate_ranks,
     _symbols,
     ensure_budget,
-    history_ranks,
-    mixed_radix_unrank,
+    extend_histories,
     spec_from_tables,
     step_table,
-    table_row,
     trajectory_rows,
 )
 from .report import VerificationReport, make_check
@@ -124,13 +123,12 @@ def _pair_halves(spec: ProcessSpec, step: int) -> tuple[np.ndarray, np.ndarray]:
     """The base rows (mu, nu) that the Y and Z halves of each row of the pair
     step table select, as two (|A|^(2 |sig|), |A|) arrays in row order."""
     size = spec.alphabet.size
-    pair_size = size * size
     m = len(spec.signatures[step - 1])
-    ensure_budget(pair_size ** m, None, f"pair kernel table of step {step}")
-    pairs = np.indices((pair_size,) * m).reshape(m, pair_size ** m).T
-    weights = size ** np.arange(m - 1, -1, -1)
+    ensure_budget((size * size) ** m, None, f"pair kernel table of step {step}")
+    pairs, coords = trajectory_rows(m, size * size), range(1, m + 1)
+    y, z = (_coordinate_ranks(half, coords, size) for half in (pairs // size, pairs % size))
     base = step_table(spec, step)
-    return base[(pairs // size) @ weights], base[(pairs % size) @ weights]
+    return base[y], base[z]
 
 
 def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
@@ -160,14 +158,13 @@ def exact_pair_discrepancy(
 ) -> np.ndarray:
     """Exact per-step disagreement probabilities v_j = P(Y_j != Z_j).
 
-    v_j for j <= k is read off the pivot prefix.  From there a forward pass
-    over the coupled pair process keeps each positive-probability pair
-    history as a path-array row with its probability and pivot pair, and
-    extends it by the positive entries of the step-table row it selects; no
-    sampling error.  Equal-length vectors x and xp give one row of v per
-    pivot pair, from one pass.  The budget counts the (|A|^2)^(N - k) pair
-    suffixes of one pivot pair and is checked before the pair process is
-    built.
+    v_j for j <= k is read off the pivot prefix.  From there
+    ``extend_histories`` runs the forward pass over the coupled pair
+    process, and each positive-probability pair history keeps the index of
+    its pivot pair; no sampling error.  Equal-length vectors x and xp give
+    one row of v per pivot pair, from one pass.  The budget counts the
+    (|A|^2)^(N - k) pair suffixes of one pivot pair and is checked before
+    the pair process is built.
     """
     n, size = spec.horizon, spec.alphabet.size
     shape = np.shape(x)
@@ -179,20 +176,16 @@ def exact_pair_discrepancy(
     pair = coupled_pair_process(spec)
     disagrees = ~np.eye(size, dtype=bool).ravel()
     count = len(starts)
-    paths = np.zeros((count, n), dtype=np.min_scalar_type(size * size - 1))
-    paths[:, :k] = starts
+    paths = np.array(starts)
     origin = np.arange(count)
     probs = np.ones(count)
     v = np.zeros((count, n))
-    v[:, :k] = disagrees[paths[:, :k]]
+    v[:, :k] = disagrees[paths]
     for j in range(k + 1, n + 1):
-        rows = step_table(pair, j)[history_ranks(pair, j, paths)]
-        hist, sym = np.nonzero(rows > 0.0)
-        probs = probs[hist] * rows[hist, sym]
-        paths, origin = paths[hist], origin[hist]
-        paths[:, j - 1] = sym
+        paths, probs, parent = extend_histories(pair, j, paths, probs)
+        origin = origin[parent]
         # bincount adds each pair's terms one at a time in history order.
-        hit = disagrees[sym]
+        hit = disagrees[paths[:, -1]]
         v[:, j - 1] = np.bincount(origin[hit], probs[hit], minlength=count)
     return v if shape else v[0]
 
@@ -247,12 +240,12 @@ def simulate_coupled_paths(
 
 
 def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:
-    prefix: tuple[int, ...] = ()
+    """The lexicographically first positive-probability prefix of length
+    ``depth``: the forward pass, continued from its first row only."""
+    paths, probs = np.zeros((1, 0), dtype=np.uint8), np.ones(1)
     for step in range(1, depth + 1):
-        vec = table_row(spec, step, prefix)
-        sym = int(np.flatnonzero(vec > 0.0)[0])
-        prefix += (sym,)
-    return prefix
+        paths, probs, _ = extend_histories(spec, step, paths[:1], probs[:1])
+    return tuple(paths[0].tolist())
 
 
 # ============================================================
@@ -267,8 +260,8 @@ def verify_oscillation_bound(spec: ProcessSpec, table, gamma, c) -> Verification
     the declared sensitivity against the exhaustive oracle, read off f's
     values in ``table[-1]`` (failures short-circuit with per-coordinate
     witness rows), then compares the exact oscillation at every
-    positive-probability prefix, found by a boolean forward pass over the
-    step tables, with (Gamma c)_k.  Violation rows embed the witness prefix.
+    positive-probability prefix, found by ``extend_histories``, with
+    (Gamma c)_k.  Violation rows embed the witness prefix.
     """
     n, size = spec.horizon, spec.alphabet.size
     vec = as_sensitivity(c, n)
@@ -296,18 +289,19 @@ def verify_oscillation_bound(spec: ProcessSpec, table, gamma, c) -> Verification
         )
     ]
 
-    # reachable[r]: the length-(k - 1) prefix of rank r has positive probability.
-    reachable = np.ones(1, dtype=bool)
+    # The positive-probability prefixes of length k - 1, in rank order, and
+    # their ranks, which index table[k - 1].
+    paths, probs = np.zeros((1, 0), dtype=np.uint8), np.ones(1)
+    ranks = np.zeros(1, dtype=np.intp)
     for k in range(1, n + 1):
-        children = table[k].reshape(-1, size)
+        children = table[k].reshape(-1, size)[ranks]
         deltas = children.max(axis=1) - children.min(axis=1)
-        violated = reachable & (deltas > weighted[k - 1] + EXACT_COMPARISON_TOLERANCE)
-        for rank in np.flatnonzero(violated).tolist():
-            prefix = mixed_radix_unrank(rank, k - 1, size)
+        violated = deltas > weighted[k - 1] + EXACT_COMPARISON_TOLERANCE
+        for row in np.flatnonzero(violated).tolist():
             rows.append(
                 make_check(
-                    check=f"oscillation_violation[prefix={prefix}]",
-                    observed=deltas[rank],
+                    check=f"oscillation_violation[prefix={tuple(paths[row].tolist())}]",
+                    observed=deltas[row],
                     bound=float(weighted[k - 1]),
                     k=k,
                     tolerance=EXACT_COMPARISON_TOLERANCE,
@@ -316,15 +310,15 @@ def verify_oscillation_bound(spec: ProcessSpec, table, gamma, c) -> Verification
         rows.append(
             make_check(
                 check="oscillation_worst",
-                observed=deltas[reachable].max(),
+                observed=deltas.max(),
                 bound=float(weighted[k - 1]),
                 k=k,
                 tolerance=EXACT_COMPARISON_TOLERANCE,
             )
         )
         if k < n:
-            probs = step_table(spec, k)[history_ranks(spec, k, trajectory_rows(k - 1, size))]
-            reachable = (reachable[:, None] & (probs > 0.0)).ravel()
+            paths, probs, parent = extend_histories(spec, k, paths, probs)
+            ranks = ranks[parent] * size + paths[:, -1]
     return VerificationReport(tuple(rows))
 
 

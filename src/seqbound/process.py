@@ -14,7 +14,7 @@ histories, which a dishonest kernel fails.
 Exact enumeration is two array passes over the same tables, which
 ``history_ranks`` indexes by rows of a path array: a backward pass mixes f
 up to every conditional expectation (``prefix_expectation_table``), and a
-forward pass extends positive-probability histories (``coupling``).
+forward pass extends positive-probability histories (``extend_histories``).
 
 Symbols are dense integer indices 0..size-1; steps and history coordinates
 are 1-based throughout.
@@ -202,12 +202,6 @@ def step_table(spec: ProcessSpec, step: int) -> np.ndarray:
     return table
 
 
-def table_row(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarray:
-    """The row of ``step_table(spec, step)`` that ``history`` selects."""
-    symbols = (history[i - 1] for i in spec.signature_coords(step))
-    return step_table(spec, step)[mixed_radix_rank(symbols, spec.alphabet.size)]
-
-
 def mixed_radix_rank(symbols: Sequence[int], size: int) -> int:
     """Rank of a symbol tuple, first symbol most significant."""
     rank = 0
@@ -216,26 +210,40 @@ def mixed_radix_rank(symbols: Sequence[int], size: int) -> int:
     return rank
 
 
-def mixed_radix_unrank(rank: int, length: int, size: int) -> tuple[int, ...]:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        rank, out[pos] = divmod(rank, size)
-    return tuple(out)
+def _coordinate_ranks(paths: np.ndarray, coords, size: int) -> np.ndarray:
+    """``mixed_radix_rank`` of each row of ``paths`` at the 1-based ``coords``,
+    by Horner's rule in ``intp`` over column views: no gathered copy."""
+    key = np.zeros(paths.shape[0], dtype=np.intp)
+    for i in coords:
+        key *= size
+        key += paths[:, i - 1]
+    return key
 
 
 def history_ranks(spec: ProcessSpec, step: int, paths: np.ndarray) -> np.ndarray:
     """Row of ``step_table(spec, step)`` that each row of ``paths`` selects.
 
-    ``paths`` is an integer array with at least ``step - 1`` columns; each
-    row's signature coordinates are ranked in mixed radix, first coordinate
-    most significant, by Horner's rule in ``intp``.
+    ``paths`` is an integer array with at least ``step - 1`` columns.
     """
-    size = spec.alphabet.size
-    key = np.zeros(paths.shape[0], dtype=np.intp)
-    for i in spec.signature_coords(step):
-        key *= size
-        key += paths[:, i - 1]
-    return key
+    return _coordinate_ranks(paths, spec.signature_coords(step), spec.alphabet.size)
+
+
+def extend_histories(
+    spec: ProcessSpec, step: int, paths: np.ndarray, probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the forward pass over positive-probability histories.
+
+    ``paths`` holds histories of length ``step - 1`` as rows, in rank order,
+    with probabilities ``probs``.  Returns each row extended by every symbol
+    of positive probability at ``step``, still in rank order, in the
+    smallest unsigned dtype; their probabilities; and each one's parent row.
+    """
+    rows = step_table(spec, step)[history_ranks(spec, step, paths)]
+    parent, symbol = np.nonzero(rows > 0.0)
+    extended = np.empty((parent.size, step), dtype=np.min_scalar_type(spec.alphabet.size - 1))
+    extended[:, :-1] = paths[parent]
+    extended[:, -1] = symbol
+    return extended, probs[parent] * rows[parent, symbol], parent
 
 
 def trajectory_rows(horizon: int, size: int) -> np.ndarray:
@@ -465,10 +473,15 @@ def spec_from_tables(tables, signatures, family: str, meta: Mapping[str, object]
     ``tables[j-1]`` has one row per assignment of ``signatures[j-1]``; the
     arrays are validated, clipped at 0 in place and kept as the step tables.
     """
+
+    def kernel(step: int, history: tuple[int, ...]) -> np.ndarray:
+        symbols = (history[i - 1] for i in spec.signature_coords(step))
+        return spec._tables[step][mixed_radix_rank(symbols, spec.alphabet.size)]
+
     spec = ProcessSpec(
         horizon=len(tables),
         alphabet=Alphabet(tables[0].shape[1]),
-        kernel=lambda step, history: table_row(spec, step, history),
+        kernel=kernel,
         signatures=signatures,
         family=family,
         meta=meta,

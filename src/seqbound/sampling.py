@@ -222,16 +222,14 @@ def tightness_ratios(estimate: TailEstimate, bound: TailBound) -> np.ndarray:
 
 
 def tail_csv_rows(estimate: TailEstimate, bounds: Sequence[TailBound]) -> list[tuple]:
-    """Rows for the `t,empirical,stderr,bound_name,bound_value,pass` layout."""
+    """Rows for the `t,empirical,stderr,bound_name,bound_value,pass` layout,
+    each applicable bound's columns read off ``check_tail_domination``."""
+    applicable = [bound for bound in bounds if bound.applicable]
+    checks = [check_tail_domination(estimate, bound).rows for bound in applicable]
     rows = []
     for i, t in enumerate(estimate.t_grid):
-        emp = float(estimate.frequencies[i])
         err = float(estimate.stderr[i])
-        for bound in bounds:
-            if not bound.applicable:
-                continue
-            value = bound.delta_at(float(t))
-            rows.append(
-                (float(t), emp, err, bound.name, value, emp <= value + DOMINATION_SIGMAS * err)
-            )
+        for bound, check in zip(applicable, checks):
+            row = check[i]
+            rows.append((float(t), row.observed, err, bound.name, row.bound, row.passed))
     return rows

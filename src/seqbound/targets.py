@@ -7,7 +7,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .process import Alphabet, ensure_budget, evaluate_batch, mixed_radix_rank, trajectory_rows
+from .process import (
+    Alphabet,
+    _coordinate_ranks,
+    ensure_budget,
+    evaluate_batch,
+    mixed_radix_rank,
+    trajectory_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +150,9 @@ def table_target(values: Sequence[float], horizon: int, alphabet_size: int) -> T
     if not np.all(np.isfinite(arr)):
         raise ValueError("value table has non-finite entries")
     arr.setflags(write=False)
-    weights = (size ** np.arange(n - 1, -1, -1)).astype(np.int64)
     return TargetFunction(
         name="table",
         evaluate=lambda x: float(arr[mixed_radix_rank(x, size)]),
         sensitivity=None,
-        batch=lambda paths: arr[paths.astype(np.int64) @ weights],
+        batch=lambda paths: arr[_coordinate_ranks(paths, range(1, n + 1), size)],
     )

@@ -13,7 +13,7 @@ import yaml
 import seqbound
 from seqbound import cli
 from seqbound.cli import BOUNDS_HEADER, MATRIX_HEADER, SWEEP_HEADER
-from seqbound.config import load_config
+from seqbound.config import MAX_SEED, load_config
 from seqbound.report import VERIFICATION_HEADER, format_number
 from seqbound.sampling import TAIL_HEADER
 
@@ -90,7 +90,10 @@ def test_shipped_config_runs(tmp_path, name, command):
 # centering's exact expectation), one exact pair pass per pivot step for
 # all pivot pairs, one walk of the first positive prefix, and one stacked
 # maximal-coupling joint per step: the coupling suite checks the pair
-# tables the recursion suite built and builds none itself.
+# tables the recursion suite built and builds none itself.  Histories over
+# the base alphabet are enumerated twice, for those two tables of f; the
+# oscillation suite walks the positive-probability prefixes forward
+# instead.  The pair tables' enumerations over |A|^2 are not counted.
 VERIFY_CALLS = {
     "window_small.yaml": {
         "interdependence_matrix": 2,
@@ -100,6 +103,7 @@ VERIFY_CALLS = {
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
+        "base trajectory_rows": 2,
     },
     "markov.yaml": {
         "interdependence_matrix": 1,
@@ -109,6 +113,7 @@ VERIFY_CALLS = {
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
+        "base trajectory_rows": 2,
     },
     # The oracle sensitivity is read off f's table, not a third pass over f.
     "markov.yaml, oracle sensitivity": {
@@ -119,6 +124,7 @@ VERIFY_CALLS = {
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
+        "base trajectory_rows": 2,
     },
 }
 
@@ -154,6 +160,11 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
         counting("exact_pair_discrepancy", seqbound.exact_pair_discrepancy),
         counting("_first_positive_prefix", seqbound.coupling._first_positive_prefix),
         counting("maximal_coupling_joint", seqbound.maximal_coupling_joint),
+        counting(
+            "base trajectory_rows",
+            seqbound.process.trajectory_rows,
+            lambda horizon, size: size == config.alphabet_size,
+        ),
     ]
     # Every module that bound a counted function by name reaches its wrapper.
     for key, module in list(sys.modules.items()):
@@ -381,6 +392,23 @@ class TestEnvResolution:
         monkeypatch.setenv("SEQBOUND_BUDGET", "zero")
         assert cli.main(["describe", "--config", MARKOV]) == 2
         assert "SEQBOUND_BUDGET" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("budget", "zero", "expected an integer, got 'zero'"),
+            ("budget", "0", "must be >= 1, got 0"),
+            ("seed", str(MAX_SEED + 1), f"must be <= {MAX_SEED}, got {MAX_SEED + 1}"),
+        ],
+    )
+    def test_flag_and_env_share_one_parser(self, monkeypatch, capsys, name, text, message):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["describe", "--config", MARKOV, f"--{name}", text])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        monkeypatch.setenv(f"SEQBOUND_{name.upper()}", text)
+        assert cli.main(["describe", "--config", MARKOV]) == 2
+        assert f"config error at $SEQBOUND_{name.upper()}: {message}" in capsys.readouterr().err
 
 
 # ============================================================

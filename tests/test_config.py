@@ -184,9 +184,35 @@ class TestBuilders:
             },
             "target": {"name": "parity"},
         }
-        config = parse_config(indep)
-        with pytest.raises(ValueError):
-            config.build(horizon=5)
+        tree = {
+            "scenario": {
+                "family": "tree",
+                "horizon": 3,
+                "alphabet": 2,
+                "tree": {
+                    "parent": [0, 1, 1],
+                    "edge_transition": [[0.6, 0.4], [0.4, 0.6]],
+                    "root_marginal": [0.5, 0.5],
+                },
+            },
+            "target": {"name": "parity"},
+        }
+        table = {
+            "scenario": {
+                "family": "table",
+                "horizon": 2,
+                "alphabet": 2,
+                "table": {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]},
+            },
+            "target": {"name": "parity"},
+        }
+        for doc in (indep, tree, table):
+            config = parse_config(doc)
+            family, pinned = config.family, config.horizon
+            assert config.build(horizon=pinned).horizon == pinned
+            message = f"{family} scenario is pinned to horizon {pinned}, asked for 5"
+            with pytest.raises(ValueError, match=message):
+                config.build(horizon=5)
 
     def test_alphabet_cross_check(self):
         doc = minimal_markov()

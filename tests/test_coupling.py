@@ -36,6 +36,7 @@ from conftest import (
     all_trajectories,
     discrepancy_bound,
     exact_oscillation,
+    joint_probability,
     random_positive_spec,
     random_sparse_spec,
     random_table_target,
@@ -468,6 +469,41 @@ class TestVerifiers:
         assert worst[2] == 0.0 and worst[3] == 0.0
         assert abs(exact_oscillation(markov3, f, k=2, prefix=(1,)) - 0.7) < EXACT_TOL
         assert abs(exact_oscillation(markov3, f, k=3, prefix=(1, 0)) - 1.0) < EXACT_TOL
+
+    def test_violation_rows_are_the_positive_prefixes_over_the_bound(self):
+        # A resolvent scaled down to 0.3 makes some oscillations exceed
+        # (Gamma c)_k.  Brute force: the prefixes, lexicographically, with a
+        # completion of positive joint_probability whose oscillation exceeds
+        # the bound; violating prefixes of probability 0 get no row.
+        rng = np.random.default_rng(97)
+        unreachable = 0
+        for _ in range(6):
+            n, size = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            spec = random_sparse_spec(rng, n, size)
+            f = random_table_target(rng, n, size)
+            c = lipschitz_vector_oracle(f, size, n)
+            gamma = 0.3 * resolvent_of(spec).entries
+            report = verify_oscillation_bound(spec, prefix_expectation_table(spec, f), gamma, c)
+            bound = gamma @ c
+            expected = []
+            for k in range(1, n + 1):
+                for prefix in all_trajectories(k - 1, size):
+                    osc = exact_oscillation(spec, f, k, prefix)
+                    if osc <= bound[k - 1] + coupling.EXACT_COMPARISON_TOLERANCE:
+                        continue
+                    completions = all_trajectories(n - k + 1, size)
+                    if any(joint_probability(spec, prefix + rest) > 0.0 for rest in completions):
+                        expected.append((f"oscillation_violation[prefix={prefix}]", k, osc))
+                    else:
+                        unreachable += 1
+            rows = [
+                (row.check, row.k, row.observed)
+                for row in report.rows
+                if row.check.startswith("oscillation_violation")
+            ]
+            assert rows == expected
+            assert all(row.bound == bound[row.k - 1] for row in report.failures())
+        assert unreachable > 0
 
     def test_oscillation_passes_on_chain(self, markov3):
         f = sum_symbols(3, 2)

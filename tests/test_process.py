@@ -1,5 +1,7 @@
 """Process construction, enumeration, and the exact expectation oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from seqbound import (
     interdependence_matrix,
     kernel_at,
     mixed_radix_rank,
-    mixed_radix_unrank,
     prefix_expectation_table,
     sample_trajectories,
     sum_symbols,
@@ -38,7 +39,7 @@ from conftest import (
     random_table_target,
     random_window_spec,
 )
-from seqbound.process import _check_distributions, step_table
+from seqbound.process import _check_distributions, extend_histories, step_table
 from seqbound.window import _mixture_window_spec
 
 EXACT_TOL = 1e-12
@@ -171,9 +172,10 @@ class TestKernelAt:
             table = step_table(spec, step)
             assert table.shape == (3 ** len(coords), 3)
             assert not table.flags.writeable
-            for rank in range(table.shape[0]):
+            assignments = itertools.product(range(3), repeat=len(coords))
+            for rank, assign in enumerate(assignments):
                 hist = [2] * (step - 1)
-                for coord, x in zip(coords, mixed_radix_unrank(rank, len(coords), 3)):
+                for coord, x in zip(coords, assign):
                     hist[coord - 1] = x
                 assert np.array_equal(table[rank], kernel_at(spec, step, hist))
 
@@ -295,11 +297,6 @@ class TestDistributionCheck:
 
 
 class TestEnumeration:
-    def test_mixed_radix_roundtrip(self):
-        for rank in range(3 ** 4):
-            symbols = mixed_radix_unrank(rank, 4, 3)
-            assert mixed_radix_rank(symbols, 3) == rank
-
     def test_first_symbol_most_significant(self):
         assert mixed_radix_rank((1, 0, 0), 2) == 4
 
@@ -431,3 +428,32 @@ class TestPrefixExpectationTable:
             prefix_expectation_table(spec, f)
         with pytest.raises(EnumerationBudgetError):
             exact_expectation(spec, f)
+
+
+class TestForwardPass:
+    @pytest.mark.parametrize("family", ["sparse", "markov", "tree", "window"])
+    def test_rows_are_the_positive_prefixes_in_rank_order(self, family):
+        rng = np.random.default_rng(29)
+        spec = {
+            "sparse": lambda: random_sparse_spec(rng, 4, 3),
+            "markov": lambda: build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 5),
+            "tree": lambda: build_causal_tree(
+                [0, 1, 1, 2, 0], np.array([[1.0, 0.0], [0.3, 0.7]]), np.array([0.4, 0.6])
+            ),
+            "window": lambda: random_window_spec(rng, 5, 3, 2),
+        }[family]()
+        n, size = spec.horizon, spec.alphabet.size
+        joint = {path: joint_probability(spec, path) for path in all_trajectories(n, size)}
+        paths, probs = np.zeros((1, 0), dtype=np.uint8), np.ones(1)
+        for step in range(1, n + 1):
+            parents = paths
+            paths, probs, parent = extend_histories(spec, step, paths, probs)
+            marginal = {}
+            for path, p in joint.items():
+                marginal[path[:step]] = marginal.get(path[:step], 0.0) + p
+            expected = sorted(prefix for prefix, p in marginal.items() if p > 0.0)
+            assert [tuple(row) for row in paths.tolist()] == expected
+            assert np.array_equal(paths[:, :-1], parents[parent])
+            assert np.allclose(probs, [marginal[p] for p in expected], rtol=0.0, atol=1e-12)
+        if family != "window":  # the Dirichlet window kernels have no zero entry
+            assert len(expected) < size**n

@@ -299,3 +299,21 @@ class TestDomination:
         rows = tail_csv_rows(estimate, bounds)
         assert len(rows) == estimate.t_grid.shape[0]  # only the applicable bound
         assert rows[0][3] == "exact"
+
+    def test_csv_pass_column_is_the_domination_verdict(self, markov8):
+        estimate = empirical_tail(markov8, sum_symbols(8, 2), n_samples=30_000, seed=43)
+        bounds = [
+            TailBound(name="exact", proxy=50.666096954),
+            TailBound(name="broken", proxy=None, applicable=False, reason="n/a"),
+            TailBound(name="fake", proxy=0.05),
+        ]
+        rows = tail_csv_rows(estimate, bounds)
+        for offset, bound in enumerate((bounds[0], bounds[2])):
+            checks = check_tail_domination(estimate, bound).rows
+            column = rows[offset::2]
+            assert [row[3] for row in column] == [bound.name] * len(checks)
+            assert [(row[1], row[4], row[5]) for row in column] == [
+                (check.observed, check.bound, check.passed) for check in checks
+            ]
+        fake = [row[5] for row in rows[1::2]]
+        assert True in fake and False in fake
