@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -40,7 +39,7 @@ from .influence import (
     interdependence_matrix,
 )
 from .process import DEFAULT_ENUMERATION_BUDGET, ProcessSpec, prefix_expectation_table
-from .report import format_number, merge_reports, write_csv
+from .report import format_number, merge_reports, write_csv, write_matrix_csv
 from .resolvent import causal_resolvent, operator_norms, spectral_decay
 from .sampling import (
     TAIL_HEADER,
@@ -53,7 +52,6 @@ from .sampling import (
 
 ENV_PREFIX = "SEQBOUND_"
 BOUNDS_HEADER = ("bound", "proxy", "applicable", "reason", "t", "delta")
-MATRIX_HEADER = ("i", "j", "value")
 SWEEP_HEADER = ("N", "exact_proxy", "scalar_collapse_proxy", "sparse_terminal_bound")
 
 
@@ -182,20 +180,15 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def _matrix_rows(entries: np.ndarray):
-    # One row at a time, so the CSV writer streams an O(N) slice, not all N^2 cells.
-    for i, row in enumerate(entries, start=1):
-        cols = np.flatnonzero(row)
-        yield from zip(itertools.repeat(i), (cols + 1).tolist(), row[cols].tolist())
-
-
 def cmd_matrix(args) -> int:
     config, out = _load(args)
     spec = config.build()
     infl = interdependence_matrix(spec, budget=config.run.budget)
     gamma = causal_resolvent(infl)
-    h_path = _write(out, "influence.csv", MATRIX_HEADER, _matrix_rows(infl.entries))
-    g_path = _write(out, "resolvent.csv", MATRIX_HEADER, _matrix_rows(gamma.entries))
+    out.mkdir(parents=True, exist_ok=True)
+    h_path, g_path = out / "influence.csv", out / "resolvent.csv"
+    write_matrix_csv(h_path, infl.entries)
+    write_matrix_csv(g_path, gamma.entries)
     norms = operator_norms(infl.entries)
     print(f"wrote {h_path}")
     print(f"wrote {g_path}")
@@ -312,7 +305,8 @@ def cmd_sweep(args) -> int:
         rows.append((horizon, exact, scalar, sparse))
         print(
             f"N={horizon}: exact {format_number(exact)}, scalar collapse "
-            f"{format_number(scalar)}, terminal-sparse {format_number(sparse)}"
+            f"{format_number(scalar)}, terminal-sparse "
+            f"{'-' if sparse is None else format_number(sparse)}"
         )
     path = _write(out, "sweep.csv", SWEEP_HEADER, rows)
     print(f"wrote {path}")

@@ -14,15 +14,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 SIGNIFICANT_DIGITS = 12
+FLOAT_FORMAT = f".{SIGNIFICANT_DIGITS}g"
 
 VERIFICATION_HEADER = ("check", "k", "j", "observed", "bound", "slack", "pass")
+MATRIX_HEADER = ("i", "j", "value")
 
 
 def format_number(value) -> str:
     """Deterministic text for one CSV cell."""
     # Fast path for the exact builtin types that fill most cells.
     if type(value) is float:
-        return "" if math.isnan(value) else f"{value:.{SIGNIFICANT_DIGITS}g}"
+        return "" if math.isnan(value) else f"{value:{FLOAT_FORMAT}}"
     if type(value) is int:
         return str(value)
     if value is None:
@@ -36,7 +38,7 @@ def format_number(value) -> str:
     x = float(value)
     if math.isnan(x):
         return ""
-    return f"{x:.{SIGNIFICANT_DIGITS}g}"
+    return f"{x:{FLOAT_FORMAT}}"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -45,6 +47,19 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_number(v) for v in row])
+
+
+def write_matrix_csv(path, entries: np.ndarray) -> None:
+    """Write a finite matrix's nonzero entries as ``write_csv`` would, 1-based and
+    row-major; one write per matrix row keeps memory O(N) beside the matrix."""
+    labels = [f"{j}," for j in range(1, entries.shape[1] + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(MATRIX_HEADER) + "\n")
+        for i, row in enumerate(entries, start=1):
+            cols = np.flatnonzero(row)
+            prefix = f"{i},"
+            pairs = zip(cols.tolist(), row[cols].tolist())
+            fh.write("".join([f"{prefix}{labels[j]}{x:{FLOAT_FORMAT}}\n" for j, x in pairs]))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,17 @@ import yaml
 
 import seqbound
 from seqbound import cli
-from seqbound.cli import BOUNDS_HEADER, MATRIX_HEADER, SWEEP_HEADER
+from seqbound.cli import BOUNDS_HEADER, SWEEP_HEADER
 from seqbound.config import MAX_SEED, load_config
-from seqbound.report import VERIFICATION_HEADER, format_number
+from seqbound.influence import interdependence_matrix
+from seqbound.report import (
+    MATRIX_HEADER,
+    VERIFICATION_HEADER,
+    format_number,
+    write_csv,
+    write_matrix_csv,
+)
+from seqbound.resolvent import causal_resolvent
 from seqbound.sampling import TAIL_HEADER
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -233,20 +242,59 @@ class TestSubcommands:
         resolvent = read_rows(tmp_path / "resolvent.csv")
         assert len(resolvent) == 1 + 36  # dense upper triangle with diagonal
 
-    def test_matrix_rows_match_cell_scan(self):
-        # Reference: a row-major scan of every cell, with -0.0 counted as zero.
+    def test_matrix_csv_matches_cell_by_cell_writer(self, tmp_path):
+        # Reference: a row-major scan of every cell, -0.0 counted as zero,
+        # each cell formatted by write_csv through format_number.
+        def reference(path, entries):
+            rows = [
+                (i + 1, j + 1, float(entries[i, j]))
+                for i in range(entries.shape[0])
+                for j in range(entries.shape[1])
+                if entries[i, j] != 0.0
+            ]
+            write_csv(path, MATRIX_HEADER, rows)
+
         rng = np.random.default_rng(5)
-        entries = np.triu(rng.uniform(size=(6, 6)) * (rng.uniform(size=(6, 6)) < 0.5))
-        entries[0, 5] = -0.0
-        expected = [
-            (i + 1, j + 1, float(entries[i, j]))
-            for i in range(6)
-            for j in range(6)
-            if entries[i, j] != 0.0
+        cases = [
+            np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5))
+            for n in (2, 6, 17)
         ]
-        rows = list(cli._matrix_rows(entries))
-        assert rows == expected
-        assert all(type(x) is int for row in rows for x in row[:2])
+        edge = np.zeros((8, 8))
+        edge[0] = [-0.0, 5e-324, 1e-05, 9.99999999999e-05, 1e11, 1e12, 1.0, 0.1 + 0.2]
+        cases.append(edge)
+        cases += [np.array([[0.25]]), np.zeros((3, 3))]
+        for name in SHIPPED_CONFIGS:
+            config = load_config(CONFIG_DIR / name)
+            infl = interdependence_matrix(config.build(), budget=config.run.budget)
+            cases += [infl.entries, causal_resolvent(infl).entries]
+        for entries in cases:
+            write_matrix_csv(tmp_path / "fast.csv", entries)
+            reference(tmp_path / "reference.csv", entries)
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_matrix_csv_layout(self, tmp_path):
+        # Row-major, 1-based integer indices, -0.0 and 0.0 skipped, 12 digits.
+        entries = np.array([[1.0, -0.0, 0.1 + 0.2], [0.0, 5e-324, 1e12], [0.0, 0.0, 0.0]])
+        write_matrix_csv(tmp_path / "m.csv", entries)
+        assert (tmp_path / "m.csv").read_text() == (
+            "i,j,value\n1,1,1\n1,3,0.3\n2,2,4.94065645841e-324\n2,3,1e+12\n"
+        )
+        write_matrix_csv(tmp_path / "zero.csv", np.zeros((2, 2)))
+        assert (tmp_path / "zero.csv").read_text() == "i,j,value\n"
+
+    def test_matrix_csv_memory_is_bounded_by_a_row(self, tmp_path):
+        # A dense N = 1000 upper triangle is 11 MB of CSV; streaming one
+        # matrix row per write keeps the text held at a time to O(N).
+        entries = np.triu(np.random.default_rng(7).uniform(size=(1000, 1000)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_matrix_csv(tmp_path / "dense.csv", entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "dense.csv").stat().st_size > 11_000_000
+        assert peak - before < 1_000_000
 
     def test_bounds(self, tmp_path, capsys):
         assert cli.main(["bounds", "--config", MARKOV, "--out", str(tmp_path)]) == 0
@@ -301,6 +349,28 @@ class TestSubcommands:
             assert 0.0 < float(row[1]) <= float(row[2])  # exact <= scalar collapse
             assert abs(float(row[3]) - 4.0) < 1e-9  # 1 / (1 - 0.5)^2
         assert "N=8:" in capsys.readouterr().out
+
+    def test_sweep_without_sparse_row_prints_dash(self, tmp_path, capsys):
+        # sum_symbols is not terminal-sparse, so no sparse_terminal row: the
+        # printout shows "-" and sweep.csv leaves the cell empty.
+        config = write_yaml(
+            tmp_path / "sweep.yaml",
+            {
+                "scenario": {
+                    "family": "window",
+                    "horizon": 6,
+                    "alphabet": 2,
+                    "window": {"width": 3, "target_alpha": 0.5},
+                },
+                "target": {"name": "sum_symbols"},
+                "sweep": {"horizons": [4, 6]},
+            },
+        )
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.endswith("terminal-sparse -") for line in lines[:2])
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert [row[3] for row in rows[1:]] == ["", ""]
 
     def test_sweep_requires_window_family(self, tmp_path):
         config = write_yaml(
