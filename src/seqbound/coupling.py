@@ -231,7 +231,8 @@ def simulate_coupled_paths(
     start = _pivot_prefix(spec, k, prefix, x, xp)
     off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
     paths = sample_trajectories(coupled_pair_process(spec), n_samples, seed, start)
-    v_hat = off_diagonal[paths].mean(axis=0)
+    # Disagreements are counted one column at a time: O(n) memory beside the paths.
+    v_hat = np.array([np.count_nonzero(off_diagonal[col]) for col in paths.T]) / paths.shape[0]
     return DiscrepancyEstimate(
         v_hat=v_hat,
         stderr=binomial_stderr(v_hat, int(n_samples)),

@@ -210,11 +210,14 @@ def mixed_radix_rank(symbols: Sequence[int], size: int) -> int:
     return rank
 
 
-def _coordinate_ranks(paths: np.ndarray, coords, size: int) -> np.ndarray:
-    """``mixed_radix_rank`` of each row of ``paths`` at the 1-based ``coords``,
-    by Horner's rule in ``intp`` over column views: no gathered copy."""
-    key = np.zeros(paths.shape[0], dtype=np.intp)
-    for i in coords:
+def _coordinate_ranks(paths: np.ndarray, coords: Sequence[int], size: int) -> np.ndarray:
+    """``mixed_radix_rank`` of each row of ``paths`` at the 1-based ``coords``
+    (a tuple or range), by Horner's rule in ``intp`` over column views: no
+    gathered copy.  A fresh array, which callers may overwrite."""
+    if not coords:
+        return np.zeros(paths.shape[0], dtype=np.intp)
+    key = paths[:, coords[0] - 1].astype(np.intp)
+    for i in coords[1:]:
         key *= size
         key += paths[:, i - 1]
     return key

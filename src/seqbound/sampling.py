@@ -50,9 +50,42 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # Forward sampling
 # ============================================================
 
-# Rows of uniforms drawn at a time: the sampler's memory beside its paths is
-# at most SAMPLE_BLOCK_ROWS * N float64s.
+# Samples drawn at a time: the sampler's memory beside its paths is
+# SAMPLE_BLOCK_ROWS * N float64s, an eighth of that again, and the tables.
 SAMPLE_BLOCK_ROWS = 2048
+
+
+def _padded_cumulative_rows(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """A step table's rows in the layout ``_invert_rows`` searches.
+
+    Returns the first |A| - 1 cumulative sums of every row, each row padded
+    with +inf to a stride of 2**levels and all rows flattened into one
+    vector, and levels = (|A| - 1).bit_length().
+    """
+    size = table.shape[1]
+    levels = (size - 1).bit_length()
+    padded = np.full((table.shape[0], 1 << levels), np.inf)
+    padded[:, : size - 1] = np.cumsum(table, axis=1)[:, :-1]
+    return padded.ravel(), levels
+
+
+def _invert_rows(flat: np.ndarray, levels: int, ranks: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbol drawn by each uniform ``u[i]`` from table row ``ranks[i]``.
+
+    The symbol is the number of the row's first |A| - 1 cumulative sums at
+    or below the uniform, found by a branch-free binary search over the
+    padded rows of ``_padded_cumulative_rows``: one gather and one compare
+    per level.  Rows are non-negative, so the sums at or below u form a
+    prefix of the row, and the +inf padding is never at or below u.  No
+    clip is needed: the last sum is at or below u only when all others are.
+    ``ranks`` (intp) is overwritten.
+    """
+    key = np.left_shift(ranks, levels, out=ranks)
+    for level in reversed(range(levels)):
+        # Probe key + 2**level - 1, read through a view that starts there.
+        below = flat[(1 << level) - 1 :].take(key) <= u
+        key += below << level if level else below
+    return np.bitwise_and(key, (1 << levels) - 1, out=key)
 
 
 def sample_trajectories(
@@ -62,17 +95,20 @@ def sample_trajectories(
 
     Row i reads the i-th N uniforms of one seeded stream, one per step, so the
     result is bit-reproducible and independent of how samples would be
-    scheduled across workers.  The stream is drawn ``SAMPLE_BLOCK_ROWS`` rows
-    at a time into one reused buffer, so memory beside the paths is one
-    block.  Each step ranks every sample's signature coordinates into a row
-    of the step's kernel table and inverts that row's CDF: the symbol is the
-    number of the row's first |A| - 1 cumulative sums at or below the
-    uniform, so zero-probability symbols, whose cells are empty, are never
-    selected.  No clip is needed: cumulative sums are monotone, so the last
-    one is at or below the uniform only when all others are, whether or not
-    rounding leaves it below 1.  The columns of ``prefix`` are pinned in
-    every row, and drawing starts after them, with the same uniforms; a
-    prefix symbol that is not an integer in 0..|A|-1 raises ValueError.
+    scheduled across workers.  Samples are drawn ``SAMPLE_BLOCK_ROWS`` at a
+    time.  Each block's uniforms are read from the stream in chunks of at
+    most an eighth of a block and copied transposed into one reused (N,
+    block) buffer, so each step reads its uniforms as one contiguous row;
+    memory beside the paths is that buffer, one chunk and the padded tables.
+    Each step ranks every sample's signature coordinates into a row of the
+    step's kernel table and inverts that row's CDF by a binary search
+    (``_invert_rows``) over the row's cumulative sums, padded with +inf to
+    a power-of-two stride: O(log |A|) contiguous passes per step.  The
+    symbol is the number of the row's first |A| - 1 cumulative sums at or
+    below the uniform, so zero-probability symbols, whose cells are empty,
+    are never selected.  The columns of ``prefix`` are pinned in every row,
+    and drawing starts after them, with the same uniforms; a prefix symbol
+    that is not an integer in 0..|A|-1 raises ValueError.
     """
     n = int(n_samples)
     if n < 1:
@@ -82,21 +118,24 @@ def sample_trajectories(
     if len(pre) > horizon:
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
-    # (|A| - 1, table rows): one column of cumulative sums per context.
-    cums = {step: np.cumsum(step_table(spec, step), axis=1)[:, :-1].T.copy() for step in steps}
+    tables = {step: _padded_cumulative_rows(step_table(spec, step)) for step in steps}
     # Column-major, so each step reads and writes one contiguous column.
     paths = np.zeros((n, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     paths[:, : len(pre)] = pre
     rng = np.random.default_rng(seed)
-    buffer = np.empty((min(n, SAMPLE_BLOCK_ROWS), horizon))
-    for start in range(0, n, SAMPLE_BLOCK_ROWS):
-        rows = paths[start : start + SAMPLE_BLOCK_ROWS]
-        uniforms = rng.random(out=buffer[: rows.shape[0]]).T
+    block = min(n, SAMPLE_BLOCK_ROWS)
+    uniforms = np.empty((horizon, block))
+    chunk = np.empty((max(block // 8, 1), horizon))
+    for start in range(0, n, block):
+        rows = paths[start : start + block]
+        m = rows.shape[0]
+        for lo in range(0, m, chunk.shape[0]):
+            drawn = rng.random(out=chunk[: m - lo])
+            uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
         for step in steps:
-            key = history_ranks(spec, step, rows)
-            rows[:, step - 1] = (cums[step][:, key] <= uniforms[step - 1]).sum(
-                axis=0, dtype=paths.dtype
-            )
+            flat, levels = tables[step]
+            ranks = history_ranks(spec, step, rows)
+            rows[:, step - 1] = _invert_rows(flat, levels, ranks, uniforms[step - 1, :m])
     return paths
 
 

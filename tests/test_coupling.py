@@ -1,11 +1,12 @@
 """Maximal coupling, the pair process, and the verification suites."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqbound import coupling
+from seqbound import coupling, sampling
 from seqbound import (
     EnumerationBudgetError,
     TargetFunction,
@@ -378,6 +379,29 @@ class TestDiscrepancy:
         est = simulate_coupled_paths(markov3, k=1, prefix=(), x=0, xp=1,
                                      n_samples=100_000, seed=2)
         assert np.all(np.abs(est.v_hat - v) <= 3.0 * est.stderr + 1e-12)
+
+    def test_simulation_is_the_mean_disagreement_of_the_pair_paths(self):
+        spec = random_sparse_spec(np.random.default_rng(71), 5, 3)
+        est = simulate_coupled_paths(spec, k=2, prefix=(1,), x=0, xp=2, n_samples=3_000, seed=7)
+        paths = sample_trajectories(coupled_pair_process(spec), 3_000, 7, (4, 2))
+        off_diagonal = ~np.eye(3, dtype=bool).ravel()
+        assert np.array_equal(est.v_hat, off_diagonal[paths].mean(axis=0))
+
+    def test_simulation_memory_beside_the_paths_is_linear_in_n(self):
+        # The sampler's block, plus O(n) for counting disagreements, but not
+        # the (n, N) disagreement matrix (8 MB here).
+        n, horizon = 100_000, 80
+        spec = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, horizon)
+        coupled_pair_process(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_coupled_paths(spec, k=1, prefix=(), x=0, xp=1, n_samples=n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
+        assert peak - before - n * horizon < block + 16 * n
 
     def test_pinned_coordinates_never_disagree(self, markov3):
         v = exact_pair_discrepancy(markov3, k=2, prefix=(0,), x=1, xp=1)

@@ -39,7 +39,12 @@ from conftest import (
     random_table_target,
     random_window_spec,
 )
-from seqbound.process import _check_distributions, extend_histories, step_table
+from seqbound.process import (
+    _check_distributions,
+    _coordinate_ranks,
+    extend_histories,
+    step_table,
+)
 from seqbound.window import _mixture_window_spec
 
 EXACT_TOL = 1e-12
@@ -299,6 +304,25 @@ class TestDistributionCheck:
 class TestEnumeration:
     def test_first_symbol_most_significant(self):
         assert mixed_radix_rank((1, 0, 0), 2) == 4
+
+    def test_coordinate_ranks_of_an_empty_signature_are_zero(self):
+        paths = np.ones((5, 3), dtype=np.uint8)
+        ranks = _coordinate_ranks(paths, (), 2)
+        assert ranks.dtype == np.intp and np.array_equal(ranks, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "size, dtype, coords",
+        [(3, np.uint8, (1, 2, 4)), (3, np.uint8, range(1, 6)), (300, np.uint16, (2, 3, 5))],
+    )
+    def test_coordinate_ranks_equal_mixed_radix_rank(self, size, dtype, coords):
+        # uint16 paths with symbols above 255: the ranks (up to 300**3) must
+        # not wrap in the paths' dtype.
+        paths = np.random.default_rng(5).integers(0, size, size=(200, 5)).astype(dtype)
+        paths[0] = size - 1
+        ranks = _coordinate_ranks(paths, coords, size)
+        assert ranks.dtype == np.intp
+        expected = [mixed_radix_rank([row[i - 1] for i in coords], size) for row in paths.tolist()]
+        assert ranks.tolist() == expected
 
     def test_all_trajectories_count_and_order(self):
         paths = list(all_trajectories(3, 2))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqbound import (
     EnumerationBudgetError,
@@ -24,13 +26,15 @@ from seqbound import (
     terminal_symbol,
     tightness_ratios,
 )
-from seqbound.process import step_table
+from seqbound.process import build_from_tables, step_table
+from seqbound.sampling import _invert_rows, _padded_cumulative_rows
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
     all_trajectories,
     joint_probability,
     random_positive_spec,
+    random_sparse_spec,
     random_window_spec,
 )
 
@@ -152,12 +156,33 @@ def markov_spec(horizon):
     return build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, horizon)
 
 
+def zero_symbol_spec():
+    """Five symbols, with zero-probability symbols first, inside and last in
+    a row, and all three in one row."""
+    masks = np.array(
+        [[0, 1, 1, 1, 1], [1, 1, 0, 1, 1], [1, 1, 1, 1, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 1]]
+    )
+    rng = np.random.default_rng(67)
+    tables = []
+    for step in range(1, 4):
+        rows = 5 ** (step - 1)
+        raw = rng.uniform(0.05, 1.0, size=(rows, 5)) * masks[np.arange(rows) % 5]
+        tables.append(raw / raw.sum(axis=1, keepdims=True))
+    return build_from_tables(tables)
+
+
 BLOCK_CASES = {
     "markov3, n not a multiple of the block": (lambda: markov_spec(3), 52, ()),
     "markov3, n below the block": (lambda: markov_spec(3), 5, ()),
     "window": (lambda: random_window_spec(np.random.default_rng(53), 7, 3, 2), 40, ()),
     "pinned pair": (lambda: coupled_pair_process(markov_spec(5)), 30, (0, 1)),
     "300 symbols": (lambda: build_independent(np.full(300, 1.0 / 300.0), 4), 30, ()),
+    # |A| = 1, 3, 5 and 9: padded strides 1, 4, 8 and 16, each with the most padding.
+    "1 symbol": (lambda: build_independent(np.array([1.0]), 4), 30, ()),
+    "3 symbols": (lambda: random_sparse_spec(np.random.default_rng(73), 4, 3), 30, ()),
+    "5 symbols": (lambda: random_sparse_spec(np.random.default_rng(79), 3, 5), 30, ()),
+    "9 symbols": (lambda: random_sparse_spec(np.random.default_rng(83), 3, 9), 30, ()),
+    "zero symbols first, inside and last": (zero_symbol_spec, 60, ()),
 }
 
 
@@ -185,6 +210,48 @@ def test_memory_beside_paths_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak - before - paths.nbytes < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
+
+
+@st.composite
+def rows_and_uniforms(draw):
+    """A few clipped, non-negative rows over one alphabet, and per sample a
+    row and a uniform: one of the row's own cumulative sums (an exact tie),
+    0.0, the largest double below 1, or a random double in [0, 1)."""
+    size = draw(st.integers(1, 19))
+    n_rows = draw(st.integers(1, 4))
+    cells = st.floats(-0.5, 1.0, allow_nan=False, allow_subnormal=False)
+    table = np.clip(
+        np.array(draw(st.lists(cells, min_size=size * n_rows, max_size=size * n_rows))), 0.0, None
+    ).reshape(n_rows, size)
+    cums = np.cumsum(table, axis=1)
+    ranks, uniforms = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        rank = draw(st.integers(0, n_rows - 1))
+        u = draw(
+            st.one_of(
+                st.sampled_from(cums[rank].tolist()),
+                st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+                st.floats(0.0, 1.0, exclude_max=True),
+            )
+        )
+        ranks.append(rank)
+        uniforms.append(u)
+    return table, np.array(ranks, dtype=np.intp), np.array(uniforms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_and_uniforms())
+def test_binary_search_counts_the_sums_at_or_below_u(case):
+    table, ranks, uniforms = case
+    size = table.shape[1]
+    flat, levels = _padded_cumulative_rows(table)
+    drawn = _invert_rows(flat, levels, ranks.copy(), uniforms)
+    cums = np.cumsum(table, axis=1)
+    expected = [
+        min(np.searchsorted(cums[rank], u, side="right"), size - 1)
+        for rank, u in zip(ranks, uniforms)
+    ]
+    assert drawn.tolist() == expected
 
 
 class TestBinomialStderr:
