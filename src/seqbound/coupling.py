@@ -32,7 +32,7 @@ from .process import (
 )
 from .report import VerificationReport, make_check
 from .resolvent import matrix_entries
-from .sampling import binomial_stderr, sample_trajectories
+from .sampling import _trajectory_blocks, binomial_stderr
 from .targets import as_sensitivity, bounded_differences
 
 # ============================================================
@@ -222,21 +222,25 @@ def simulate_coupled_paths(
 ) -> DiscrepancyEstimate:
     """Monte Carlo disagreement frequencies from n_samples coupled rollouts.
 
-    ``sample_trajectories`` draws the coupled pair process with the pivot
-    pinned as its prefix, so every step after the pivot applies the maximal
-    coupling of the two history-conditioned kernels; sample i reads the i-th
-    N uniforms of one seeded stream, so results are deterministic in
-    (spec, k, prefix, x, xp, n_samples, seed).
+    The coupled pair process is sampled with the pivot pinned as its prefix,
+    so every step after the pivot applies the maximal coupling of the two
+    history-conditioned kernels; sample i reads the i-th N uniforms of one
+    seeded stream, as in ``sample_trajectories``, so results are
+    deterministic in (spec, k, prefix, x, xp, n_samples, seed).
+    Disagreements are counted block by block as the paths are drawn, so
+    memory is O(block * N), whatever n_samples is.
     """
     start = _pivot_prefix(spec, k, prefix, x, xp)
     off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
-    paths = sample_trajectories(coupled_pair_process(spec), n_samples, seed, start)
-    # Disagreements are counted one column at a time: O(n) memory beside the paths.
-    v_hat = np.array([np.count_nonzero(off_diagonal[col]) for col in paths.T]) / paths.shape[0]
+    n = int(n_samples)
+    counts = np.zeros(spec.horizon, dtype=np.int64)
+    for _, rows in _trajectory_blocks(coupled_pair_process(spec), n, seed, start):
+        counts += np.count_nonzero(off_diagonal[rows], axis=0)
+    v_hat = counts / n
     return DiscrepancyEstimate(
         v_hat=v_hat,
-        stderr=binomial_stderr(v_hat, int(n_samples)),
-        n_samples=int(n_samples),
+        stderr=binomial_stderr(v_hat, n),
+        n_samples=n,
     )
 
 

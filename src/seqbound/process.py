@@ -111,23 +111,26 @@ class ProcessSpec:
     family: str = "custom"
     meta: Mapping[str, object] = field(default_factory=dict, repr=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _coords: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = int(self.horizon)
         if n != self.horizon or n < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
         object.__setattr__(self, "horizon", n)
-        sigs = tuple(frozenset(int(i) for i in sig) for sig in self.signatures)
-        if len(sigs) != n:
-            raise ValueError(f"need one context signature per step: got {len(sigs)} for horizon {n}")
-        for j, sig in enumerate(sigs, start=1):
-            if any(i < 1 or i >= j for i in sig):
-                raise ValueError(f"signature of step {j} must lie in 1..{j - 1}, got {sorted(sig)}")
-        object.__setattr__(self, "signatures", sigs)
+        # Sorted once here: the sampler reads them at every step of every block.
+        coords = tuple(tuple(sorted(set(map(int, sig)))) for sig in self.signatures)
+        if len(coords) != n:
+            raise ValueError(f"need one context signature per step: got {len(coords)} for horizon {n}")
+        for j, sig in enumerate(coords, start=1):
+            if sig and (sig[0] < 1 or sig[-1] >= j):
+                raise ValueError(f"signature of step {j} must lie in 1..{j - 1}, got {list(sig)}")
+        object.__setattr__(self, "signatures", tuple(map(frozenset, coords)))
+        object.__setattr__(self, "_coords", coords)
 
     def signature_coords(self, step: int) -> tuple[int, ...]:
         """Sorted 1-based history coordinates read at ``step``."""
-        return tuple(sorted(self.signatures[step - 1]))
+        return self._coords[step - 1]
 
 
 def _symbols(values: Sequence[int], size: int, what: str) -> tuple[int, ...]:

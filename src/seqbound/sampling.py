@@ -2,7 +2,9 @@
 
 Forward chain-rule sampling of a :class:`~seqbound.process.ProcessSpec`, an
 empirical exceedance-tail estimator for ``|f(X) - E f(X)| >= t``, and checks
-that the empirical tail stays below each concentration bound.
+that the empirical tail stays below each concentration bound.  Samples are
+drawn ``SAMPLE_BLOCK_ROWS`` at a time, and the estimator reduces each block
+as it is drawn, so its memory is O(block * N + n_samples), not O(n_samples * N).
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # Forward sampling
 # ============================================================
 
-# Samples drawn at a time: the sampler's memory beside its paths is
-# SAMPLE_BLOCK_ROWS * N float64s, an eighth of that again, and the tables.
+# Samples drawn at a time: the sampler's memory is SAMPLE_BLOCK_ROWS * N
+# float64s, an eighth of that again, one block of paths and the tables, so a
+# caller that reduces each block needs O(block * N + n_samples) in all.
 SAMPLE_BLOCK_ROWS = 2048
 
 
@@ -88,47 +91,44 @@ def _invert_rows(flat: np.ndarray, levels: int, ranks: np.ndarray, u: np.ndarray
     return np.bitwise_and(key, (1 << levels) - 1, out=key)
 
 
-def sample_trajectories(
-    spec: ProcessSpec, n_samples: int, seed: int, prefix: Sequence[int] = ()
-) -> np.ndarray:
-    """(n_samples, N) unsigned-integer array of trajectories, deterministic in the seed.
+def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[int] = ()):
+    """Yield ``(start, rows)``: rows start..start + len(rows) - 1 of
+    ``sample_trajectories(spec, n, seed, prefix)``, ``SAMPLE_BLOCK_ROWS`` at
+    a time.
 
-    Row i reads the i-th N uniforms of one seeded stream, one per step, so the
-    result is bit-reproducible and independent of how samples would be
-    scheduled across workers.  Samples are drawn ``SAMPLE_BLOCK_ROWS`` at a
-    time.  Each block's uniforms are read from the stream in chunks of at
-    most an eighth of a block and copied transposed into one reused (N,
-    block) buffer, so each step reads its uniforms as one contiguous row;
-    memory beside the paths is that buffer, one chunk and the padded tables.
-    Each step ranks every sample's signature coordinates into a row of the
-    step's kernel table and inverts that row's CDF by a binary search
+    ``rows`` is a view of one reused (block, N) column-major buffer, which
+    the next block overwrites: reduce it before asking for more.  Each
+    block's uniforms are read from the stream in chunks of at most an eighth
+    of a block and copied transposed into one reused (N, block) buffer, so
+    each step reads its uniforms as one contiguous row.  Memory is these
+    two buffers, one chunk and the padded tables: O(block * N), whatever n
+    is.  Each step ranks every sample's signature coordinates into a row of
+    the step's kernel table and inverts that row's CDF by a binary search
     (``_invert_rows``) over the row's cumulative sums, padded with +inf to
     a power-of-two stride: O(log |A|) contiguous passes per step.  The
     symbol is the number of the row's first |A| - 1 cumulative sums at or
     below the uniform, so zero-probability symbols, whose cells are empty,
-    are never selected.  The columns of ``prefix`` are pinned in every row,
-    and drawing starts after them, with the same uniforms; a prefix symbol
-    that is not an integer in 0..|A|-1 raises ValueError.
+    are never selected.  Arguments are checked when the first block is
+    asked for.
     """
-    n = int(n_samples)
     if n < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+        raise ValueError(f"n_samples must be positive, got {n}")
     horizon, size = spec.horizon, spec.alphabet.size
     pre = _symbols(prefix, size, "prefix")
     if len(pre) > horizon:
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
     tables = {step: _padded_cumulative_rows(step_table(spec, step)) for step in steps}
-    # Column-major, so each step reads and writes one contiguous column.
-    paths = np.zeros((n, horizon), dtype=np.min_scalar_type(size - 1), order="F")
-    paths[:, : len(pre)] = pre
-    rng = np.random.default_rng(seed)
     block = min(n, SAMPLE_BLOCK_ROWS)
+    # Column-major, so each step reads and writes one contiguous column.
+    buffer = np.zeros((block, horizon), dtype=np.min_scalar_type(size - 1), order="F")
+    buffer[:, : len(pre)] = pre
+    rng = np.random.default_rng(seed)
     uniforms = np.empty((horizon, block))
     chunk = np.empty((max(block // 8, 1), horizon))
     for start in range(0, n, block):
-        rows = paths[start : start + block]
-        m = rows.shape[0]
+        m = min(block, n - start)
+        rows = buffer[:m]
         for lo in range(0, m, chunk.shape[0]):
             drawn = rng.random(out=chunk[: m - lo])
             uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
@@ -136,6 +136,30 @@ def sample_trajectories(
             flat, levels = tables[step]
             ranks = history_ranks(spec, step, rows)
             rows[:, step - 1] = _invert_rows(flat, levels, ranks, uniforms[step - 1, :m])
+        yield start, rows
+
+
+def sample_trajectories(
+    spec: ProcessSpec, n_samples: int, seed: int, prefix: Sequence[int] = ()
+) -> np.ndarray:
+    """(n_samples, N) unsigned-integer array of trajectories, deterministic in the seed.
+
+    Row i reads the i-th N uniforms of one seeded stream, one per step, so the
+    result is bit-reproducible and independent of how samples would be
+    scheduled across workers.  The blocks of ``_trajectory_blocks`` are
+    copied into the returned array, so memory beside it is O(block * N);
+    callers that only reduce the paths read the blocks themselves.  The
+    columns of ``prefix`` are pinned in every row, and drawing starts after
+    them, with the same uniforms; a prefix symbol that is not an integer in
+    0..|A|-1 raises ValueError.
+    """
+    n = int(n_samples)
+    blocks = _trajectory_blocks(spec, n, seed, prefix)
+    _, rows = next(blocks)
+    paths = np.empty((n, spec.horizon), dtype=rows.dtype, order="F")
+    paths[: rows.shape[0]] = rows
+    for start, rows in blocks:
+        paths[start : start + rows.shape[0]] = rows
     return paths
 
 
@@ -193,6 +217,8 @@ def empirical_tail(
 ) -> TailEstimate:
     """Estimate P(|f(X) - E f(X)| >= t) over a grid of thresholds.
 
+    f is evaluated on each block of ``_trajectory_blocks`` as it is drawn,
+    so memory is O(block * N + n_samples): the paths are never held whole.
     Centering uses the exact expectation when enumeration fits the budget and
     falls back to the sample mean otherwise (flagged on the estimate).  The
     tail is closed (>=), standard errors are binomial with the rule-of-three
@@ -209,8 +235,9 @@ def empirical_tail(
     if not np.all(np.isfinite(grid)) or float(grid.min()) < 0.0:
         raise ValueError("t grid entries must be finite and nonnegative")
 
-    paths = sample_trajectories(spec, n, seed)
-    values = np.asarray(evaluate_batch(f, paths), dtype=float)
+    values = np.empty(n)
+    for start, rows in _trajectory_blocks(spec, n, seed):
+        values[start : start + rows.shape[0]] = evaluate_batch(f, rows)
     try:
         mean = exact_expectation(spec, f, budget)
         exact = True
@@ -218,7 +245,7 @@ def empirical_tail(
         mean = float(values.mean())
         exact = False
     deviations = np.abs(values - mean)
-    frequencies = (deviations[:, None] >= grid[None, :]).mean(axis=0)
+    frequencies = np.array([np.count_nonzero(deviations >= t) for t in grid]) / n
     return TailEstimate(
         t_grid=grid,
         frequencies=frequencies,

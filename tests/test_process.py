@@ -107,6 +107,32 @@ class TestConstructors:
         assert spec.signature_coords(4) == (2, 3)
         assert spec.signature_coords(5) == (3, 4)
 
+    def test_signature_coords_are_sorted_once_per_spec(self):
+        rng = np.random.default_rng(67)
+        horizon = 40
+        # Hash order of these sets differs from sorted order.
+        scattered = ProcessSpec(
+            horizon=horizon,
+            alphabet=Alphabet(2),
+            kernel=lambda step, history: np.full(2, 0.5),
+            signatures=tuple(
+                frozenset(rng.choice(np.arange(1, j), rng.integers(0, j), replace=False).tolist())
+                for j in range(1, horizon + 1)
+            ),
+        )
+        specs = [
+            scattered,
+            random_sparse_spec(rng, 5, 3),
+            random_positive_spec(rng, 4, 2),
+            random_window_spec(rng, 9, 2, 3),
+        ]
+        for spec in specs:
+            for j in range(1, spec.horizon + 1):
+                coords = spec.signature_coords(j)
+                assert coords == tuple(sorted(spec.signatures[j - 1]))
+                assert spec.signature_coords(j) is coords
+        assert any(tuple(sig) != tuple(sorted(sig)) for sig in scattered.signatures)
+
     def test_tables_roundtrip(self):
         rng = np.random.default_rng(7)
         spec = random_positive_spec(rng, 3, 2)

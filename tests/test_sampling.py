@@ -11,6 +11,7 @@ from seqbound import (
     EnumerationBudgetError,
     TailBound,
     TailEstimate,
+    TargetFunction,
     binomial_stderr,
     build_independent,
     build_markov,
@@ -18,9 +19,12 @@ from seqbound import (
     coupled_pair_process,
     default_t_grid,
     empirical_tail,
+    evaluate_batch,
+    exact_expectation,
     kernel_at,
     sample_trajectories,
     sampling,
+    simulate_coupled_paths,
     sum_symbols,
     tail_csv_rows,
     terminal_symbol,
@@ -210,6 +214,74 @@ def test_memory_beside_paths_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak - before - paths.nbytes < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
+
+
+def whole_path_tail(spec, f, grid, n, seed, budget=None):
+    """``empirical_tail`` on the whole (n, N) path array: f over every row at
+    once, then the (n, |grid|) exceedance matrix averaged over its rows."""
+    values = np.asarray(evaluate_batch(f, sample_trajectories(spec, n, seed)), dtype=float)
+    try:
+        mean, exact = exact_expectation(spec, f, budget), True
+    except EnumerationBudgetError:
+        mean, exact = float(values.mean()), False
+    deviations = np.abs(values - mean)
+    return (deviations[:, None] >= grid[None, :]).mean(axis=0), float(mean), exact
+
+
+# (spec, target, grid, budget): the exact mean, the sample mean at budget 2,
+# and a target with no batch form, which is evaluated row by row.
+TAIL_CASES = {
+    "exact mean": (lambda: markov_spec(3), lambda: terminal_symbol(3, 2), np.linspace(0, 1, 7), None),
+    "sample mean": (
+        lambda: markov_spec(6),
+        lambda: sum_symbols(6, 2),
+        np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+        2,
+    ),
+    "no batch": (
+        lambda: random_window_spec(np.random.default_rng(89), 5, 3, 2),
+        lambda: TargetFunction("weighted", lambda x: float(np.dot(x, [0.1, 0.7, 0.3, 1.1, 0.5]))),
+        np.linspace(0, 2, 9),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 1003])
+@pytest.mark.parametrize("name", sorted(TAIL_CASES))
+def test_tail_by_blocks_equals_the_whole_path_tail(monkeypatch, name, n):
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+    build, target, grid, budget = TAIL_CASES[name]
+    spec, f = build(), target()
+    estimate = empirical_tail(spec, f, grid, n_samples=n, seed=97, budget=budget)
+    frequencies, mean, exact = whole_path_tail(spec, f, grid, n, 97, budget)
+    assert estimate.frequencies.tobytes() == frequencies.tobytes()
+    assert estimate.mean == mean
+    assert estimate.exact_mean == exact == (budget is None)
+
+
+def test_coupled_disagreements_by_blocks_equal_the_pair_paths(monkeypatch):
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+    spec = random_sparse_spec(np.random.default_rng(71), 5, 3)
+    est = simulate_coupled_paths(spec, k=2, prefix=(1,), x=0, xp=2, n_samples=1003, seed=7)
+    paths = sample_trajectories(coupled_pair_process(spec), 1003, 7, (4, 2))
+    off_diagonal = ~np.eye(3, dtype=bool).ravel()
+    assert est.v_hat.tobytes() == off_diagonal[paths].mean(axis=0).tobytes()
+
+
+def test_tail_memory_is_bounded_in_n():
+    # One block and O(n) values, not the (n, N) paths (40 MB here).
+    n, horizon = 100_000, 400
+    spec = markov_spec(horizon)
+    f = sum_symbols(horizon, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        empirical_tail(spec, f, n_samples=n, seed=101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8 + 64 * n
 
 
 @st.composite
