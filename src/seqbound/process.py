@@ -22,6 +22,7 @@ are 1-based throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -38,23 +39,30 @@ PROBABILITY_TOLERANCE = 1e-12
 Kernel = Callable[[int, tuple[int, ...]], Sequence[float]]
 
 
-def _check_distributions(arr: np.ndarray, name: str, ndim: int) -> None:
+def _check_distributions(arr: np.ndarray, name: str, ndim: int) -> float:
     """Raise ValueError unless ``arr`` has ``ndim`` nonempty axes and every row
     along its last axis is a probability vector: no entry below
     -PROBABILITY_TOLERANCE and a sum within PROBABILITY_TOLERANCE of 1.
+    Returns the smallest entry.
 
-    A non-finite entry makes the minimum or its row's sum NaN or infinite,
-    which fails both comparisons, so it needs no separate scan.
+    Both paths sum rows left to right (``operator.add``: ``sum`` compensates
+    from Python 3.12), so a vector passes exactly when it passes as a
+    one-row matrix; a vector is checked in Python scalars, cheaper than
+    numpy on a kernel row.  A non-finite entry makes its row's sum NaN or
+    infinite, which fails the comparison, so it needs no separate scan.
     """
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
-    low = arr.min()
     if ndim == 1:
-        error = abs(arr.sum() - 1.0)
+        values = arr.tolist()
+        low = min(values)
+        error = abs(functools.reduce(operator.add, values) - 1.0)
     else:
-        error = np.abs(arr.sum(axis=-1, keepdims=True) - 1.0).max()
+        low = arr.min()
+        error = np.abs(np.cumsum(arr, axis=-1)[..., -1] - 1.0).max()
     if not (low >= -PROBABILITY_TOLERANCE and error <= PROBABILITY_TOLERANCE):
         raise ValueError(f"{name} is not a probability vector (min {low}, row-sum error {error})")
+    return low
 
 
 def ensure_budget(required: int, budget: int | None, task: str) -> int:
@@ -160,10 +168,12 @@ def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarra
     """Validated conditional distribution p_step(. | history), read-only.
 
     Every call evaluates the kernel at the full history; ``step_table`` keeps
-    the evaluations that the library reuses.  The history is converted and
-    range-checked in C by ``_symbols``, so each step-table row pays one
-    O(step) check and no per-symbol interpreter work; the builtin window
-    kernel reads offsets hashed once per spec, not per call.
+    the evaluations that the library reuses.  A step-table row costs one
+    O(step) history check, converted and range-checked in C by ``_symbols``,
+    the kernel itself, and ``_check_distributions`` on the row in Python
+    scalars.  The row is clipped at 0 only when its smallest entry is <= 0,
+    so a row with no such entry keeps the kernel's exact bits; the builtin
+    window kernel reads offsets and floors computed once per spec.
     """
     if not 1 <= step <= spec.horizon:
         raise ValueError(f"step must be in 1..{spec.horizon}, got {step}")
@@ -174,8 +184,9 @@ def kernel_at(spec: ProcessSpec, step: int, history: Sequence[int]) -> np.ndarra
     vec = np.array(spec.kernel(step, hist), dtype=float)
     if vec.shape != (size,):
         raise ValueError(f"kernel at step {step} returned shape {vec.shape}, expected ({size},)")
-    _check_distributions(vec, f"kernel at step {step}", ndim=1)
-    np.maximum(vec, 0.0, out=vec)
+    if _check_distributions(vec, f"kernel at step {step}", ndim=1) <= 0.0:
+        # <= rather than <: the clip also turns -0.0 into +0.0.
+        np.maximum(vec, 0.0, out=vec)
     vec.setflags(write=False)
     return vec
 

@@ -7,7 +7,9 @@ The kernel at step j mixes a uniform floor with one point mass per visible
 context coordinate: the coordinate at distance d (the d-th most recent
 symbol) contributes weight beta * decay**(d-1) at a symbol obtained by
 adding a hashed (step, distance) offset to the context symbol.  The offsets
-are hashed once per spec, into an (N, W) table the kernel reads.  Because the
+are hashed once per spec, into an (N, W) table the kernel reads, and the
+floor is computed once per visible width; the kernel returns a Python list,
+the floor with each point mass added for d = 1, ..., visible.  Because the
 offset map is injective in the symbol, changing the context coordinate at
 distance d always moves its point mass, so the influence matrix is exactly
 the banded matrix H[j-d, j] = beta * decay**(d-1), and beta is solved in
@@ -18,8 +20,6 @@ genuinely reads the full window.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import CalibrationError
 from .influence import column_sum_alpha, interdependence_matrix
@@ -61,22 +61,24 @@ def _mixture_window_spec(horizon: int, alphabet_size: int, width: int, beta: flo
     if beta < 0.0 or sum(weights) > 1.0 + 1e-12:
         raise ValueError(f"mixing weight {beta} leaves no probability for the uniform floor")
 
-    def window_kernel(step: int, window) -> np.ndarray:
+    def window_kernel(step: int, window) -> list[float]:
         visible = len(window)
-        vec = np.full(size, (1.0 - sum(weights[:visible])) / size)
+        vec = [floors[visible]] * size
         row = offsets[step - 1]
         for d in range(1, visible + 1):
             vec[(row[d - 1] + window[-d]) % size] += weights[d - 1]
         return vec
 
     spec = build_sliding_window(width, window_kernel, horizon, size)
-    # Hashed once per spec, after the alphabet is validated: offsets[j-1][d-1]
+    # Computed once per spec, after the alphabet is validated: offsets[j-1][d-1]
     # is window_point_symbol(j, d, 0, A), so the kernel's point mass lands on
-    # window_point_symbol(j, d, x, A).
+    # window_point_symbol(j, d, x, A); floors[v] is the uniform floor of a
+    # row that sees v context symbols.
     offsets = [
         tuple(window_point_symbol(j, d, 0, size) for d in range(1, len(weights) + 1))
         for j in range(1, spec.horizon + 1)
     ]
+    floors = [(1.0 - sum(weights[:v])) / size for v in range(len(weights) + 1)]
     return spec
 
 

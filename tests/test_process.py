@@ -257,13 +257,75 @@ class TestTabulationCalls:
         assert len(calls) == sum(size ** len(sig) for sig in spec.signatures)
 
 
+def constant_row_spec(row):
+    """Two steps over len(row) symbols whose kernel returns ``row`` as is;
+    step 2 reads x_1, so its table has len(row) rows."""
+    return ProcessSpec(
+        horizon=2,
+        alphabet=Alphabet(len(row)),
+        kernel=lambda step, history: row,
+        signatures=(frozenset(), frozenset({1})),
+    )
+
+
+class TestKernelRowBits:
+    """``kernel_at`` and ``step_table`` return a kernel's row bit for bit,
+    except that entries <= 0 become +0.0."""
+
+    @staticmethod
+    def rows(row):
+        spec = constant_row_spec(row)
+        yield kernel_at(spec, 2, (0,))
+        yield from step_table(spec, 2)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-0.0, 0.25, 0.75], [0.0, -0.0, 1.0], [0.5, -0.0, 0.0, 0.5], [-5e-13, 0.5, 0.5 + 5e-13]],
+        ids=["negative-zero", "zero-then-negative-zero", "negative-zero-then-zero", "tiny-neg"],
+    )
+    def test_entries_at_most_zero_become_positive_zero(self, row):
+        expected = np.maximum(np.array(row), 0.0)
+        for got in self.rows(row):
+            assert not np.signbit(got).any()
+            assert got.tobytes() == expected.tobytes()
+
+    def test_positive_row_keeps_the_kernels_bits(self):
+        row = [0.1, 0.2, 1 / 3, 1.0 - 0.1 - 0.2 - 1 / 3]
+        for got in self.rows(row):
+            assert got.tobytes() == np.array(row).tobytes()
+
+    def test_row_is_read_only(self):
+        for row in ([0.25, 0.75], [-0.0, 1.0]):
+            for got in self.rows(row):
+                with pytest.raises(ValueError):
+                    got[0] = 0.5
+
+    @pytest.mark.parametrize("row", [[0.0, 0.3, 0.7], [0.1, 0.2, 0.7], [-1e-13, 0.4, 0.6]])
+    def test_list_tuple_and_array_give_the_same_row(self, row):
+        expected = [got.tobytes() for got in self.rows(row)]
+        for container in (tuple(row), np.array(row)):
+            assert [got.tobytes() for got in self.rows(container)] == expected
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 0.5, 0.5], [0.5, np.inf, 0.5], [0.5, 0.5, 2e-12]],
+        ids=["nan", "inf", "sum-error"],
+    )
+    def test_bad_rows_raise_naming_the_step(self, row):
+        spec = constant_row_spec(row)
+        with pytest.raises(ValueError, match="kernel at step 2 is not a probability vector"):
+            kernel_at(spec, 2, (0,))
+        with pytest.raises(ValueError, match="kernel at step 2 is not a probability vector"):
+            step_table(spec, 2)
+
+
 def vector_cases():
     """Vectors on both sides of the validator's thresholds: near-probability
     vectors nudged by a few multiples of the tolerance, and raw floats."""
     nudges = st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 1e-11, 0.5]).flatmap(
         lambda e: st.sampled_from([e, -e])
     )
-    weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(lambda w: sum(w) > 0)
+    weights = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16).filter(lambda w: sum(w) > 0)
 
     @st.composite
     def nudged(draw):
@@ -272,12 +334,24 @@ def vector_cases():
         vec[draw(st.integers(0, len(vec) - 1))] += draw(nudges)
         return vec
 
-    raw = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6)
+    raw = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=16)
     return st.one_of(nudged(), raw.map(np.array))
 
 
 def one_ulp_either_side(x):
     return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def long_edge_vectors():
+    """Sums one ulp around 1 +- 1e-12 at lengths where a pairwise sum and a
+    left-to-right sum round differently: uniform, and with one large entry."""
+    vectors = []
+    for n in (8, 9, 64, 300):
+        for s in one_ulp_either_side(1.0 + 1e-12) + one_ulp_either_side(1.0 - 1e-12):
+            large = np.full(n, 0.01 / (n - 1))
+            large[0] = s - 0.01
+            vectors += [np.full(n, s / n), large]
+    return vectors
 
 
 EDGE_VECTORS = (
@@ -291,7 +365,12 @@ EDGE_VECTORS = (
         np.array([np.inf, -np.inf]),
         np.array([0.5, 0.5]),
     ]
+    + long_edge_vectors()
 )
+
+
+def edge_id(vec):
+    return repr(vec.tolist()) if vec.size < 8 else f"{vec.size}x{float(vec[0])!r}"
 
 
 def rejects(vec, ndim):
@@ -306,7 +385,7 @@ def rejects(vec, ndim):
 class TestDistributionCheck:
     """A vector passes the 1-d check exactly when it passes as a one-row matrix."""
 
-    @pytest.mark.parametrize("vec", EDGE_VECTORS, ids=lambda v: repr(v.tolist()))
+    @pytest.mark.parametrize("vec", EDGE_VECTORS, ids=edge_id)
     def test_edge_cases_agree(self, vec):
         assert rejects(vec, 1) == rejects(vec[None, :], 2)
 

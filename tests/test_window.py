@@ -152,7 +152,10 @@ class TestCalibration:
                 for d in range(1, visible + 1):
                     vec[window_point_symbol(step, d, window[-d], size)] += weights[d - 1]
                 rows.append(np.maximum(vec, 0.0))
-            assert np.array_equal(seqbound.process.step_table(spec, step), np.array(rows))
+            table = seqbound.process.step_table(spec, step)
+            # tobytes as well: array_equal treats -0.0 and +0.0 as equal.
+            assert np.array_equal(table, np.array(rows))
+            assert table.tobytes() == np.array(rows).tobytes()
 
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
