@@ -3,8 +3,8 @@
 Subcommands: ``describe`` (scenario summary), ``matrix`` (influence and
 resolvent CSVs plus operator norms), ``bounds`` (comparison table and CSV),
 ``verify`` (oscillation, recursion, coupling-marginal, and tail-domination
-suites), and ``sweep`` (proxy-versus-horizon CSV for calibrated window
-scenarios).
+suites), and ``sweep`` (proxy-versus-horizon CSV for the families whose
+horizon is free: markov, window, and independent with one shared marginal).
 
 Settings resolve as flag > environment variable > config file > default;
 environment variables mirror the flags with the ``SEQBOUND_`` prefix
@@ -288,9 +288,10 @@ def cmd_sweep(args) -> int:
     config, out = _load(args)
     if config.sweep is None:
         raise ConfigError("sweep", "missing required section for the sweep command")
-    if config.family != "window":
+    if not config.horizon_free:
         raise ConfigError(
-            "scenario.family", f"sweep requires the window family, got {config.family}"
+            "scenario.family",
+            f"sweep needs a free horizon; {config.family} is pinned to horizon {config.horizon}",
         )
     rows = []
     for horizon in config.sweep.horizons:
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("matrix", cmd_matrix, "write influence/resolvent CSVs and print operator norms"),
         ("bounds", cmd_bounds, "compare all bounds, print a table, write bounds.csv"),
         ("verify", cmd_verify, "run verification suites; exit 1 on any failed check"),
-        ("sweep", cmd_sweep, "write proxy-versus-horizon CSV for a window scenario"),
+        ("sweep", cmd_sweep, "write proxy-versus-horizon CSV for a free-horizon scenario"),
     ):
         sub = commands.add_parser(name, parents=[shared], help=text)
         sub.set_defaults(handler=handler)

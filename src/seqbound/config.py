@@ -16,7 +16,7 @@ documented in docs/config_schema.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -48,26 +48,8 @@ DEFAULT_SEED = 20260816
 DEFAULT_N_SAMPLES = 100_000
 MAX_SEED = 2**64 - 1
 
-FAMILIES = ("independent", "markov", "tree", "window", "table")
-
-_FAMILY_KEYS: dict[str, set[str]] = {
-    "independent": {"marginals"},
-    "markov": {"transition", "init"},
-    "tree": {"parent", "edge_transition", "root_marginal"},
-    "window": {"width", "target_alpha", "tolerance"},
-    "table": {"kernels"},
-}
-
-# Parameter keys each builtin target accepts (all listed keys are required).
-_TARGET_KEYS: dict[str, set[str]] = {
-    "sum_symbols": set(),
-    "count_symbol": {"symbol"},
-    "terminal_symbol": set(),
-    "terminal_indicator": {"symbol"},
-    "parity": set(),
-    "constant": {"value"},
-    "table": {"values"},
-}
+# Builds the scenario's process at horizon n under an enumeration budget.
+Builder = Callable[[int, "int | None"], ProcessSpec]
 
 
 # ============================================================
@@ -154,12 +136,16 @@ def _get_number(
     return value
 
 
-def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
+def _numeric(mapping: dict, key: str, path: str) -> np.ndarray:
     value = _require(mapping, key, path)
     try:
-        arr = np.array(value, dtype=float)
+        return np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(_join(path, key), "expected a numeric array") from None
+
+
+def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
+    arr = _numeric(mapping, key, path)
     if arr.ndim != ndim:
         raise ConfigError(
             _join(path, key), f"expected a {ndim}-dimensional array, got shape {arr.shape}"
@@ -167,6 +153,115 @@ def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
     if arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ConfigError(_join(path, key), "entries must be finite and nonempty")
     return arr
+
+
+# ============================================================
+# Scenario families
+# ============================================================
+#
+# One parser per `scenario.<family>` block.  It validates the block against
+# the declared horizon and alphabet and returns the family's builder and
+# whether that builder takes any horizon (a sweep needs one that does).
+# Builders look the process builders up by name when they run.
+
+
+def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
+    marginals = _numeric(params, "marginals", path)
+    if marginals.ndim == 1:
+        expected: tuple[int, ...] = (alphabet,)
+    elif marginals.ndim == 2:
+        expected = (horizon, alphabet)
+    else:
+        raise ConfigError(
+            _join(path, "marginals"), f"expected a vector or matrix, got shape {marginals.shape}"
+        )
+    if marginals.shape != expected or not np.all(np.isfinite(marginals)):
+        raise ConfigError(
+            _join(path, "marginals"),
+            f"must be finite with shape {expected}, got {marginals.shape}",
+        )
+    # One shared marginal extends to any horizon; a matrix has one row per step.
+    free = marginals.ndim == 1
+    return (lambda n, budget: build_independent(marginals, n if free else None)), free
+
+
+def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
+    transition = _get_array(params, "transition", path, 2)
+    if transition.shape != (alphabet, alphabet):
+        raise ConfigError(
+            _join(path, "transition"),
+            f"must be {alphabet}x{alphabet} for the declared alphabet, "
+            f"got {transition.shape}",
+        )
+    init = _get_array(params, "init", path, 1)
+    if init.shape != (alphabet,):
+        raise ConfigError(
+            _join(path, "init"), f"must have length {alphabet}, got {init.shape[0]}"
+        )
+    return (lambda n, budget: build_markov(transition, init, n)), True
+
+
+def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
+    parent = _require(params, "parent", path)
+    if (
+        not isinstance(parent, list)
+        or not parent
+        or any(isinstance(p, bool) or not isinstance(p, int) for p in parent)
+    ):
+        raise ConfigError(_join(path, "parent"), "expected a list of integers")
+    if len(parent) != horizon:
+        raise ConfigError(
+            _join(path, "parent"),
+            f"must list one parent per step: got {len(parent)} for horizon {horizon}",
+        )
+    edge = _require(params, "edge_transition", path)
+    root = _require(params, "root_marginal", path)
+    return (lambda n, budget: build_causal_tree(parent, edge, root)), False
+
+
+def _parse_window(params: dict, path: str, horizon: int, alphabet: int):
+    width = _get_int(params, "width", path, required=True, minimum=1)
+    target_alpha = _get_number(params, "target_alpha", path, required=True, minimum=0.0, below=1.0)
+    tolerance = _get_number(params, "tolerance", path, default=CALIBRATION_TOLERANCE, minimum=0.0)
+    return (
+        lambda n, budget: build_calibrated_window(
+            n, alphabet, width, target_alpha, tolerance=tolerance, budget=budget
+        )
+    ), True
+
+
+def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
+    kernels = _require(params, "kernels", path)
+    if not isinstance(kernels, list) or not kernels:
+        raise ConfigError(_join(path, "kernels"), "expected a list of per-step tables")
+    if len(kernels) != horizon:
+        raise ConfigError(
+            _join(path, "kernels"),
+            f"must list one table per step: got {len(kernels)} for horizon {horizon}",
+        )
+    return (lambda n, budget: build_from_tables(kernels)), False
+
+
+# Each family's block keys and its parser.
+_FAMILIES: dict[str, tuple[set[str], Callable]] = {
+    "independent": ({"marginals"}, _parse_independent),
+    "markov": ({"transition", "init"}, _parse_markov),
+    "tree": ({"parent", "edge_transition", "root_marginal"}, _parse_tree),
+    "window": ({"width", "target_alpha", "tolerance"}, _parse_window),
+    "table": ({"kernels"}, _parse_table),
+}
+
+# Each builtin target's parameter keys (all required) and its constructor
+# (n, alphabet, params) -> TargetFunction.
+_TARGETS: dict[str, tuple[set[str], Callable]] = {
+    "sum_symbols": (set(), lambda n, s, p: sum_symbols(n, s)),
+    "count_symbol": ({"symbol"}, lambda n, s, p: count_symbol(n, s, p["symbol"])),
+    "terminal_symbol": (set(), lambda n, s, p: terminal_symbol(n, s)),
+    "terminal_indicator": ({"symbol"}, lambda n, s, p: terminal_indicator(n, s, p["symbol"])),
+    "parity": (set(), lambda n, s, p: parity(n)),
+    "constant": ({"value"}, lambda n, s, p: constant(n, p["value"])),
+    "table": ({"values"}, lambda n, s, p: table_target(p["values"], n, s)),
+}
 
 
 # ============================================================
@@ -198,9 +293,10 @@ class ScenarioConfig:
     family: str
     horizon: int
     alphabet_size: int
-    family_params: Mapping[str, object]
+    builder: Builder
+    horizon_free: bool  # whether the builder takes any horizon
     target_name: str
-    target_params: Mapping[str, object]
+    target_builder: Callable[[int], TargetFunction]
     sensitivity_mode: str  # "target" | "oracle" | "declared"
     declared_sensitivity: tuple[float, ...] | None
     run: RunSettings
@@ -209,27 +305,7 @@ class ScenarioConfig:
     def build(self, horizon: int | None = None) -> ProcessSpec:
         """Construct the process, optionally at a different horizon (sweeps)."""
         n = self.horizon if horizon is None else int(horizon)
-        params = self.family_params
-        if self.family == "markov":
-            spec = build_markov(params["transition"], params["init"], n)
-        elif self.family == "independent":
-            marginals = np.asarray(params["marginals"], dtype=float)
-            spec = build_independent(marginals, n if marginals.ndim == 1 else None)
-        elif self.family == "tree":
-            spec = build_causal_tree(
-                params["parent"], params["edge_transition"], params["root_marginal"]
-            )
-        elif self.family == "window":
-            spec = build_calibrated_window(
-                horizon=n,
-                alphabet_size=self.alphabet_size,
-                width=params["width"],
-                target_alpha=params["target_alpha"],
-                tolerance=params["tolerance"],
-                budget=self.run.budget,
-            )
-        else:
-            spec = build_from_tables(params["kernels"])
+        spec = self.builder(n, self.run.budget)
         # Independent matrices, trees and tables fix their own horizon.
         if spec.horizon != n:
             raise ValueError(
@@ -243,23 +319,7 @@ class ScenarioConfig:
         return spec
 
     def target(self, horizon: int | None = None) -> TargetFunction:
-        n = self.horizon if horizon is None else int(horizon)
-        s = self.alphabet_size
-        params = self.target_params
-        name = self.target_name
-        if name == "sum_symbols":
-            return sum_symbols(n, s)
-        if name == "count_symbol":
-            return count_symbol(n, s, params["symbol"])
-        if name == "terminal_symbol":
-            return terminal_symbol(n, s)
-        if name == "terminal_indicator":
-            return terminal_indicator(n, s, params["symbol"])
-        if name == "parity":
-            return parity(n)
-        if name == "constant":
-            return constant(n, params["value"])
-        return table_target(params["values"], n, s)
+        return self.target_builder(self.horizon if horizon is None else int(horizon))
 
     def sensitivity(
         self, spec: ProcessSpec, f: TargetFunction, values: np.ndarray | None = None
@@ -284,105 +344,33 @@ class ScenarioConfig:
 # ============================================================
 
 
-def _parse_scenario(node) -> tuple[str, int, int, dict]:
+def _parse_scenario(node) -> tuple[str, int, int, Builder, bool]:
     scenario = _as_mapping(node, "scenario")
     family = _require(scenario, "family", "scenario")
-    if family not in FAMILIES:
+    if family not in _FAMILIES:
         raise ConfigError(
-            "scenario.family", f"unknown family {family!r} (one of {', '.join(FAMILIES)})"
+            "scenario.family", f"unknown family {family!r} (one of {', '.join(_FAMILIES)})"
         )
     _check_keys(scenario, {"family", "horizon", "alphabet", family}, "scenario")
     horizon = _get_int(scenario, "horizon", "scenario", required=True, minimum=1)
     alphabet = _get_int(scenario, "alphabet", "scenario", required=True, minimum=1)
     path = _join("scenario", family)
     params = _as_mapping(_require(scenario, family, "scenario"), path)
-    _check_keys(params, _FAMILY_KEYS[family], path)
-    out: dict = {}
-
-    if family == "markov":
-        transition = _get_array(params, "transition", path, 2)
-        if transition.shape != (alphabet, alphabet):
-            raise ConfigError(
-                _join(path, "transition"),
-                f"must be {alphabet}x{alphabet} for the declared alphabet, "
-                f"got {transition.shape}",
-            )
-        init = _get_array(params, "init", path, 1)
-        if init.shape != (alphabet,):
-            raise ConfigError(
-                _join(path, "init"), f"must have length {alphabet}, got {init.shape[0]}"
-            )
-        out = {"transition": transition, "init": init}
-    elif family == "independent":
-        raw = _require(params, "marginals", path)
-        try:
-            marginals = np.array(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(_join(path, "marginals"), "expected a numeric array") from None
-        if marginals.ndim == 1:
-            expected: tuple[int, ...] = (alphabet,)
-        elif marginals.ndim == 2:
-            expected = (horizon, alphabet)
-        else:
-            raise ConfigError(
-                _join(path, "marginals"), f"expected a vector or matrix, got shape {marginals.shape}"
-            )
-        if marginals.shape != expected or not np.all(np.isfinite(marginals)):
-            raise ConfigError(
-                _join(path, "marginals"),
-                f"must be finite with shape {expected}, got {marginals.shape}",
-            )
-        out = {"marginals": marginals}
-    elif family == "tree":
-        parent = _require(params, "parent", path)
-        if (
-            not isinstance(parent, list)
-            or not parent
-            or any(isinstance(p, bool) or not isinstance(p, int) for p in parent)
-        ):
-            raise ConfigError(_join(path, "parent"), "expected a list of integers")
-        if len(parent) != horizon:
-            raise ConfigError(
-                _join(path, "parent"),
-                f"must list one parent per step: got {len(parent)} for horizon {horizon}",
-            )
-        out = {
-            "parent": parent,
-            "edge_transition": _require(params, "edge_transition", path),
-            "root_marginal": _require(params, "root_marginal", path),
-        }
-    elif family == "window":
-        out = {
-            "width": _get_int(params, "width", path, required=True, minimum=1),
-            "target_alpha": _get_number(
-                params, "target_alpha", path, required=True, minimum=0.0, below=1.0
-            ),
-            "tolerance": _get_number(
-                params, "tolerance", path, default=CALIBRATION_TOLERANCE, minimum=0.0
-            ),
-        }
-    else:  # table
-        kernels = _require(params, "kernels", path)
-        if not isinstance(kernels, list) or not kernels:
-            raise ConfigError(_join(path, "kernels"), "expected a list of per-step tables")
-        if len(kernels) != horizon:
-            raise ConfigError(
-                _join(path, "kernels"),
-                f"must list one table per step: got {len(kernels)} for horizon {horizon}",
-            )
-        out = {"kernels": kernels}
-    return family, horizon, alphabet, out
+    keys, parse = _FAMILIES[family]
+    _check_keys(params, keys, path)
+    builder, free = parse(params, path, horizon, alphabet)
+    return family, horizon, alphabet, builder, free
 
 
-def _parse_target(node, alphabet: int) -> tuple[str, dict]:
+def _parse_target(node, alphabet: int) -> tuple[str, Callable[[int], TargetFunction], bool]:
     target = _as_mapping(node, "target")
     name = _require(target, "name", "target")
-    if name not in _TARGET_KEYS:
+    if name not in _TARGETS:
         raise ConfigError(
             "target.name",
-            f"unknown target {name!r} (one of {', '.join(sorted(_TARGET_KEYS))})",
+            f"unknown target {name!r} (one of {', '.join(sorted(_TARGETS))})",
         )
-    allowed = _TARGET_KEYS[name]
+    allowed, make = _TARGETS[name]
     _check_keys(target, {"name"} | allowed, "target")
     params: dict = {}
     if "symbol" in allowed:
@@ -392,15 +380,12 @@ def _parse_target(node, alphabet: int) -> tuple[str, dict]:
     if "value" in allowed:
         params["value"] = _get_number(target, "value", "target", required=True)
     if "values" in allowed:
-        raw = _require(target, "values", "target")
-        try:
-            values = np.array(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("target.values", "expected a numeric array") from None
+        values = _numeric(target, "values", "target")
         if values.ndim != 1 or not np.all(np.isfinite(values)):
             raise ConfigError("target.values", "expected a finite flat list of values")
         params["values"] = values
-    return name, params
+    # A value table is indexed by trajectory rank, so it fixes the horizon.
+    return name, lambda n: make(n, alphabet, params), "values" not in allowed
 
 
 def _parse_sensitivity(node, horizon: int) -> tuple[str, tuple[float, ...] | None]:
@@ -483,8 +468,8 @@ def parse_config(data) -> ScenarioConfig:
         raise ConfigError("scenario", "missing required section")
     if "target" not in doc:
         raise ConfigError("target", "missing required section")
-    family, horizon, alphabet, family_params = _parse_scenario(doc["scenario"])
-    target_name, target_params = _parse_target(doc["target"], alphabet)
+    family, horizon, alphabet, builder, horizon_free = _parse_scenario(doc["scenario"])
+    target_name, target_builder, target_free = _parse_target(doc["target"], alphabet)
     mode, declared = _parse_sensitivity(doc.get("sensitivity"), horizon)
     run = _parse_run(doc.get("run"))
     sweep = _parse_sweep(doc.get("sweep"))
@@ -492,15 +477,18 @@ def parse_config(data) -> ScenarioConfig:
         raise ConfigError(
             "sensitivity.declared", "a fixed declared vector cannot follow a horizon sweep"
         )
-    if sweep is not None and target_name == "table":
-        raise ConfigError("target.name", "a fixed table target cannot follow a horizon sweep")
+    if sweep is not None and not target_free:
+        raise ConfigError(
+            "target.name", f"a fixed {target_name} target cannot follow a horizon sweep"
+        )
     return ScenarioConfig(
         family=family,
         horizon=horizon,
         alphabet_size=alphabet,
-        family_params=family_params,
+        builder=builder,
+        horizon_free=horizon_free,
         target_name=target_name,
-        target_params=target_params,
+        target_builder=target_builder,
         sensitivity_mode=mode,
         declared_sensitivity=declared,
         run=run,

@@ -11,8 +11,6 @@ import numpy as np
 from .influence import InterdependenceMatrix
 from .targets import as_sensitivity
 
-RESIDUAL_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class Resolvent:
@@ -67,10 +65,20 @@ def causal_resolvent(h) -> Resolvent:
     gamma = np.eye(n)
     for i in range(n - 2, -1, -1):
         gamma[i, i + 1:] = arr[i, i + 1:] @ gamma[i + 1:, i + 1:]
-    residual = np.abs((np.eye(n) - arr) @ gamma - np.eye(n)).max() if n else 0.0
-    if residual > RESIDUAL_TOLERANCE:
-        raise RuntimeError(f"resolvent residual {residual:.3e} exceeds {RESIDUAL_TOLERANCE}")
+    _check_inverse(arr, gamma)
     return Resolvent(gamma)
+
+
+def _check_inverse(h: np.ndarray, gamma: np.ndarray) -> None:
+    """Raise unless (I - H) gamma - I is within the backward error of
+    substitution, n * eps * ||I + H||_inf * ||gamma||_inf.  Where alpha > 1,
+    gamma grows geometrically in N and an absolute tolerance would reject it."""
+    n = h.shape[0]
+    residual = np.abs((np.eye(n) - h) @ gamma - np.eye(n)).max(initial=0.0)
+    scale = (1.0 + h.sum(axis=1).max(initial=0.0)) * gamma.sum(axis=1).max(initial=0.0)
+    bound = n * np.finfo(float).eps * scale
+    if residual > bound:
+        raise RuntimeError(f"resolvent residual {residual:.3e} exceeds {bound:.3e}")
 
 
 class OperatorNorms(NamedTuple):

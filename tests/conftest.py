@@ -20,6 +20,7 @@ The oracles, which no library code calls:
   is row k of the production resolvent.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -43,6 +44,46 @@ from seqbound import (
 
 CANONICAL_TRANSITION = np.array([[0.9, 0.1], [0.2, 0.8]])
 CANONICAL_INIT = np.array([1.0, 0.0])
+
+
+# ============================================================
+# Minimal config documents
+# ============================================================
+
+
+# One minimal scenario block per family entry (independent in both shapes):
+# (family, horizon, block, whether the horizon is free).
+FAMILY_CASES = {
+    "independent-vector": ("independent", 3, {"marginals": [0.5, 0.5]}, True),
+    "independent-matrix": ("independent", 2, {"marginals": [[0.5, 0.5], [0.2, 0.8]]}, False),
+    "markov": ("markov", 3, {"transition": [[0.9, 0.1], [0.2, 0.8]], "init": [1.0, 0.0]}, True),
+    "tree": (
+        "tree",
+        3,
+        {
+            "parent": [0, 1, 1],
+            "edge_transition": [[0.6, 0.4], [0.4, 0.6]],
+            "root_marginal": [0.5, 0.5],
+        },
+        False,
+    ),
+    "window": ("window", 4, {"width": 2, "target_alpha": 0.5}, True),
+    "table": ("table", 2, {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]}, False),
+}
+
+
+def family_doc(case: str) -> dict:
+    """A fresh config document for one family case, with a parity target."""
+    family, horizon, block, _ = FAMILY_CASES[case]
+    return {
+        "scenario": {
+            "family": family,
+            "horizon": horizon,
+            "alphabet": 2,
+            family: copy.deepcopy(block),
+        },
+        "target": {"name": "parity"},
+    }
 
 
 # ============================================================

@@ -25,6 +25,7 @@ from seqbound.report import (
 )
 from seqbound.resolvent import causal_resolvent
 from seqbound.sampling import TAIL_HEADER
+from conftest import family_doc
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MARKOV = str(CONFIG_DIR / "markov.yaml")
@@ -67,8 +68,9 @@ def small_markov_doc(**extra):
 
 SHIPPED_CONFIGS = sorted(path.name for path in CONFIG_DIR.glob("*.yaml"))
 # verify is left out on window.yaml: f's exhaustive table alone needs 2^100
-# evaluations, over the default budget, so it exits 3.  sweep needs a
-# sweep section, which only window.yaml has.
+# evaluations, over the default budget, so it exits 3.  sweep needs a sweep
+# section, which only window.yaml has among the shipped configs; markov and
+# shared-marginal independent scenarios can sweep too.
 SMOKE_RUNS = [
     (name, command)
     for name in SHIPPED_CONFIGS
@@ -372,11 +374,32 @@ class TestSubcommands:
         rows = read_rows(tmp_path / "sweep.csv")
         assert [row[3] for row in rows[1:]] == ["", ""]
 
-    def test_sweep_requires_window_family(self, tmp_path):
-        config = write_yaml(
-            tmp_path / "markov_sweep.yaml", small_markov_doc(sweep={"horizons": [3, 4]})
-        )
+    def test_markov_sweep_matches_compare_bounds(self, tmp_path):
+        doc = yaml.safe_load(Path(MARKOV).read_text())
+        doc["sweep"] = {"horizons": [10, 100, 400]}
+        config = write_yaml(tmp_path / "markov_sweep.yaml", doc)
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "sweep.csv")
+        assert [row[0] for row in rows[1:]] == ["10", "100", "400"]
+        loaded = load_config(config)
+        for row in rows[1:]:
+            n = int(row[0])
+            spec, f = loaded.build(horizon=n), loaded.target(n)
+            report = seqbound.compare_bounds(spec, f=f, c=loaded.sensitivity(spec, f))
+            assert row[1] == format_number(report["exact"].proxy)
+            assert float(row[1]) <= report["markov"].proxy
+
+    @pytest.mark.parametrize("case", ["independent-matrix", "table", "tree"])
+    def test_sweep_rejects_pinned_family(self, tmp_path, capsys, case):
+        doc = family_doc(case)
+        horizon = doc["scenario"]["horizon"]
+        doc["sweep"] = {"horizons": [horizon, horizon + 1]}
+        config = write_yaml(tmp_path / "pinned.yaml", doc)
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert "N=" not in out
+        assert f"pinned to horizon {horizon}" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 # ============================================================

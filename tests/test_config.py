@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -14,8 +16,11 @@ from seqbound import (
     parse_config,
     prefix_expectation_table,
 )
+from seqbound.config import _FAMILIES, _TARGETS
+from conftest import FAMILY_CASES, family_doc
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def minimal_markov(**overrides) -> dict:
@@ -33,6 +38,18 @@ def minimal_markov(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+# One target block per target entry, and its value on the path (1, 0, 1).
+TARGET_CASES = {
+    "sum_symbols": ({}, 2.0),
+    "count_symbol": ({"symbol": 1}, 2.0),
+    "terminal_symbol": ({}, 1.0),
+    "terminal_indicator": ({"symbol": 0}, 0.0),
+    "parity": ({}, 0.0),
+    "constant": ({"value": 2.5}, 2.5),
+    "table": ({"values": list(range(8))}, 5.0),  # rank of (1, 0, 1)
+}
 
 
 # ============================================================
@@ -80,13 +97,6 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(minimal_markov(extensions={"a": 1}))
         assert "extensions" in str(err.value)
-
-    def test_unknown_nested_key_path(self):
-        doc = minimal_markov()
-        doc["scenario"]["markov"]["transitoin"] = [[1.0, 0.0], [0.0, 1.0]]
-        with pytest.raises(ConfigError) as err:
-            parse_config(doc)
-        assert "scenario.markov.transitoin" in str(err.value)
 
     def test_missing_sections(self):
         with pytest.raises(ConfigError):
@@ -175,39 +185,8 @@ class TestBuilders:
         config = parse_config(minimal_markov())
         spec = config.build(horizon=6)  # markov kernels extend to any horizon
         assert spec.horizon == 6
-        indep = {
-            "scenario": {
-                "family": "independent",
-                "horizon": 2,
-                "alphabet": 2,
-                "independent": {"marginals": [[0.5, 0.5], [0.2, 0.8]]},
-            },
-            "target": {"name": "parity"},
-        }
-        tree = {
-            "scenario": {
-                "family": "tree",
-                "horizon": 3,
-                "alphabet": 2,
-                "tree": {
-                    "parent": [0, 1, 1],
-                    "edge_transition": [[0.6, 0.4], [0.4, 0.6]],
-                    "root_marginal": [0.5, 0.5],
-                },
-            },
-            "target": {"name": "parity"},
-        }
-        table = {
-            "scenario": {
-                "family": "table",
-                "horizon": 2,
-                "alphabet": 2,
-                "table": {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]},
-            },
-            "target": {"name": "parity"},
-        }
-        for doc in (indep, tree, table):
-            config = parse_config(doc)
+        for case in ("independent-matrix", "tree", "table"):
+            config = parse_config(family_doc(case))
             family, pinned = config.family, config.horizon
             assert config.build(horizon=pinned).horizon == pinned
             message = f"{family} scenario is pinned to horizon {pinned}, asked for 5"
@@ -262,6 +241,53 @@ class TestBuilders:
         # f's values in rank order give the oracle's vector without a new pass.
         values = prefix_expectation_table(spec, f)[-1]
         assert np.array_equal(config.sensitivity(spec, f, values), c)
+
+
+# ============================================================
+# One table entry per family and per target
+# ============================================================
+
+
+class TestTables:
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_family_entry(self, case):
+        family, horizon, _, free = FAMILY_CASES[case]
+        config = parse_config(family_doc(case))
+        assert (config.family, config.horizon_free) == (family, free)
+        spec = config.build()
+        assert (spec.family, spec.horizon, spec.alphabet.size) == (family, horizon, 2)
+        doc = family_doc(case)
+        doc["scenario"][family]["bogus"] = 1
+        with pytest.raises(ConfigError, match=rf"scenario\.{family}\.bogus: unknown key"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("name", sorted(TARGET_CASES))
+    def test_target_entry(self, name):
+        params, value = TARGET_CASES[name]
+        config = parse_config(minimal_markov(target={"name": name, **params}))
+        config.build()
+        assert config.target().evaluate((1, 0, 1)) == value
+        with pytest.raises(ConfigError, match=r"target\.bogus: unknown key"):
+            parse_config(minimal_markov(target={"name": name, "bogus": 1, **params}))
+
+    def test_every_entry_has_a_case(self):
+        assert {family for family, *_ in FAMILY_CASES.values()} == set(_FAMILIES)
+        assert set(TARGET_CASES) == set(_TARGETS)
+        for name, (keys, _) in _TARGETS.items():
+            assert set(TARGET_CASES[name][0]) == keys
+
+    def test_schema_doc_lists_every_key(self):
+        """Every family block key and every target name with its keys appears
+        in docs/config_schema.md, so an entry added without docs fails here."""
+        text = (ROOT / "docs" / "config_schema.md").read_text()
+        for family, (keys, _) in _FAMILIES.items():
+            section = re.search(rf"^`{family}`:\n\n((?:\|.*\n)+)", text, re.MULTILINE)
+            assert section, f"no key table for family {family}"
+            assert set(re.findall(r"^\| `(\w+)` \|", section.group(1), re.MULTILINE)) == keys
+        for name, (keys, _) in _TARGETS.items():
+            row = re.search(rf"^\| `{name}` \| (.*?) \|", text, re.MULTILINE)
+            assert row, f"no row for target {name}"
+            assert set(re.findall(r"`(\w+)`", row.group(1))) == keys
 
 
 # ============================================================

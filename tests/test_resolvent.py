@@ -5,20 +5,28 @@ import pytest
 
 from seqbound import (
     build_markov,
+    build_sliding_window,
     causal_resolvent,
+    compare_bounds,
     decay_lower_bound,
     interdependence_matrix,
     operator_norms,
     spectral_decay,
     spectral_norm,
+    sum_symbols,
     uniform_decay_profile,
     uniform_decay_tail,
     variance_proxy,
 )
+from seqbound.resolvent import _check_inverse
 from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, neumann_resolvent
 
 EXACT_TOL = 1e-12
 NORM_TOL = 1e-9
+
+
+def parity_window_kernel(step, window):
+    return [0.98, 0.02] if sum(window) % 2 == 0 else [0.02, 0.98]
 
 
 def random_strict_upper(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -51,6 +59,25 @@ class TestCausalResolvent:
         gamma = causal_resolvent(interdependence_matrix(markov3))
         assert np.allclose(gamma.entries[0], [1.0, 0.7, 0.49], atol=EXACT_TOL)
         assert np.allclose(np.diag(gamma.entries), 1.0, atol=EXACT_TOL)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_large_resolvent_passes_the_residual_check(self, n):
+        # Each step puts 0.98 on the parity of its width-2 window, so alpha
+        # is 1.92 and Gamma grows geometrically: its residual (1.2e-7 at
+        # N=50, 2e3 at N=100) is far above an absolute 1e-9 but within
+        # rounding of Gamma's scale.
+        spec = build_sliding_window(2, parity_window_kernel, n, 2)
+        report = compare_bounds(spec, f=sum_symbols(n, 2), c=np.ones(n))
+        assert np.all(np.isfinite(report.resolvent.entries))
+        assert np.isfinite(report["exact"].proxy) and report["exact"].proxy > 1e19
+
+    def test_residual_check_rejects_a_perturbed_entry(self):
+        h = interdependence_matrix(build_sliding_window(2, parity_window_kernel, 50, 2)).entries
+        gamma = causal_resolvent(h).entries.copy()
+        _check_inverse(h, gamma)
+        gamma[0, 25] *= 1.0 + 1e-6
+        with pytest.raises(RuntimeError, match="resolvent residual"):
+            _check_inverse(h, gamma)
 
     def test_rejects_lower_triangular_mass(self):
         bad = np.array([[0.0, 0.5], [0.2, 0.0]])
