@@ -4,7 +4,9 @@ Subcommands: ``describe`` (scenario summary), ``matrix`` (influence and
 resolvent CSVs plus operator norms), ``bounds`` (comparison table and CSV),
 ``verify`` (oscillation, recursion, coupling-marginal, and tail-domination
 suites), and ``sweep`` (proxy-versus-horizon CSV for the families whose
-horizon is free: markov, window, and independent with one shared marginal).
+horizon is free: markov, window, and independent with one shared marginal;
+the scenario is built once, at the largest horizon, and each smaller
+horizon from which the family is prefix-closed reads its leading steps).
 
 Settings resolve as flag > environment variable > config file > default;
 environment variables mirror the flags with the ``SEQBOUND_`` prefix
@@ -285,25 +287,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Exact, scalar-collapse and terminal-sparse proxies at each horizon.
+
+    The largest horizon is built and bounded first, and every row before any
+    is printed, so a failure prints no row.  Each smaller horizon from
+    ``config.prefix_from`` on is that build's leading steps.
+    """
     config, out = _load(args)
     if config.sweep is None:
         raise ConfigError("sweep", "missing required section for the sweep command")
-    if not config.horizon_free:
+    if config.prefix_from is None:
         raise ConfigError(
             "scenario.family",
             f"sweep needs a free horizon; {config.family} is pinned to horizon {config.horizon}",
         )
+    horizons = config.sweep.horizons
+    largest = config.build(horizon=horizons[-1])
     rows = []
-    for horizon in config.sweep.horizons:
-        spec = config.build(horizon=horizon)
+    for horizon in reversed(horizons):
+        if horizon == largest.horizon:
+            spec = largest
+        else:
+            within = largest if horizon >= config.prefix_from else None
+            spec = config.build(horizon=horizon, within=within)
         f = config.target(horizon)
         c = config.sensitivity(spec, f)
         report = compare_bounds(spec, f=f, c=c, budget=config.run.budget)
-        exact = report["exact"].proxy
-        scalar = report["scalar_collapse"].proxy
         # Only terminal-sparse sensitivities get a sparse_terminal row.
         sparse = next((b.proxy for b in report.bounds if b.name == "sparse_terminal"), None)
-        rows.append((horizon, exact, scalar, sparse))
+        rows.append((horizon, report["exact"].proxy, report["scalar_collapse"].proxy, sparse))
+    rows.reverse()
+    for horizon, exact, scalar, sparse in rows:
         print(
             f"N={horizon}: exact {format_number(exact)}, scalar collapse "
             f"{format_number(scalar)}, terminal-sparse "

@@ -28,6 +28,7 @@ from .process import (
     build_from_tables,
     build_independent,
     build_markov,
+    leading_steps,
 )
 from .targets import (
     TargetFunction,
@@ -42,14 +43,16 @@ from .targets import (
     terminal_indicator,
     terminal_symbol,
 )
-from .window import CALIBRATION_TOLERANCE, build_calibrated_window
+from .window import CALIBRATION_TOLERANCE, build_calibrated_window, check_calibration
 
 DEFAULT_SEED = 20260816
 DEFAULT_N_SAMPLES = 100_000
 MAX_SEED = 2**64 - 1
 
-# Builds the scenario's process at horizon n under an enumeration budget.
-Builder = Callable[[int, "int | None"], ProcessSpec]
+# Builds the scenario's process at horizon n under an enumeration budget.  Given
+# a build at a larger horizon from which the family is prefix-closed at n, it
+# reads n off that build's leading steps instead.
+Builder = Callable[[int, "int | None", "ProcessSpec | None"], ProcessSpec]
 
 
 # ============================================================
@@ -160,9 +163,11 @@ def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
 # ============================================================
 #
 # One parser per `scenario.<family>` block.  It validates the block against
-# the declared horizon and alphabet and returns the family's builder and
-# whether that builder takes any horizon (a sweep needs one that does).
-# Builders look the process builders up by name when they run.
+# the declared horizon and alphabet and returns the family's builder and the
+# smallest horizon from which the family is prefix-closed (None when the
+# horizon is pinned): its spec at any such n is the first n steps of its spec
+# at a larger horizon.  Builders look the process builders up by name when
+# they run.
 
 
 def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
@@ -180,9 +185,14 @@ def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
             _join(path, "marginals"),
             f"must be finite with shape {expected}, got {marginals.shape}",
         )
-    # One shared marginal extends to any horizon; a matrix has one row per step.
-    free = marginals.ndim == 1
-    return (lambda n, budget: build_independent(marginals, n if free else None)), free
+    # A matrix has one row per step; one shared marginal extends to any horizon.
+    if marginals.ndim == 2:
+        return (lambda n, budget, within: build_independent(marginals)), None
+
+    def build(n, budget, within):
+        return build_independent(marginals, n) if within is None else leading_steps(within, n)
+
+    return build, 1
 
 
 def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
@@ -198,7 +208,11 @@ def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
         raise ConfigError(
             _join(path, "init"), f"must have length {alphabet}, got {init.shape[0]}"
         )
-    return (lambda n, budget: build_markov(transition, init, n)), True
+
+    def build(n, budget, within):
+        return build_markov(transition, init, n) if within is None else leading_steps(within, n)
+
+    return build, 1
 
 
 def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
@@ -216,18 +230,24 @@ def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
         )
     edge = _require(params, "edge_transition", path)
     root = _require(params, "root_marginal", path)
-    return (lambda n, budget: build_causal_tree(parent, edge, root)), False
+    return (lambda n, budget, within: build_causal_tree(parent, edge, root)), None
 
 
 def _parse_window(params: dict, path: str, horizon: int, alphabet: int):
     width = _get_int(params, "width", path, required=True, minimum=1)
     target_alpha = _get_number(params, "target_alpha", path, required=True, minimum=0.0, below=1.0)
     tolerance = _get_number(params, "tolerance", path, default=CALIBRATION_TOLERANCE, minimum=0.0)
-    return (
-        lambda n, budget: build_calibrated_window(
-            n, alphabet, width, target_alpha, tolerance=tolerance, budget=budget
-        )
-    ), True
+
+    # Below width + 1, beta is solved over min(width, n - 1) distances, so it
+    # depends on n; the calibration check runs at every horizon either way.
+    def build(n, budget, within):
+        if within is None:
+            return build_calibrated_window(
+                n, alphabet, width, target_alpha, tolerance=tolerance, budget=budget
+            )
+        return check_calibration(leading_steps(within, n), tolerance, budget)
+
+    return build, width + 1
 
 
 def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
@@ -239,7 +259,7 @@ def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
             _join(path, "kernels"),
             f"must list one table per step: got {len(kernels)} for horizon {horizon}",
         )
-    return (lambda n, budget: build_from_tables(kernels)), False
+    return (lambda n, budget, within: build_from_tables(kernels)), None
 
 
 # Each family's block keys and its parser.
@@ -294,7 +314,7 @@ class ScenarioConfig:
     horizon: int
     alphabet_size: int
     builder: Builder
-    horizon_free: bool  # whether the builder takes any horizon
+    prefix_from: int | None  # smallest prefix-closed horizon; None when pinned
     target_name: str
     target_builder: Callable[[int], TargetFunction]
     sensitivity_mode: str  # "target" | "oracle" | "declared"
@@ -302,10 +322,14 @@ class ScenarioConfig:
     run: RunSettings
     sweep: SweepConfig | None
 
-    def build(self, horizon: int | None = None) -> ProcessSpec:
-        """Construct the process, optionally at a different horizon (sweeps)."""
+    def build(self, horizon: int | None = None, within: ProcessSpec | None = None) -> ProcessSpec:
+        """Construct the process, optionally at a different horizon (sweeps).
+
+        Given ``within``, a build at a larger horizon, the result is its
+        leading steps; ``horizon`` must then be at least ``prefix_from``.
+        """
         n = self.horizon if horizon is None else int(horizon)
-        spec = self.builder(n, self.run.budget)
+        spec = self.builder(n, self.run.budget, within)
         # Independent matrices, trees and tables fix their own horizon.
         if spec.horizon != n:
             raise ValueError(
@@ -344,7 +368,7 @@ class ScenarioConfig:
 # ============================================================
 
 
-def _parse_scenario(node) -> tuple[str, int, int, Builder, bool]:
+def _parse_scenario(node) -> tuple[str, int, int, Builder, int | None]:
     scenario = _as_mapping(node, "scenario")
     family = _require(scenario, "family", "scenario")
     if family not in _FAMILIES:
@@ -358,8 +382,8 @@ def _parse_scenario(node) -> tuple[str, int, int, Builder, bool]:
     params = _as_mapping(_require(scenario, family, "scenario"), path)
     keys, parse = _FAMILIES[family]
     _check_keys(params, keys, path)
-    builder, free = parse(params, path, horizon, alphabet)
-    return family, horizon, alphabet, builder, free
+    builder, prefix_from = parse(params, path, horizon, alphabet)
+    return family, horizon, alphabet, builder, prefix_from
 
 
 def _parse_target(node, alphabet: int) -> tuple[str, Callable[[int], TargetFunction], bool]:
@@ -468,7 +492,7 @@ def parse_config(data) -> ScenarioConfig:
         raise ConfigError("scenario", "missing required section")
     if "target" not in doc:
         raise ConfigError("target", "missing required section")
-    family, horizon, alphabet, builder, horizon_free = _parse_scenario(doc["scenario"])
+    family, horizon, alphabet, builder, prefix_from = _parse_scenario(doc["scenario"])
     target_name, target_builder, target_free = _parse_target(doc["target"], alphabet)
     mode, declared = _parse_sensitivity(doc.get("sensitivity"), horizon)
     run = _parse_run(doc.get("run"))
@@ -486,7 +510,7 @@ def parse_config(data) -> ScenarioConfig:
         horizon=horizon,
         alphabet_size=alphabet,
         builder=builder,
-        horizon_free=horizon_free,
+        prefix_from=prefix_from,
         target_name=target_name,
         target_builder=target_builder,
         sensitivity_mode=mode,

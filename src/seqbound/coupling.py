@@ -140,7 +140,7 @@ def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
     so exact enumeration and the generic trajectory sampler start after it.
     The process is built on first use and kept on the base spec.
     """
-    pair = spec._tables.get("coupled-pair")
+    pair = spec._derived.get("coupled-pair")
     if pair is not None:
         return pair
     size = spec.alphabet.size
@@ -149,7 +149,7 @@ def coupled_pair_process(spec: ProcessSpec) -> ProcessSpec:
         for j in range(1, spec.horizon + 1)
     ]
     pair = spec_from_tables(tables, spec.signatures, "coupled-pair", {"base_alphabet": size})
-    spec._tables["coupled-pair"] = pair
+    spec._derived["coupled-pair"] = pair
     return pair
 
 

@@ -94,10 +94,14 @@ def interdependence_matrix(
     """Exact influence matrix from the per-step kernel tables.
 
     Entry (i, j) is the largest TV distance between rows of step j's table
-    that differ only in coordinate i.
+    that differ only in coordinate i.  The matrix is built on first use and
+    kept on the spec; the budget is checked on every call.
     """
     n, size = spec.horizon, spec.alphabet.size
     ensure_budget(influence_enumeration_cost(spec), budget, "influence matrix enumeration")
+    infl = spec._derived.get("influence")
+    if infl is not None:
+        return infl
     out = np.zeros((n, n))
     for j in range(2, n + 1):
         coords = spec.signature_coords(j)
@@ -108,7 +112,8 @@ def interdependence_matrix(
         for pos, coord in enumerate(coords):
             flat = np.moveaxis(table, pos, 0).reshape(size, -1, size)
             out[coord - 1, j - 1] = _max_pairwise_tv(flat)
-    return InterdependenceMatrix(out)
+    infl = spec._derived["influence"] = InterdependenceMatrix(out)
+    return infl
 
 
 def column_sum_alpha(h) -> float:

@@ -110,6 +110,10 @@ class ProcessSpec:
         "coupled-pair", or "custom"); drives family-specific bound rows.
     meta : mapping
         Parameters recorded by the constructors, for reporting.
+
+    Step tables are kept in ``_tables`` by step, which ``leading_steps``
+    shares; results of the whole spec (its influence matrix and coupled pair
+    process) are kept in ``_derived``, one per spec.
     """
 
     horizon: int
@@ -119,6 +123,7 @@ class ProcessSpec:
     family: str = "custom"
     meta: Mapping[str, object] = field(default_factory=dict, repr=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
     _coords: tuple[tuple[int, ...], ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -214,6 +219,31 @@ def step_table(spec: ProcessSpec, step: int) -> np.ndarray:
         table.setflags(write=False)
         spec._tables[step] = table
     return table
+
+
+def leading_steps(spec: ProcessSpec, horizon: int) -> ProcessSpec:
+    """The first ``horizon`` steps of ``spec``, as a spec of their own.
+
+    The result reads ``spec``'s kernel and shares its step tables, so a step
+    is tabulated once for both, whichever asks first.  It equals the build at
+    ``horizon`` only where the family is prefix-closed from there.  ``meta``
+    is a shallow copy, so an update to either spec's meta (window
+    calibration records its achieved alpha) stays on that spec; an entry
+    with one row per step (independent marginals) keeps all of ``spec``'s.
+    """
+    n = int(horizon)
+    if not 1 <= n <= spec.horizon:
+        raise ValueError(f"leading steps must number 1..{spec.horizon}, got {horizon}")
+    lead = ProcessSpec(
+        horizon=n,
+        alphabet=spec.alphabet,
+        kernel=spec.kernel,
+        signatures=spec.signatures[:n],
+        family=spec.family,
+        meta=dict(spec.meta),
+    )
+    object.__setattr__(lead, "_tables", spec._tables)
+    return lead
 
 
 def mixed_radix_rank(symbols: Sequence[int], size: int) -> int:

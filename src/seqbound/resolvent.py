@@ -26,9 +26,9 @@ class Resolvent:
             raise ValueError("resolvent has non-finite entries")
         if np.any(np.tril(arr, -1) != 0.0):
             raise ValueError("resolvent must be upper triangular")
-        if np.abs(np.diagonal(arr) - 1.0).max() > 1e-12:
+        if np.abs(np.diagonal(arr) - 1.0).max(initial=0.0) > 1e-12:
             raise ValueError("resolvent must have unit diagonal")
-        if float(arr.min()) < 0.0:
+        if float(arr.min(initial=0.0)) < 0.0:
             raise ValueError("resolvent entries must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

@@ -94,9 +94,12 @@ def build_calibrated_window(
 
     The last column sees the most distances, so the largest column sum is
     beta times the weight profile summed over min(width, horizon - 1)
-    distances; beta is solved from it and re-verified against the exact
-    influence matrix.  Raises ValueError for a width or horizon below 1, and
-    CalibrationError when the target is out of range or missed by ``tolerance``.
+    distances; beta is solved from it, and ``check_calibration`` re-verifies
+    it against the exact influence matrix, which stays on the spec.  From
+    horizon width + 1 on, beta no longer depends on the horizon, so the
+    build at a smaller such horizon is this spec's leading steps.  Raises
+    ValueError for a width or horizon below 1, and CalibrationError when the
+    target is out of range or missed by ``tolerance``.
     """
     target = float(target_alpha)
     if not 0.0 <= target < 1.0:
@@ -118,18 +121,26 @@ def build_calibrated_window(
         )
 
     spec = _mixture_window_spec(horizon, alphabet_size, width, beta)
+    spec.meta.update({"beta": beta, "decay": WINDOW_INFLUENCE_DECAY, "target_alpha": target})
+    return check_calibration(spec, tolerance, budget)
+
+
+def check_calibration(
+    spec: ProcessSpec, tolerance: float = CALIBRATION_TOLERANCE, budget: int | None = None
+) -> ProcessSpec:
+    """Verify a calibrated window spec against its own exact influence matrix.
+
+    Raises CalibrationError when the largest column sum misses the spec's
+    ``target_alpha`` by more than ``tolerance``; otherwise records it as
+    ``achieved_alpha`` and returns the spec.  A sweep runs it on each
+    horizon it reads off a larger build's leading steps.
+    """
+    target = spec.meta["target_alpha"]
     achieved = column_sum_alpha(interdependence_matrix(spec, budget=budget))
     if abs(achieved - target) > tolerance:
         raise CalibrationError(
             f"calibration missed: target {target}, achieved {achieved:.9g} "
             f"(tolerance {tolerance})"
         )
-    spec.meta.update(
-        {
-            "beta": beta,
-            "decay": WINDOW_INFLUENCE_DECAY,
-            "target_alpha": target,
-            "achieved_alpha": achieved,
-        }
-    )
+    spec.meta["achieved_alpha"] = achieved
     return spec

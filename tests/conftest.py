@@ -52,11 +52,11 @@ CANONICAL_INIT = np.array([1.0, 0.0])
 
 
 # One minimal scenario block per family entry (independent in both shapes):
-# (family, horizon, block, whether the horizon is free).
+# (family, horizon, block, smallest prefix-closed horizon or None if pinned).
 FAMILY_CASES = {
-    "independent-vector": ("independent", 3, {"marginals": [0.5, 0.5]}, True),
-    "independent-matrix": ("independent", 2, {"marginals": [[0.5, 0.5], [0.2, 0.8]]}, False),
-    "markov": ("markov", 3, {"transition": [[0.9, 0.1], [0.2, 0.8]], "init": [1.0, 0.0]}, True),
+    "independent-vector": ("independent", 3, {"marginals": [0.5, 0.5]}, 1),
+    "independent-matrix": ("independent", 2, {"marginals": [[0.5, 0.5], [0.2, 0.8]]}, None),
+    "markov": ("markov", 3, {"transition": [[0.9, 0.1], [0.2, 0.8]], "init": [1.0, 0.0]}, 1),
     "tree": (
         "tree",
         3,
@@ -65,10 +65,10 @@ FAMILY_CASES = {
             "edge_transition": [[0.6, 0.4], [0.4, 0.6]],
             "root_marginal": [0.5, 0.5],
         },
-        False,
+        None,
     ),
-    "window": ("window", 4, {"width": 2, "target_alpha": 0.5}, True),
-    "table": ("table", 2, {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]}, False),
+    "window": ("window", 4, {"width": 2, "target_alpha": 0.5}, 3),
+    "table": ("table", 2, {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]}, None),
 }
 
 

@@ -16,6 +16,7 @@ from seqbound import cli
 from seqbound.cli import BOUNDS_HEADER, SWEEP_HEADER
 from seqbound.config import MAX_SEED, load_config
 from seqbound.influence import interdependence_matrix
+from seqbound.process import step_table
 from seqbound.report import (
     MATRIX_HEADER,
     VERIFICATION_HEADER,
@@ -48,6 +49,19 @@ def write_yaml(path, doc):
     return str(path)
 
 
+def count_calls(monkeypatch, module, name) -> list[int]:
+    """Wrap ``module.name``; the one-entry list returned counts its calls."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def small_markov_doc(**extra):
     doc = {
         "scenario": {
@@ -60,6 +74,34 @@ def small_markov_doc(**extra):
     }
     doc.update(extra)
     return doc
+
+
+# Sweeps whose smaller horizons are read off the largest build's leading
+# steps: a Markov chain, a shared-marginal independent process, and a width-3
+# window, whose horizons 2 and 3 (at most its width) are built on their own.
+SWEEP_CASES = {
+    "markov": {**yaml.safe_load(Path(MARKOV).read_text()), "sweep": {"horizons": [10, 100, 400]}},
+    "independent": {
+        "scenario": {
+            "family": "independent",
+            "horizon": 3,
+            "alphabet": 2,
+            "independent": {"marginals": [0.3, 0.7]},
+        },
+        "target": {"name": "sum_symbols"},
+        "sweep": {"horizons": [2, 5, 9]},
+    },
+    "window": {
+        "scenario": {
+            "family": "window",
+            "horizon": 8,
+            "alphabet": 2,
+            "window": {"width": 3, "target_alpha": 0.5},
+        },
+        "target": {"name": "terminal_indicator", "symbol": 1},
+        "sweep": {"horizons": [2, 3, 4, 6, 8]},
+    },
+}
 
 
 # ============================================================
@@ -374,20 +416,71 @@ class TestSubcommands:
         rows = read_rows(tmp_path / "sweep.csv")
         assert [row[3] for row in rows[1:]] == ["", ""]
 
-    def test_markov_sweep_matches_compare_bounds(self, tmp_path):
-        doc = yaml.safe_load(Path(MARKOV).read_text())
-        doc["sweep"] = {"horizons": [10, 100, 400]}
-        config = write_yaml(tmp_path / "markov_sweep.yaml", doc)
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_sweep_matches_compare_bounds(self, tmp_path, monkeypatch, case):
+        """Each sweep.csv cell is that of a standalone build at its horizon,
+        and each horizon read off the largest build's leading steps has the
+        standalone build's step tables and influence matrix, bit for bit."""
+        doc = SWEEP_CASES[case]
+        config = write_yaml(tmp_path / "sweep.yaml", doc)
+        swept = []
+
+        def recording(spec, **kwargs):
+            swept.append(spec)
+            return seqbound.compare_bounds(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_bounds", recording)
         assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "sweep.csv")
-        assert [row[0] for row in rows[1:]] == ["10", "100", "400"]
+        horizons = doc["sweep"]["horizons"]
+        assert [int(row[0]) for row in rows[1:]] == horizons
+        largest = swept[0]
+        assert largest.horizon == horizons[-1]
         loaded = load_config(config)
-        for row in rows[1:]:
-            n = int(row[0])
-            spec, f = loaded.build(horizon=n), loaded.target(n)
-            report = seqbound.compare_bounds(spec, f=f, c=loaded.sensitivity(spec, f))
-            assert row[1] == format_number(report["exact"].proxy)
-            assert float(row[1]) <= report["markov"].proxy
+        for row, spec in zip(rows[1:], sorted(swept, key=lambda s: s.horizon)):
+            n = spec.horizon
+            alone, f = loaded.build(horizon=n), loaded.target(n)
+            report = seqbound.compare_bounds(alone, f=f, c=loaded.sensitivity(alone, f))
+            sparse = next((b.proxy for b in report.bounds if b.name == "sparse_terminal"), None)
+            cells = (n, report["exact"].proxy, report["scalar_collapse"].proxy, sparse)
+            assert row == [format_number(v) for v in cells]
+            if spec.family == "markov":
+                assert float(row[1]) <= report["markov"].proxy
+            assert (spec._tables is largest._tables) == (n >= loaded.prefix_from)
+            for j in range(1, n + 1):
+                assert step_table(spec, j).tobytes() == step_table(alone, j).tobytes()
+            h, h_alone = interdependence_matrix(spec), interdependence_matrix(alone)
+            assert h.entries.tobytes() == h_alone.entries.tobytes()
+
+    def test_window_sweep_tabulates_each_step_once(self, tmp_path, monkeypatch):
+        # The sweep's kernel calls are those of its largest build; the
+        # horizon read off its leading steps is checked against its own H.
+        doc = {
+            "scenario": {
+                "family": "window",
+                "horizon": 40,
+                "alphabet": 4,
+                "window": {"width": 4, "target_alpha": 0.7},
+            },
+            "target": {"name": "terminal_indicator", "symbol": 1},
+            "sweep": {"horizons": [20, 40]},
+        }
+        config = write_yaml(tmp_path / "window_sweep.yaml", doc)
+        calls = count_calls(monkeypatch, seqbound.process, "kernel_at")
+        checks = count_calls(monkeypatch, seqbound.config, "check_calibration")
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        swept = calls[0]
+        assert checks == [1]
+        load_config(config).build(horizon=40)
+        assert calls[0] == 2 * swept
+
+    def test_markov_sweep_tabulates_each_step_once(self, tmp_path, monkeypatch):
+        # H reads the two-row tables of steps 2..400 once each; step 1's
+        # table (no context) is never read.
+        config = write_yaml(tmp_path / "markov_sweep.yaml", SWEEP_CASES["markov"])
+        calls = count_calls(monkeypatch, seqbound.process, "kernel_at")
+        assert cli.main(["sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        assert calls == [2 * 399]
 
     @pytest.mark.parametrize("case", ["independent-matrix", "table", "tree"])
     def test_sweep_rejects_pinned_family(self, tmp_path, capsys, case):
@@ -423,6 +516,19 @@ class TestExitCodes:
     def test_budget_exhaustion(self, capsys):
         assert cli.main(["matrix", "--config", MARKOV, "--budget", "1"]) == 3
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["markov", "window"])
+    def test_sweep_over_budget_prints_no_row(self, tmp_path, capsys, case):
+        # The largest horizon is built and bounded first: it alone is over
+        # the budget, so no smaller horizon's line is printed before exit 3.
+        doc = {**SWEEP_CASES[case], "sweep": {"horizons": [3, 4, 30]}}
+        config = write_yaml(tmp_path / "sweep.yaml", doc)
+        argv = ["sweep", "--config", config, "--out", str(tmp_path), "--budget", "20"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "N=" not in out
+        assert "budget" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_calibration_failure(self, tmp_path, capsys):
         config = write_yaml(

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from seqbound import (
+    CalibrationError,
     ConfigError,
     DEFAULT_N_SAMPLES,
     DEFAULT_SEED,
@@ -251,15 +252,26 @@ class TestBuilders:
 class TestTables:
     @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
     def test_family_entry(self, case):
-        family, horizon, _, free = FAMILY_CASES[case]
+        family, horizon, _, prefix_from = FAMILY_CASES[case]
         config = parse_config(family_doc(case))
-        assert (config.family, config.horizon_free) == (family, free)
+        assert (config.family, config.prefix_from) == (family, prefix_from)
         spec = config.build()
         assert (spec.family, spec.horizon, spec.alphabet.size) == (family, horizon, 2)
         doc = family_doc(case)
         doc["scenario"][family]["bogus"] = 1
         with pytest.raises(ConfigError, match=rf"scenario\.{family}\.bogus: unknown key"):
             parse_config(doc)
+
+    def test_build_within_a_larger_build(self):
+        config = parse_config(family_doc("window"))  # width 2: prefix-closed from 3
+        larger = config.build(horizon=6)
+        assert config.build(horizon=3, within=larger)._tables is larger._tables
+        # At horizon 2 beta is solved over one distance, so the larger
+        # build's leading steps miss the target, and the check sees it.
+        with pytest.raises(CalibrationError, match="calibration missed"):
+            config.build(horizon=2, within=larger)
+        with pytest.raises(ValueError, match="leading steps must number 1..6"):
+            config.build(horizon=7, within=larger)
 
     @pytest.mark.parametrize("name", sorted(TARGET_CASES))
     def test_target_entry(self, name):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqbound import influence
 from seqbound import (
     Alphabet,
     EnumerationBudgetError,
@@ -166,6 +167,28 @@ class TestPruning:
 
     def test_budget_error_carries_requirement(self, markov8):
         cost = influence_enumeration_cost(markov8, prune=True)
+        with pytest.raises(EnumerationBudgetError) as err:
+            interdependence_matrix(markov8, budget=cost - 1)
+        assert err.value.required == cost
+
+    def test_kept_on_the_spec_with_the_budget_checked_each_call(self, markov8, monkeypatch):
+        first = interdependence_matrix(markov8)
+        cost = influence_enumeration_cost(markov8)
+        reads = []
+
+        def recording(name):
+            original = getattr(influence, name)
+
+            def wrapper(*args):
+                reads.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("step_table", "_max_pairwise_tv"):
+            monkeypatch.setattr(influence, name, recording(name))
+        assert interdependence_matrix(markov8, budget=cost) is first
+        assert reads == []
         with pytest.raises(EnumerationBudgetError) as err:
             interdependence_matrix(markov8, budget=cost - 1)
         assert err.value.required == cost

@@ -84,6 +84,10 @@ class TestCausalResolvent:
         with pytest.raises(ValueError):
             causal_resolvent(bad)
 
+    def test_empty_matrix(self):
+        # As InterdependenceMatrix does, the 0x0 case passes every entry check.
+        assert causal_resolvent(np.zeros((0, 0))).entries.shape == (0, 0)
+
 
 # ============================================================
 # Spectral norm: certified LAPACK value versus SVD
