@@ -521,14 +521,20 @@ def parse_config(data) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read and validate a YAML config file."""
+    """Read and validate a YAML config file.
+
+    The text is parsed with ``yaml.CSafeLoader`` (libyaml) when PyYAML was
+    built with it, and with ``yaml.SafeLoader`` otherwise.  Both share the
+    safe constructor and resolver, so they yield the same documents; only
+    the wording of a parse error differs.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError("", f"cannot read config file {path}: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError("", f"invalid YAML: {exc}") from None
     return parse_config(data)

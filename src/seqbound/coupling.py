@@ -228,7 +228,8 @@ def simulate_coupled_paths(
     seeded stream, as in ``sample_trajectories``, so results are
     deterministic in (spec, k, prefix, x, xp, n_samples, seed).
     Disagreements are counted block by block as the paths are drawn, so
-    memory is O(block * N), whatever n_samples is.
+    memory is O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), whatever
+    n_samples is (``sampling._block_rows``).
     """
     start = _pivot_prefix(spec, k, prefix, x, xp)
     off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()

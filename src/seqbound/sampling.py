@@ -3,8 +3,11 @@
 Forward chain-rule sampling of a :class:`~seqbound.process.ProcessSpec`, an
 empirical exceedance-tail estimator for ``|f(X) - E f(X)| >= t``, and checks
 that the empirical tail stays below each concentration bound.  Samples are
-drawn ``SAMPLE_BLOCK_ROWS`` at a time, and the estimator reduces each block
-as it is drawn, so its memory is O(block * N + n_samples), not O(n_samples * N).
+drawn in blocks of ``_block_rows(n, N)`` rows: at least ``SAMPLE_BLOCK_ROWS``
+rows and at least ``SAMPLE_BLOCK_CELLS`` cells (rows * N), and never more than
+n.  The estimators reduce each block as it is drawn, so their memory is
+O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS) + n_samples), not
+O(n_samples * N).
 """
 
 from __future__ import annotations
@@ -52,10 +55,21 @@ def binomial_stderr(freq, n_samples: int) -> np.ndarray:
 # Forward sampling
 # ============================================================
 
-# Samples drawn at a time: the sampler's memory is SAMPLE_BLOCK_ROWS * N
-# float64s, an eighth of that again, one block of paths and the tables, so a
-# caller that reduces each block needs O(block * N + n_samples) in all.
+# Block size: at least SAMPLE_BLOCK_ROWS rows and at least SAMPLE_BLOCK_CELLS
+# cells, so a short horizon draws few large blocks instead of many small ones.
+# The sampler's memory is block * N float64s, an eighth of that again, one
+# block of paths and the tables: O(max(SAMPLE_BLOCK_ROWS * N,
+# SAMPLE_BLOCK_CELLS)) whatever n is, so a caller that reduces each block
+# needs that plus O(n_samples) in all.
 SAMPLE_BLOCK_ROWS = 2048
+SAMPLE_BLOCK_CELLS = 2**17
+
+
+def _block_rows(n: int, horizon: int) -> int:
+    """Rows per block for n samples of N = ``horizon`` steps: at most n, and
+    otherwise SAMPLE_BLOCK_ROWS or as many rows as fill SAMPLE_BLOCK_CELLS
+    cells, whichever is more."""
+    return min(n, max(SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_CELLS // horizon))
 
 
 def _padded_cumulative_rows(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -93,23 +107,26 @@ def _invert_rows(flat: np.ndarray, levels: int, ranks: np.ndarray, u: np.ndarray
 
 def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[int] = ()):
     """Yield ``(start, rows)``: rows start..start + len(rows) - 1 of
-    ``sample_trajectories(spec, n, seed, prefix)``, ``SAMPLE_BLOCK_ROWS`` at
-    a time.
+    ``sample_trajectories(spec, n, seed, prefix)``, ``_block_rows(n, N)`` at
+    a time (at least ``SAMPLE_BLOCK_ROWS`` rows and ``SAMPLE_BLOCK_CELLS``
+    cells, at most n rows).
 
     ``rows`` is a view of one reused (block, N) column-major buffer, which
     the next block overwrites: reduce it before asking for more.  Each
     block's uniforms are read from the stream in chunks of at most an eighth
     of a block and copied transposed into one reused (N, block) buffer, so
     each step reads its uniforms as one contiguous row.  Memory is these
-    two buffers, one chunk and the padded tables: O(block * N), whatever n
-    is.  Each step ranks every sample's signature coordinates into a row of
-    the step's kernel table and inverts that row's CDF by a binary search
+    two buffers, one chunk and the padded tables: O(block * N), that is
+    O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), whatever n is.  Each
+    step ranks every sample's signature coordinates into a row of the
+    step's kernel table and inverts that row's CDF by a binary search
     (``_invert_rows``) over the row's cumulative sums, padded with +inf to
     a power-of-two stride: O(log |A|) contiguous passes per step.  The
     symbol is the number of the row's first |A| - 1 cumulative sums at or
     below the uniform, so zero-probability symbols, whose cells are empty,
-    are never selected.  Arguments are checked when the first block is
-    asked for.
+    are never selected.  Row i reads the i-th N uniforms of the stream
+    whatever the block shape, so the paths do not depend on the block
+    size.  Arguments are checked when the first block is asked for.
     """
     if n < 1:
         raise ValueError(f"n_samples must be positive, got {n}")
@@ -119,7 +136,7 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
     tables = {step: _padded_cumulative_rows(step_table(spec, step)) for step in steps}
-    block = min(n, SAMPLE_BLOCK_ROWS)
+    block = _block_rows(n, horizon)
     # Column-major, so each step reads and writes one contiguous column.
     buffer = np.zeros((block, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     buffer[:, : len(pre)] = pre
@@ -218,7 +235,8 @@ def empirical_tail(
     """Estimate P(|f(X) - E f(X)| >= t) over a grid of thresholds.
 
     f is evaluated on each block of ``_trajectory_blocks`` as it is drawn,
-    so memory is O(block * N + n_samples): the paths are never held whole.
+    so memory is O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS) +
+    n_samples): the paths are never held whole.
     Centering uses the exact expectation when enumeration fits the budget and
     falls back to the sample mean otherwise (flagged on the estimate).  The
     tail is closed (>=), standard errors are binomial with the rule-of-three

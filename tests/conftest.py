@@ -22,6 +22,7 @@ The oracles, which no library code calls:
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ def family_doc(case: str) -> dict:
         },
         "target": {"name": "parity"},
     }
+
+
+# ============================================================
+# Memory
+# ============================================================
+
+
+def traced_peak(call):
+    """``call()``'s result and the tracemalloc peak it reached above the
+    memory held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 # ============================================================

@@ -17,6 +17,7 @@ from seqbound import (
     parse_config,
     prefix_expectation_table,
 )
+from seqbound import cli
 from seqbound.config import _FAMILIES, _TARGETS
 from conftest import FAMILY_CASES, family_doc
 
@@ -317,6 +318,41 @@ class TestLoadConfig:
         path.write_text("scenario: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in CONFIG_DIR.glob("*.yaml")) + sorted(FAMILY_CASES)
+    )
+    def test_loaders_give_equal_documents(self, name):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if name in FAMILY_CASES:
+            text = yaml.safe_dump(family_doc(name))
+        else:
+            text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+        document = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert document == yaml.load(text, Loader=yaml.SafeLoader)
+        assert isinstance(document, dict)
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["CSafeLoader", "SafeLoader"])
+    def test_invalid_yaml_exits_two_on_either_loader(self, tmp_path, monkeypatch, capsys, libyaml):
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(
+            yaml, "load", lambda text, Loader: loaders.append(Loader) or load(text, Loader=Loader)
+        )
+        path = tmp_path / "broken.yaml"
+        path.write_text("scenario: [unclosed\n")
+        assert cli.main(["describe", "--config", str(path)]) == 2
+        assert "invalid YAML" in capsys.readouterr().err
+        assert loaders == [yaml.CSafeLoader if libyaml else yaml.SafeLoader]
+        # The same loader parses a valid document into a config.
+        path.write_text(yaml.safe_dump(minimal_markov()))
+        assert load_config(path).family == "markov"
+        assert len(set(loaders)) == 1
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "ok.yaml"

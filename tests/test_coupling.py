@@ -1,7 +1,6 @@
 """Maximal coupling, the pair process, and the verification suites."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from conftest import (
     random_positive_spec,
     random_sparse_spec,
     random_table_target,
+    traced_peak,
 )
 
 EXACT_TOL = 1e-12
@@ -387,21 +387,26 @@ class TestDiscrepancy:
         off_diagonal = ~np.eye(3, dtype=bool).ravel()
         assert np.array_equal(est.v_hat, off_diagonal[paths].mean(axis=0))
 
-    def test_simulation_memory_beside_the_paths_is_linear_in_n(self):
-        # The sampler's block, plus O(n) for counting disagreements, but not
-        # the (n, N) disagreement matrix (8 MB here).
-        n, horizon = 100_000, 80
+    @staticmethod
+    def simulation_peak(horizon, n):
+        """tracemalloc peak of n coupled rollouts at this horizon, with the
+        pair process already built."""
         spec = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, horizon)
         coupled_pair_process(spec)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            simulate_coupled_paths(spec, k=1, prefix=(), x=0, xp=1, n_samples=n, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
-        assert peak - before - n * horizon < block + 16 * n
+        call = lambda: simulate_coupled_paths(spec, k=1, prefix=(), x=0, xp=1, n_samples=n, seed=5)
+        return traced_peak(call)[1]
+
+    def test_simulation_memory_beside_the_paths_is_linear_in_n(self):
+        # The sampler's block, plus O(n), but not the (n, N) disagreement
+        # matrix (8 MB here).
+        n, horizon = 100_000, 80
+        block = 2 * 8 * sampling._block_rows(n, horizon) * horizon
+        assert self.simulation_peak(horizon, n) < block + 16 * n
+
+    def test_short_horizon_simulation_memory_is_bounded_by_the_cell_budget(self):
+        n, horizon = 100_000, 12
+        assert sampling._block_rows(n, horizon) * horizon <= sampling.SAMPLE_BLOCK_CELLS
+        assert self.simulation_peak(horizon, n) < 2 * 8 * sampling.SAMPLE_BLOCK_CELLS + 16 * n
 
     def test_pinned_coordinates_never_disagree(self, markov3):
         v = exact_pair_discrepancy(markov3, k=2, prefix=(0,), x=1, xp=1)

@@ -1,7 +1,5 @@
 """Vectorized trajectory sampling and empirical tail estimation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,7 @@ from seqbound import (
     tightness_ratios,
 )
 from seqbound.process import build_from_tables, step_table
-from seqbound.sampling import _invert_rows, _padded_cumulative_rows
+from seqbound.sampling import _block_rows, _invert_rows, _padded_cumulative_rows
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
@@ -40,6 +38,7 @@ from conftest import (
     random_positive_spec,
     random_sparse_spec,
     random_window_spec,
+    traced_peak,
 )
 
 LAW_SIGMAS = 4.0
@@ -190,30 +189,74 @@ BLOCK_CASES = {
 }
 
 
+SMALL_BLOCK = 7
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of SMALL_BLOCK rows at every horizon these tests use: both the
+    row floor and the cell budget shrink, or a short horizon's cell budget
+    would put every case in one block."""
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", SMALL_BLOCK)
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_CELLS", SMALL_BLOCK)
+
+
+def block_starts(spec, n, prefix=()):
+    """First row of each block ``_trajectory_blocks`` yields for n samples."""
+    return [start for start, _ in sampling._trajectory_blocks(spec, n, 0, prefix)]
+
+
+def test_block_rule():
+    # Long horizons keep the row floor; short ones fill the cell budget.
+    for horizon in (64, 80, 400, 500, 2000):
+        assert _block_rows(100_000, horizon) == sampling.SAMPLE_BLOCK_ROWS == 2048
+    assert [_block_rows(10**6, h) for h in (48, 12, 10, 1)] == [2730, 10922, 13107, 2**17]
+    # Never more rows than samples.
+    assert _block_rows(5, 10) == 5 and _block_rows(2048, 500) == 2048
+    for horizon in range(1, 600):
+        rows = _block_rows(10**6, horizon)
+        assert rows >= sampling.SAMPLE_BLOCK_ROWS
+        assert sampling.SAMPLE_BLOCK_CELLS - horizon < rows * horizon
+        assert rows * horizon <= max(2048 * horizon, sampling.SAMPLE_BLOCK_CELLS)
+
+
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-def test_blocks_equal_one_shot_draw(monkeypatch, name):
-    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+def test_blocks_equal_one_shot_draw(small_blocks, name):
     build, n, prefix = BLOCK_CASES[name]
     spec = build()
+    starts = block_starts(spec, n, prefix)
+    assert starts == list(range(0, n, SMALL_BLOCK))
+    assert len(starts) >= 2 or n <= SMALL_BLOCK
     paths = sample_trajectories(spec, n, seed=59, prefix=prefix)
     expected = one_shot_reference(spec, n, 59, prefix)
     assert paths.dtype == expected.dtype
     assert np.array_equal(paths, expected)
 
 
+def block_bytes(n, horizon):
+    """float64 bytes of one block of n samples at this horizon."""
+    return 8 * _block_rows(n, horizon) * horizon
+
+
 def test_memory_beside_paths_is_bounded_by_the_block():
     # One block of uniforms, not the (n, N) matrix (64 MB here), besides the
     # returned paths.
-    horizon = 400
+    n, horizon = 20_000, 400
+    paths, peak = traced_peak(lambda: sample_trajectories(markov_spec(horizon), n, seed=61))
+    assert peak - paths.nbytes < 2 * block_bytes(n, horizon)
+
+
+def test_short_horizon_memory_is_bounded_by_the_cell_budget():
+    # At N=12 a block holds SAMPLE_BLOCK_CELLS // 12 rows: the memory beside
+    # the returned values is the cell budget, not 100k rows of uniforms.
+    n, horizon = 100_000, 12
+    assert block_bytes(n, horizon) <= 8 * sampling.SAMPLE_BLOCK_CELLS
     spec = markov_spec(horizon)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        paths = sample_trajectories(spec, 20_000, seed=61)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before - paths.nbytes < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8
+    paths, peak = traced_peak(lambda: sample_trajectories(spec, n, seed=61))
+    assert peak - paths.nbytes < 2 * 8 * sampling.SAMPLE_BLOCK_CELLS
+    f = sum_symbols(horizon, 2)
+    _, peak = traced_peak(lambda: empirical_tail(spec, f, n_samples=n, seed=101))
+    assert peak < 2 * 8 * sampling.SAMPLE_BLOCK_CELLS + 64 * n
 
 
 def whole_path_tail(spec, f, grid, n, seed, budget=None):
@@ -249,10 +292,10 @@ TAIL_CASES = {
 
 @pytest.mark.parametrize("n", [1000, 1001, 1003])
 @pytest.mark.parametrize("name", sorted(TAIL_CASES))
-def test_tail_by_blocks_equals_the_whole_path_tail(monkeypatch, name, n):
-    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+def test_tail_by_blocks_equals_the_whole_path_tail(small_blocks, name, n):
     build, target, grid, budget = TAIL_CASES[name]
     spec, f = build(), target()
+    assert len(block_starts(spec, n)) >= 2
     estimate = empirical_tail(spec, f, grid, n_samples=n, seed=97, budget=budget)
     frequencies, mean, exact = whole_path_tail(spec, f, grid, n, 97, budget)
     assert estimate.frequencies.tobytes() == frequencies.tobytes()
@@ -260,9 +303,9 @@ def test_tail_by_blocks_equals_the_whole_path_tail(monkeypatch, name, n):
     assert estimate.exact_mean == exact == (budget is None)
 
 
-def test_coupled_disagreements_by_blocks_equal_the_pair_paths(monkeypatch):
-    monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+def test_coupled_disagreements_by_blocks_equal_the_pair_paths(small_blocks):
     spec = random_sparse_spec(np.random.default_rng(71), 5, 3)
+    assert len(block_starts(coupled_pair_process(spec), 1003, (4, 2))) >= 2
     est = simulate_coupled_paths(spec, k=2, prefix=(1,), x=0, xp=2, n_samples=1003, seed=7)
     paths = sample_trajectories(coupled_pair_process(spec), 1003, 7, (4, 2))
     off_diagonal = ~np.eye(3, dtype=bool).ravel()
@@ -272,16 +315,31 @@ def test_coupled_disagreements_by_blocks_equal_the_pair_paths(monkeypatch):
 def test_tail_memory_is_bounded_in_n():
     # One block and O(n) values, not the (n, N) paths (40 MB here).
     n, horizon = 100_000, 400
+    spec, f = markov_spec(horizon), sum_symbols(horizon, 2)
+    _, peak = traced_peak(lambda: empirical_tail(spec, f, n_samples=n, seed=101))
+    assert peak < 2 * block_bytes(n, horizon) + 64 * n
+
+
+def test_several_full_size_blocks_equal_the_whole_path_draws():
+    # The real constants at a short horizon: three blocks of the cell budget
+    # and a 5-row tail.
+    horizon = 12
     spec = markov_spec(horizon)
-    f = sum_symbols(horizon, 2)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        empirical_tail(spec, f, n_samples=n, seed=101)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 2 * sampling.SAMPLE_BLOCK_ROWS * horizon * 8 + 64 * n
+    n = 3 * _block_rows(10**6, horizon) + 5
+    assert block_starts(spec, n) == [0, 10922, 21844, 32766]
+    paths = sample_trajectories(spec, n, seed=103)
+    assert np.array_equal(paths, one_shot_reference(spec, n, 103))
+
+    f, grid = sum_symbols(horizon, 2), np.linspace(0, 12, 13)
+    estimate = empirical_tail(spec, f, grid, n_samples=n, seed=103)
+    frequencies, mean, exact = whole_path_tail(spec, f, grid, n, 103)
+    assert estimate.frequencies.tobytes() == frequencies.tobytes()
+    assert (estimate.mean, estimate.exact_mean) == (mean, exact)
+
+    est = simulate_coupled_paths(spec, k=3, prefix=(1, 0), x=1, xp=0, n_samples=n, seed=107)
+    pair_paths = sample_trajectories(coupled_pair_process(spec), n, 107, (3, 0, 2))
+    off_diagonal = ~np.eye(2, dtype=bool).ravel()
+    assert est.v_hat.tobytes() == off_diagonal[pair_paths].mean(axis=0).tobytes()
 
 
 @st.composite
