@@ -11,7 +11,8 @@ horizon from which the family is prefix-closed reads its leading steps).
 Settings resolve as flag > environment variable > config file > default;
 environment variables mirror the flags with the ``SEQBOUND_`` prefix
 (SEQBOUND_CONFIG, SEQBOUND_OUT, SEQBOUND_SEED, SEQBOUND_BUDGET, SEQBOUND_T,
-SEQBOUND_N_SAMPLES).
+SEQBOUND_N_SAMPLES).  A run setting from any source is checked by the rule
+of its config key (``config.RUN_SETTINGS``).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or argument
 error, 3 enumeration budget exceeded, 4 window calibration failure.
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import compare_bounds
-from .config import MAX_SEED, RunSettings, ScenarioConfig, load_config
+from .config import RUN_SETTINGS, ScenarioConfig, load_config
 from .coupling import (
     verify_coupling_marginals,
     verify_discrepancy_recursion,
@@ -53,6 +54,8 @@ from .sampling import (
 )
 
 ENV_PREFIX = "SEQBOUND_"
+# The environment variable of each run setting, after the prefix.
+ENV_NAMES = {"seed": "SEED", "budget": "BUDGET", "t_grid": "T", "n_samples": "N_SAMPLES"}
 BOUNDS_HEADER = ("bound", "proxy", "applicable", "reason", "t", "delta")
 SWEEP_HEADER = ("N", "exact_proxy", "scalar_collapse_proxy", "sparse_terminal_bound")
 
@@ -66,54 +69,34 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _parse_grid_text(text: str, where: str) -> tuple[float, ...]:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+def _read_setting(name: str, text: str, where: str):
+    """Run setting ``name`` read from a flag or environment variable and
+    checked by the rule of its config key.  Integers are read with int(),
+    thresholds with float(); text that is not a number reaches the checker
+    as text, which rejects it."""
+
+    def read(piece: str, kind):
         try:
-            value = float(piece)
+            return kind(piece)
         except ValueError:
-            raise ConfigError(where, f"expected comma-separated numbers, got {text!r}") from None
-        if not np.isfinite(value) or value < 0:
-            raise ConfigError(where, f"thresholds must be finite and nonnegative, got {piece}")
-        values.append(value)
-    if not values:
-        raise ConfigError(where, f"expected at least one threshold, got {text!r}")
-    return tuple(values)
+            return piece
 
-
-def _resolve_int(
-    flag_value, env_name: str, config_value, minimum: int, maximum: int | None = None
-):
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return _int_at_least(minimum, maximum)(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"${ENV_PREFIX}{env_name}", str(exc)) from None
-    return config_value
+    if name == "t_grid":
+        value = [read(piece, float) for piece in text.split(",") if piece.strip()]
+    else:
+        value = read(text, int)
+    return RUN_SETTINGS[name](value, where)
 
 
 def _resolve_settings(args, config: ScenarioConfig) -> ScenarioConfig:
     """Overlay flags and environment variables onto the config's run settings."""
-    run = config.run
-    if args.t is not None:
-        t_grid: tuple[float, ...] | None = args.t
-    elif _env("T") is not None:
-        t_grid = _parse_grid_text(_env("T"), f"${ENV_PREFIX}T")
-    else:
-        t_grid = run.t_grid
-    resolved = RunSettings(
-        seed=_resolve_int(args.seed, "SEED", run.seed, 0, MAX_SEED),
-        budget=_resolve_int(args.budget, "BUDGET", run.budget, 1),
-        n_samples=_resolve_int(args.n_samples, "N_SAMPLES", run.n_samples, 1),
-        t_grid=t_grid,
-    )
-    return dataclasses.replace(config, run=resolved)
+    overlay = {}
+    for name, env_name in ENV_NAMES.items():
+        if getattr(args, name) is not None:
+            overlay[name] = getattr(args, name)
+        elif _env(env_name) is not None:
+            overlay[name] = _read_setting(name, _env(env_name), f"${ENV_PREFIX}{env_name}")
+    return dataclasses.replace(config, run=dataclasses.replace(config.run, **overlay))
 
 
 def _load(args) -> tuple[ScenarioConfig, Path]:
@@ -333,44 +316,37 @@ def cmd_sweep(args) -> int:
 # ============================================================
 
 
-def _int_at_least(minimum: int, maximum: int | None = None):
-    """Parser of an integer in minimum..maximum, for a flag or an environment
-    variable; a bad value raises ArgumentTypeError saying why."""
+def _flag(name: str):
+    """argparse type of run setting ``name``'s flag; a bad value raises
+    ArgumentTypeError with the checker's message, which argparse prefixes
+    with the flag."""
 
-    def convert(text: str) -> int:
+    def convert(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
+            return _read_setting(name, text, name)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
 
     return convert
-
-
-def _grid_flag(text: str) -> tuple[float, ...]:
-    try:
-        return _parse_grid_text(text, "--t")
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(exc.message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="scenario config file (YAML)")
     shared.add_argument("--out", metavar="DIR", help="directory for CSV outputs (default .)")
-    shared.add_argument("--seed", type=_int_at_least(0, MAX_SEED), help="RNG seed")
+    shared.add_argument("--seed", type=_flag("seed"), help="RNG seed")
     shared.add_argument(
-        "--budget", type=_int_at_least(1), help="max kernel/function evaluations for exact work"
+        "--budget", type=_flag("budget"), help="max kernel/function evaluations for exact work"
     )
     shared.add_argument(
-        "--t", type=_grid_flag, metavar="T1,T2,...", help="comma-separated tail thresholds"
+        "--t",
+        dest="t_grid",
+        type=_flag("t_grid"),
+        metavar="T1,T2,...",
+        help="comma-separated tail thresholds",
     )
     shared.add_argument(
-        "--n-samples", dest="n_samples", type=_int_at_least(1), help="Monte Carlo sample count"
+        "--n-samples", dest="n_samples", type=_flag("n_samples"), help="Monte Carlo sample count"
     )
 
     parser = argparse.ArgumentParser(

@@ -9,12 +9,17 @@ A config document has up to five top-level sections::
     sweep:         horizon list for proxy-versus-N sweeps
 
 Unknown keys anywhere are hard errors carrying the dotted path of the
-offending key; every scalar is type- and range-checked.  The full schema is
-documented in docs/config_schema.md.
+offending key.  Every value is checked by the rule of its kind: a number is
+a YAML int or float, finite and never a boolean, within the key's range; a
+numeric array has its shape checked and then every entry as a number; a
+choice is a string from a fixed set.  The CLI's flags and environment
+variables for the run settings go through the same checkers
+(``RUN_SETTINGS``).  The full schema is documented in docs/config_schema.md.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +48,7 @@ from .targets import (
     terminal_indicator,
     terminal_symbol,
 )
-from .window import CALIBRATION_TOLERANCE, build_calibrated_window, check_calibration
+from .window import build_calibrated_window, check_calibration
 
 DEFAULT_SEED = 20260816
 DEFAULT_N_SAMPLES = 100_000
@@ -58,6 +63,9 @@ Builder = Callable[[int, "int | None", "ProcessSpec | None"], ProcessSpec]
 # ============================================================
 # Validation plumbing
 # ============================================================
+#
+# Each checker below takes a value and its dotted path and checks one kind of
+# value: a number, a numeric array, or a named choice.
 
 
 def _join(path: str, key: str) -> str:
@@ -88,74 +96,73 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _get_int(
-    mapping: dict,
-    key: str,
-    path: str,
-    *,
-    required: bool = False,
-    default=None,
-    minimum=None,
-    maximum=None,
-):
-    if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError(_join(path, key), "missing required key")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(_join(path, key), f"expected an integer, got {value!r}")
+def _get(mapping: dict, key: str, path: str, check: Callable, *args, **limits):
+    """The required ``mapping[key]`` through ``check`` under its dotted path."""
+    return check(_require(mapping, key, path), _join(path, key), *args, **limits)
+
+
+def _number(value, path: str, *, integer=False, minimum=None, maximum=None, below=None):
+    """A YAML int, or unless ``integer`` a finite float, within the limits.
+
+    A boolean is neither.  A float-kind value comes back as a Python float.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(path, f"expected {kind}, got {value!r}")
+    if not integer:
+        # False for NaN, the infinities and ints beyond the float range.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(path, "must be finite")
+        value = float(value)
     if minimum is not None and value < minimum:
-        raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value}")
+        raise ConfigError(path, f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        raise ConfigError(_join(path, key), f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _get_number(
-    mapping: dict,
-    key: str,
-    path: str,
-    *,
-    required: bool = False,
-    default=None,
-    minimum=None,
-    below=None,
-):
-    if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError(_join(path, key), "missing required key")
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(_join(path, key), "must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigError(_join(path, key), f"must be >= {minimum}, got {value}")
+        raise ConfigError(path, f"must be <= {maximum}, got {value}")
     if below is not None and value >= below:
-        raise ConfigError(_join(path, key), f"must be < {below}, got {value}")
+        raise ConfigError(path, f"must be < {below}, got {value}")
     return value
 
 
-def _numeric(mapping: dict, key: str, path: str) -> np.ndarray:
-    value = _require(mapping, key, path)
+def _array(value, path: str, ndim: int | tuple[int, ...], **limits) -> np.ndarray:
+    """A nonempty float array with ``ndim`` dimensions (or one of several).
+
+    The shape is read off the value as a float array; then every entry must
+    pass ``_number`` with ``limits``, and an error names the entry's index.
+    """
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(_join(path, key), "expected a numeric array") from None
-
-
-def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
-    arr = _numeric(mapping, key, path)
-    if arr.ndim != ndim:
-        raise ConfigError(
-            _join(path, key), f"expected a {ndim}-dimensional array, got shape {arr.shape}"
-        )
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ConfigError(_join(path, key), "entries must be finite and nonempty")
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(path, "expected a numeric array") from None
+    dims = (ndim,) if isinstance(ndim, int) else ndim
+    if arr.ndim not in dims:
+        shape = "- or ".join(map(str, dims))
+        raise ConfigError(path, f"expected a {shape}-dimensional array, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ConfigError(path, "must be nonempty")
+    for i, entry in enumerate(np.array(value, dtype=object).flat):
+        try:
+            _number(entry, path, **limits)
+        except ConfigError as exc:
+            where = "".join(f"[{j}]" for j in np.unravel_index(i, arr.shape))
+            raise ConfigError(path, f"entry {where}: {exc.message}") from None
     return arr
+
+
+def _choice(value, path: str, choices) -> str:
+    """A string from ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(path, f"expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+# The checker of each run setting, for the `run` section and for the CLI's
+# flags and environment variables; t_grid's limit holds for each threshold.
+RUN_SETTINGS: dict[str, Callable] = {
+    "seed": lambda value, path: _number(value, path, integer=True, minimum=0, maximum=MAX_SEED),
+    "budget": lambda value, path: _number(value, path, integer=True, minimum=1),
+    "n_samples": lambda value, path: _number(value, path, integer=True, minimum=1),
+    "t_grid": lambda value, path: tuple(_array(value, path, 1, minimum=0.0).tolist()),
+}
 
 
 # ============================================================
@@ -171,19 +178,11 @@ def _get_array(mapping: dict, key: str, path: str, ndim: int) -> np.ndarray:
 
 
 def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
-    marginals = _numeric(params, "marginals", path)
-    if marginals.ndim == 1:
-        expected: tuple[int, ...] = (alphabet,)
-    elif marginals.ndim == 2:
-        expected = (horizon, alphabet)
-    else:
+    marginals = _get(params, "marginals", path, _array, (1, 2))
+    expected = (alphabet,) if marginals.ndim == 1 else (horizon, alphabet)
+    if marginals.shape != expected:
         raise ConfigError(
-            _join(path, "marginals"), f"expected a vector or matrix, got shape {marginals.shape}"
-        )
-    if marginals.shape != expected or not np.all(np.isfinite(marginals)):
-        raise ConfigError(
-            _join(path, "marginals"),
-            f"must be finite with shape {expected}, got {marginals.shape}",
+            _join(path, "marginals"), f"must have shape {expected}, got {marginals.shape}"
         )
     # A matrix has one row per step; one shared marginal extends to any horizon.
     if marginals.ndim == 2:
@@ -196,14 +195,14 @@ def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
 
 
 def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
-    transition = _get_array(params, "transition", path, 2)
+    transition = _get(params, "transition", path, _array, 2)
     if transition.shape != (alphabet, alphabet):
         raise ConfigError(
             _join(path, "transition"),
             f"must be {alphabet}x{alphabet} for the declared alphabet, "
             f"got {transition.shape}",
         )
-    init = _get_array(params, "init", path, 1)
+    init = _get(params, "init", path, _array, 1)
     if init.shape != (alphabet,):
         raise ConfigError(
             _join(path, "init"), f"must have length {alphabet}, got {init.shape[0]}"
@@ -215,51 +214,56 @@ def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
     return build, 1
 
 
+def _per_node(value, path: str, ndim: int, horizon: int):
+    """One array shared by every node, or a list of one per node with nulls
+    where unused; the same rule as ``build_causal_tree``, which checks them
+    as kernels."""
+    try:
+        shared = np.array(value, dtype=float).ndim == ndim
+    except (TypeError, ValueError, OverflowError):
+        shared = False
+    if shared or not isinstance(value, list) or len(value) != horizon:
+        return _array(value, path, ndim)
+    return [None if v is None else _array(v, f"{path}[{j}]", ndim) for j, v in enumerate(value)]
+
+
 def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
-    parent = _require(params, "parent", path)
-    if (
-        not isinstance(parent, list)
-        or not parent
-        or any(isinstance(p, bool) or not isinstance(p, int) for p in parent)
-    ):
-        raise ConfigError(_join(path, "parent"), "expected a list of integers")
+    parent = _get(params, "parent", path, _array, 1, integer=True)
     if len(parent) != horizon:
         raise ConfigError(
             _join(path, "parent"),
             f"must list one parent per step: got {len(parent)} for horizon {horizon}",
         )
-    edge = _require(params, "edge_transition", path)
-    root = _require(params, "root_marginal", path)
+    edge = _get(params, "edge_transition", path, _per_node, 2, horizon)
+    root = _get(params, "root_marginal", path, _per_node, 1, horizon)
     return (lambda n, budget, within: build_causal_tree(parent, edge, root)), None
 
 
 def _parse_window(params: dict, path: str, horizon: int, alphabet: int):
-    width = _get_int(params, "width", path, required=True, minimum=1)
-    target_alpha = _get_number(params, "target_alpha", path, required=True, minimum=0.0, below=1.0)
-    tolerance = _get_number(params, "tolerance", path, default=CALIBRATION_TOLERANCE, minimum=0.0)
+    width = _get(params, "width", path, _number, integer=True, minimum=1)
+    target_alpha = _get(params, "target_alpha", path, _number, minimum=0.0, below=1.0)
 
     # Below width + 1, beta is solved over min(width, n - 1) distances, so it
     # depends on n; the calibration check runs at every horizon either way.
     def build(n, budget, within):
         if within is None:
-            return build_calibrated_window(
-                n, alphabet, width, target_alpha, tolerance=tolerance, budget=budget
-            )
-        return check_calibration(leading_steps(within, n), tolerance, budget)
+            return build_calibrated_window(n, alphabet, width, target_alpha, budget)
+        return check_calibration(leading_steps(within, n), budget)
 
     return build, width + 1
 
 
 def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
     kernels = _require(params, "kernels", path)
-    if not isinstance(kernels, list) or not kernels:
-        raise ConfigError(_join(path, "kernels"), "expected a list of per-step tables")
+    path = _join(path, "kernels")
+    if not isinstance(kernels, list):
+        raise ConfigError(path, "expected a list of per-step tables")
     if len(kernels) != horizon:
         raise ConfigError(
-            _join(path, "kernels"),
-            f"must list one table per step: got {len(kernels)} for horizon {horizon}",
+            path, f"must list one table per step: got {len(kernels)} for horizon {horizon}"
         )
-    return (lambda n, budget, within: build_from_tables(kernels)), None
+    tables = [_array(table, f"{path}[{j}]", (1, 2)) for j, table in enumerate(kernels)]
+    return (lambda n, budget, within: build_from_tables(tables)), None
 
 
 # Each family's block keys and its parser.
@@ -267,7 +271,7 @@ _FAMILIES: dict[str, tuple[set[str], Callable]] = {
     "independent": ({"marginals"}, _parse_independent),
     "markov": ({"transition", "init"}, _parse_markov),
     "tree": ({"parent", "edge_transition", "root_marginal"}, _parse_tree),
-    "window": ({"width", "target_alpha", "tolerance"}, _parse_window),
+    "window": ({"width", "target_alpha"}, _parse_window),
     "table": ({"kernels"}, _parse_table),
 }
 
@@ -370,16 +374,12 @@ class ScenarioConfig:
 
 def _parse_scenario(node) -> tuple[str, int, int, Builder, int | None]:
     scenario = _as_mapping(node, "scenario")
-    family = _require(scenario, "family", "scenario")
-    if family not in _FAMILIES:
-        raise ConfigError(
-            "scenario.family", f"unknown family {family!r} (one of {', '.join(_FAMILIES)})"
-        )
+    family = _get(scenario, "family", "scenario", _choice, _FAMILIES)
     _check_keys(scenario, {"family", "horizon", "alphabet", family}, "scenario")
-    horizon = _get_int(scenario, "horizon", "scenario", required=True, minimum=1)
-    alphabet = _get_int(scenario, "alphabet", "scenario", required=True, minimum=1)
+    horizon = _get(scenario, "horizon", "scenario", _number, integer=True, minimum=1)
+    alphabet = _get(scenario, "alphabet", "scenario", _number, integer=True, minimum=1)
     path = _join("scenario", family)
-    params = _as_mapping(_require(scenario, family, "scenario"), path)
+    params = _get(scenario, family, "scenario", _as_mapping)
     keys, parse = _FAMILIES[family]
     _check_keys(params, keys, path)
     builder, prefix_from = parse(params, path, horizon, alphabet)
@@ -388,26 +388,18 @@ def _parse_scenario(node) -> tuple[str, int, int, Builder, int | None]:
 
 def _parse_target(node, alphabet: int) -> tuple[str, Callable[[int], TargetFunction], bool]:
     target = _as_mapping(node, "target")
-    name = _require(target, "name", "target")
-    if name not in _TARGETS:
-        raise ConfigError(
-            "target.name",
-            f"unknown target {name!r} (one of {', '.join(sorted(_TARGETS))})",
-        )
+    name = _get(target, "name", "target", _choice, sorted(_TARGETS))
     allowed, make = _TARGETS[name]
     _check_keys(target, {"name"} | allowed, "target")
     params: dict = {}
     if "symbol" in allowed:
-        params["symbol"] = _get_int(
-            target, "symbol", "target", required=True, minimum=0, maximum=alphabet - 1
+        params["symbol"] = _get(
+            target, "symbol", "target", _number, integer=True, minimum=0, maximum=alphabet - 1
         )
     if "value" in allowed:
-        params["value"] = _get_number(target, "value", "target", required=True)
+        params["value"] = _get(target, "value", "target", _number)
     if "values" in allowed:
-        values = _numeric(target, "values", "target")
-        if values.ndim != 1 or not np.all(np.isfinite(values)):
-            raise ConfigError("target.values", "expected a finite flat list of values")
-        params["values"] = values
+        params["values"] = _get(target, "values", "target", _array, 1)
     # A value table is indexed by trajectory rank, so it fixes the horizon.
     return name, lambda n: make(n, alphabet, params), "values" not in allowed
 
@@ -420,47 +412,25 @@ def _parse_sensitivity(node, horizon: int) -> tuple[str, tuple[float, ...] | Non
     if "mode" in section and "declared" in section:
         raise ConfigError("sensitivity", "give either mode or declared, not both")
     if "declared" in section:
-        try:
-            declared = np.array(section["declared"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("sensitivity.declared", "expected a numeric vector") from None
-        if declared.ndim != 1 or not np.all(np.isfinite(declared)) or declared.size == 0:
-            raise ConfigError("sensitivity.declared", "expected a finite nonempty vector")
-        if float(declared.min()) < 0.0:
-            raise ConfigError("sensitivity.declared", "entries must be nonnegative")
+        declared = _get(section, "declared", "sensitivity", _array, 1, minimum=0.0)
         if declared.shape[0] != horizon:
             raise ConfigError(
                 "sensitivity.declared",
                 f"must have one entry per step: got {declared.shape[0]} for horizon {horizon}",
             )
-        return "declared", tuple(float(v) for v in declared)
-    mode = section.get("mode", "target")
-    if mode not in ("target", "oracle"):
-        raise ConfigError("sensitivity.mode", f"expected 'target' or 'oracle', got {mode!r}")
-    return mode, None
+        return "declared", tuple(declared.tolist())
+    return _choice(section.get("mode", "target"), "sensitivity.mode", ("target", "oracle")), None
 
 
 def _parse_run(node) -> RunSettings:
     run = _as_mapping(node, "run")
-    _check_keys(run, {"seed", "budget", "n_samples", "t_grid"}, "run")
-    t_grid = None
-    if run.get("t_grid") is not None:
-        raw = run["t_grid"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("run.t_grid", "expected a nonempty list of thresholds")
-        values = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-                raise ConfigError("run.t_grid", f"entry {i + 1} is not a finite number: {v!r}")
-            if v < 0:
-                raise ConfigError("run.t_grid", f"entry {i + 1} must be nonnegative, got {v}")
-            values.append(float(v))
-        t_grid = tuple(values)
+    _check_keys(run, set(RUN_SETTINGS), "run")
     return RunSettings(
-        seed=_get_int(run, "seed", "run", default=DEFAULT_SEED, minimum=0, maximum=MAX_SEED),
-        budget=_get_int(run, "budget", "run", default=None, minimum=1),
-        n_samples=_get_int(run, "n_samples", "run", default=DEFAULT_N_SAMPLES, minimum=1),
-        t_grid=t_grid,
+        **{
+            name: check(run[name], _join("run", name))
+            for name, check in RUN_SETTINGS.items()
+            if run.get(name) is not None
+        }
     )
 
 
@@ -469,19 +439,11 @@ def _parse_sweep(node) -> SweepConfig | None:
         return None
     sweep = _as_mapping(node, "sweep")
     _check_keys(sweep, {"horizons"}, "sweep")
-    raw = _require(sweep, "horizons", "sweep")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("sweep.horizons", "expected a nonempty list of horizons")
-    horizons = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(
-                "sweep.horizons", f"entry {i + 1} must be a positive integer, got {v!r}"
-            )
-        horizons.append(v)
+    horizons = _get(sweep, "horizons", "sweep", _array, 1, integer=True, minimum=1)
+    horizons = tuple(int(n) for n in horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ConfigError("sweep.horizons", "must be strictly increasing")
-    return SweepConfig(horizons=tuple(horizons))
+    return SweepConfig(horizons=horizons)
 
 
 def parse_config(data) -> ScenarioConfig:

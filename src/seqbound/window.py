@@ -87,7 +87,6 @@ def build_calibrated_window(
     alphabet_size: int,
     width: int,
     target_alpha: float,
-    tolerance: float = CALIBRATION_TOLERANCE,
     budget: int | None = None,
 ) -> ProcessSpec:
     """Window spec whose exact influence matrix has largest column sum target_alpha.
@@ -99,7 +98,7 @@ def build_calibrated_window(
     horizon width + 1 on, beta no longer depends on the horizon, so the
     build at a smaller such horizon is this spec's leading steps.  Raises
     ValueError for a width or horizon below 1, and CalibrationError when the
-    target is out of range or missed by ``tolerance``.
+    target is out of range or missed by ``CALIBRATION_TOLERANCE``.
     """
     target = float(target_alpha)
     if not 0.0 <= target < 1.0:
@@ -122,25 +121,23 @@ def build_calibrated_window(
 
     spec = _mixture_window_spec(horizon, alphabet_size, width, beta)
     spec.meta.update({"beta": beta, "decay": WINDOW_INFLUENCE_DECAY, "target_alpha": target})
-    return check_calibration(spec, tolerance, budget)
+    return check_calibration(spec, budget)
 
 
-def check_calibration(
-    spec: ProcessSpec, tolerance: float = CALIBRATION_TOLERANCE, budget: int | None = None
-) -> ProcessSpec:
+def check_calibration(spec: ProcessSpec, budget: int | None = None) -> ProcessSpec:
     """Verify a calibrated window spec against its own exact influence matrix.
 
     Raises CalibrationError when the largest column sum misses the spec's
-    ``target_alpha`` by more than ``tolerance``; otherwise records it as
-    ``achieved_alpha`` and returns the spec.  A sweep runs it on each
-    horizon it reads off a larger build's leading steps.
+    ``target_alpha`` by more than ``CALIBRATION_TOLERANCE``; otherwise
+    records it as ``achieved_alpha`` and returns the spec.  A sweep runs it
+    on each horizon it reads off a larger build's leading steps.
     """
     target = spec.meta["target_alpha"]
     achieved = column_sum_alpha(interdependence_matrix(spec, budget=budget))
-    if abs(achieved - target) > tolerance:
+    if abs(achieved - target) > CALIBRATION_TOLERANCE:
         raise CalibrationError(
             f"calibration missed: target {target}, achieved {achieved:.9g} "
-            f"(tolerance {tolerance})"
+            f"(tolerance {CALIBRATION_TOLERANCE})"
         )
     spec.meta["achieved_alpha"] = achieved
     return spec

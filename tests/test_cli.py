@@ -510,6 +510,16 @@ class TestExitCodes:
         assert cli.main(["describe", "--config", config]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value", [("scenario", "family", ["markov"]), ("target", "name", {"a": 1})]
+    )
+    def test_non_string_choice_exits_two(self, tmp_path, capsys, section, key, value):
+        doc = small_markov_doc()
+        doc[section][key] = value
+        config = write_yaml(tmp_path / "bad.yaml", doc)
+        assert cli.main(["describe", "--config", config]) == 2
+        assert f"config error at {section}.{key}: expected one of" in capsys.readouterr().err
+
     def test_unreadable_config_path(self, tmp_path):
         assert cli.main(["describe", "--config", str(tmp_path / "absent.yaml")]) == 2
 
@@ -608,6 +618,29 @@ class TestEnvResolution:
         monkeypatch.setenv(f"SEQBOUND_{name.upper()}", text)
         assert cli.main(["describe", "--config", MARKOV]) == 2
         assert f"config error at $SEQBOUND_{name.upper()}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, grid, message",
+        [
+            ("0.5,-1", [0.5, -1], "entry [1]: must be >= 0.0, got -1.0"),
+            ("1,nan", [1, float("nan")], "entry [1]: must be finite"),
+            ("", [], "must be nonempty"),
+        ],
+    )
+    def test_thresholds_follow_the_t_grid_rule(
+        self, tmp_path, monkeypatch, capsys, text, grid, message
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["describe", "--config", MARKOV, "--t", text])
+        assert err.value.code == 2
+        assert f"argument --t: {message}" in capsys.readouterr().err
+        monkeypatch.setenv("SEQBOUND_T", text)
+        assert cli.main(["describe", "--config", MARKOV]) == 2
+        assert f"config error at $SEQBOUND_T: {message}" in capsys.readouterr().err
+        monkeypatch.delenv("SEQBOUND_T")
+        config = write_yaml(tmp_path / "grid.yaml", small_markov_doc(run={"t_grid": grid}))
+        assert cli.main(["describe", "--config", config]) == 2
+        assert f"config error at run.t_grid: {message}" in capsys.readouterr().err
 
 
 # ============================================================

@@ -1,8 +1,8 @@
 """Config parsing: strict schemas, dotted error paths, and builders."""
 
-from pathlib import Path
-
+import copy
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from seqbound import (
     prefix_expectation_table,
 )
 from seqbound import cli
-from seqbound.config import _FAMILIES, _TARGETS
+from seqbound.config import _FAMILIES, _TARGETS, RUN_SETTINGS
 from conftest import FAMILY_CASES, family_doc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,6 +178,150 @@ class TestValidation:
 
 
 # ============================================================
+# One rule per kind of value: number, numeric array, choice
+# ============================================================
+
+
+def _numeric_entries(node: dict, at: tuple = ()):
+    """Key paths to the first non-null scalar of every number or numeric
+    array in a document."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _numeric_entries(value, at + (key,))
+        elif not isinstance(value, str):
+            entry = at + (key,)
+            while isinstance(value, list):
+                j = next(j for j, v in enumerate(value) if v is not None)
+                entry, value = entry + (j,), value[j]
+            yield entry
+
+
+def _entry_id(entry: tuple) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in entry)[1:]
+
+
+def _per_node_tree() -> dict:
+    doc = family_doc("tree")  # parents 0, 1, 1: node 1 is the only root
+    block = doc["scenario"]["tree"]
+    block["edge_transition"] = [None, block["edge_transition"], block["edge_transition"]]
+    block["root_marginal"] = [block["root_marginal"], None, None]
+    return doc
+
+
+# Valid documents that together hold every numeric key, and for each key the
+# key path to one of its entries.
+NUMERIC_DOCS = {
+    **{case: family_doc(case) for case in FAMILY_CASES},
+    "tree-per-node": _per_node_tree(),
+    **{
+        f"target-{name}": minimal_markov(target={"name": name, **TARGET_CASES[name][0]})
+        for name in ("count_symbol", "constant", "table")
+    },
+    "declared": minimal_markov(sensitivity={"declared": [1.0, 0.5, 1.0]}),
+    "run": minimal_markov(run={"seed": 1, "budget": 10**6, "n_samples": 10, "t_grid": [0.5, 1]}),
+    "sweep": minimal_markov(sweep={"horizons": [3, 6]}),
+}
+NUMERIC_ENTRIES = {
+    _entry_id(entry): (doc, entry)
+    for doc in NUMERIC_DOCS.values()
+    for entry in _numeric_entries(doc)
+}
+
+
+class TestValueKinds:
+    def test_every_numeric_key_has_a_case(self):
+        keys = {entry.split("[")[0] for entry in NUMERIC_ENTRIES}
+        for family, (block_keys, _) in _FAMILIES.items():
+            assert {f"scenario.{family}.{key}" for key in block_keys} <= keys
+        assert {"scenario.horizon", "scenario.alphabet", "sensitivity.declared"} <= keys
+        assert "sweep.horizons" in keys
+        assert {f"target.{key}" for keys_, _ in _TARGETS.values() for key in keys_} <= keys
+        assert {f"run.{key}" for key in RUN_SETTINGS} <= keys
+
+    @pytest.mark.parametrize("bad", [True, float("nan"), "1"], ids=["true", "nan", "string"])
+    @pytest.mark.parametrize("entry", sorted(NUMERIC_ENTRIES))
+    def test_numbers_reject_booleans_nan_and_strings(self, entry, bad):
+        doc, at = NUMERIC_ENTRIES[entry]
+        parse_config(copy.deepcopy(doc))  # valid as it stands
+        doc = copy.deepcopy(doc)
+        node = doc
+        for step in at[:-1]:
+            node = node[step]
+        node[at[-1]] = bad
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        key = ".".join(step for step in at if isinstance(step, str))
+        assert err.value.path.split("[")[0] == key
+
+    @pytest.mark.parametrize(
+        "bad", [["markov"], {"a": 1}, 1, True], ids=["list", "mapping", "int", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "section, key", [("scenario", "family"), ("target", "name"), ("sensitivity", "mode")]
+    )
+    def test_choices_are_strings(self, section, key, bad):
+        doc = minimal_markov(sensitivity={"mode": "oracle"})
+        doc[section][key] = bad
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == f"{section}.{key}"
+        assert f"got {bad!r}" in err.value.message
+
+    @pytest.mark.parametrize(
+        "case, key, value, path, message",
+        [
+            ("tree", "edge_transition", "abc", "edge_transition", "expected a numeric array"),
+            (
+                "tree-per-node",
+                "edge_transition",
+                [None, [[0.6, 0.4], [0.4, 0.6]], [[0.6, 0.4], [0.4, True]]],
+                "edge_transition[2]",
+                "entry [1][1]: expected a number, got True",
+            ),
+            (
+                "tree-per-node",
+                "root_marginal",
+                [[0.5, 0.5], None],  # neither one vector nor one per node
+                "root_marginal",
+                "expected a numeric array",
+            ),
+            (
+                "tree-per-node",
+                "root_marginal",
+                [[0.5, 0.5], None, "ab"],
+                "root_marginal[2]",
+                "expected a numeric array",
+            ),
+            (
+                "table",
+                "kernels",
+                [[[0.5, 0.5]], [[0.9, 0.1], [False, 1]]],
+                "kernels[1]",
+                "entry [1][0]: expected a number, got False",
+            ),
+        ],
+    )
+    def test_tree_and_table_arrays_are_checked_under_their_paths(
+        self, case, key, value, path, message
+    ):
+        doc = copy.deepcopy(NUMERIC_DOCS[case])
+        family = doc["scenario"]["family"]
+        doc["scenario"][family][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (f"scenario.{family}.{path}", message)
+
+    def test_per_node_tree_lists_build_the_shared_tree(self):
+        shared = parse_config(family_doc("tree")).build()
+        per_node = parse_config(_per_node_tree()).build()
+        for j in range(1, 4):
+            for history in ((0, 0), (1, 1)):
+                assert np.array_equal(
+                    per_node.kernel(j, history[: j - 1]), shared.kernel(j, history[: j - 1])
+                )
+
+
+# ============================================================
 # Builders and sensitivity resolution
 # ============================================================
 
@@ -261,6 +405,12 @@ class TestTables:
         doc = family_doc(case)
         doc["scenario"][family]["bogus"] = 1
         with pytest.raises(ConfigError, match=rf"scenario\.{family}\.bogus: unknown key"):
+            parse_config(doc)
+
+    def test_window_has_no_tolerance_key(self):
+        doc = family_doc("window")
+        doc["scenario"]["window"]["tolerance"] = 1e-3
+        with pytest.raises(ConfigError, match=r"scenario\.window\.tolerance: unknown key"):
             parse_config(doc)
 
     def test_build_within_a_larger_build(self):
