@@ -258,7 +258,6 @@ def samson_baseline(alpha, c) -> TailBound:
 class BoundReport:
     """All bounds for one scenario, applicable rows first, sorted by proxy."""
 
-    scenario: Mapping[str, object]
     bounds: tuple[TailBound, ...]
     resolvent: Resolvent  # the Gamma every bound was computed from
 
@@ -355,12 +354,4 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         rows,
         key=lambda b: (0, b.proxy, b.name) if b.applicable else (1, 0.0, b.name),
     )
-    scenario = {
-        "family": spec.family,
-        "horizon": spec.horizon,
-        "alphabet": spec.alphabet.size,
-        "target": getattr(f, "name", None) if f is not None else None,
-        "sensitivity": tuple(float(v) for v in vec),
-        "column_sum_alpha": alpha_cols,
-    }
-    return BoundReport(scenario=scenario, bounds=tuple(ordered), resolvent=gamma)
+    return BoundReport(bounds=tuple(ordered), resolvent=gamma)

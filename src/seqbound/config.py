@@ -148,6 +148,13 @@ def _array(value, path: str, ndim: int | tuple[int, ...], **limits) -> np.ndarra
     return arr
 
 
+def _shaped(arr: np.ndarray, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``arr`` if it has ``shape``."""
+    if arr.shape != shape:
+        raise ConfigError(path, f"must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 def _choice(value, path: str, choices) -> str:
     """A string from ``choices``."""
     if not isinstance(value, str) or value not in choices:
@@ -180,10 +187,7 @@ RUN_SETTINGS: dict[str, Callable] = {
 def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
     marginals = _get(params, "marginals", path, _array, (1, 2))
     expected = (alphabet,) if marginals.ndim == 1 else (horizon, alphabet)
-    if marginals.shape != expected:
-        raise ConfigError(
-            _join(path, "marginals"), f"must have shape {expected}, got {marginals.shape}"
-        )
+    _shaped(marginals, _join(path, "marginals"), expected)
     # A matrix has one row per step; one shared marginal extends to any horizon.
     if marginals.ndim == 2:
         return (lambda n, budget, within: build_independent(marginals)), None
@@ -214,17 +218,30 @@ def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
     return build, 1
 
 
-def _per_node(value, path: str, ndim: int, horizon: int):
-    """One array shared by every node, or a list of one per node with nulls
-    where unused; the same rule as ``build_causal_tree``, which checks them
-    as kernels."""
+def _per_node(value, path: str, shape: tuple[int, ...], used: list[bool]):
+    """One array of ``shape`` shared by every node, or a list with one entry
+    per node: an array of ``shape`` where ``used`` says the node reads one,
+    null elsewhere.  The split is ``build_causal_tree``'s rule, except that a
+    list holding a null, which numpy would read as NaN, is always per node;
+    that builder checks the arrays as kernels."""
     try:
-        shared = np.array(value, dtype=float).ndim == ndim
+        shared = None not in value and np.array(value, dtype=float).ndim == len(shape)
     except (TypeError, ValueError, OverflowError):
         shared = False
-    if shared or not isinstance(value, list) or len(value) != horizon:
-        return _array(value, path, ndim)
-    return [None if v is None else _array(v, f"{path}[{j}]", ndim) for j, v in enumerate(value)]
+    if shared or not isinstance(value, list) or len(value) != len(used):
+        return _shaped(_array(value, path, len(shape)), path, shape)
+    entries = []
+    for j, (entry, needed) in enumerate(zip(value, used)):
+        where = f"{path}[{j}]"
+        if entry is not None:
+            entry = _array(entry, where, len(shape))
+            if not needed:
+                raise ConfigError(where, f"must be null: node {j + 1} does not read it")
+            _shaped(entry, where, shape)
+        elif needed:
+            raise ConfigError(where, f"missing: node {j + 1} reads it")
+        entries.append(entry)
+    return entries
 
 
 def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
@@ -234,8 +251,11 @@ def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
             _join(path, "parent"),
             f"must list one parent per step: got {len(parent)} for horizon {horizon}",
         )
-    edge = _get(params, "edge_transition", path, _per_node, 2, horizon)
-    root = _get(params, "root_marginal", path, _per_node, 1, horizon)
+    roots = [p == 0 for p in parent]
+    edge = _get(
+        params, "edge_transition", path, _per_node, (alphabet, alphabet), [not r for r in roots]
+    )
+    root = _get(params, "root_marginal", path, _per_node, (alphabet,), roots)
     return (lambda n, budget, within: build_causal_tree(parent, edge, root)), None
 
 
@@ -262,7 +282,13 @@ def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
         raise ConfigError(
             path, f"must list one table per step: got {len(kernels)} for horizon {horizon}"
         )
-    tables = [_array(table, f"{path}[{j}]", (1, 2)) for j, table in enumerate(kernels)]
+    tables = []
+    for j, table in enumerate(kernels):
+        where = f"{path}[{j}]"
+        arr = _array(table, where, (1, 2))
+        # Step j + 1 has one row per history; step 1 may give its one row bare.
+        shape = (alphabet,) if arr.ndim == 1 and j == 0 else (alphabet**j, alphabet)
+        tables.append(_shaped(arr, where, shape))
     return (lambda n, budget, within: build_from_tables(tables)), None
 
 
@@ -338,11 +364,6 @@ class ScenarioConfig:
         if spec.horizon != n:
             raise ValueError(
                 f"{self.family} scenario is pinned to horizon {spec.horizon}, asked for {n}"
-            )
-        if spec.alphabet.size != self.alphabet_size:
-            raise ValueError(
-                f"config declares alphabet {self.alphabet_size} but the kernels "
-                f"imply {spec.alphabet.size}"
             )
         return spec
 

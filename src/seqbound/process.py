@@ -350,8 +350,33 @@ def prefix_expectation_table(spec: ProcessSpec, f, budget: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+def _forest(
+    parent: tuple[int, ...], kernels: Sequence, family: str, meta: Mapping[str, object]
+) -> ProcessSpec:
+    """Spec in which node j reads at most its parent ``parent[j-1]``.
+
+    A root (parent 0) draws from its vector ``kernels[j-1]``; any other node
+    from the row of its matrix ``kernels[j-1]`` at the parent's symbol.  The
+    kernels come validated and read-only from the public builders; the rows
+    of one marginal matrix serve as the vectors of a forest of roots.
+    """
+
+    def kern(step: int, history: tuple[int, ...]):
+        p = parent[step - 1]
+        return kernels[step - 1] if p == 0 else kernels[step - 1][history[p - 1]]
+
+    return ProcessSpec(
+        horizon=len(parent),
+        alphabet=Alphabet(kernels[0].shape[0]),
+        kernel=kern,
+        signatures=tuple(frozenset() if p == 0 else frozenset((p,)) for p in parent),
+        family=family,
+        meta=meta,
+    )
+
+
 def build_independent(marginals, horizon: int | None = None) -> ProcessSpec:
-    """Process with history-free kernels.
+    """Process with history-free kernels: a forest of roots.
 
     ``marginals`` is either one probability vector shared by all steps (then
     ``horizon`` is required) or a matrix with one row per step.
@@ -365,26 +390,14 @@ def build_independent(marginals, horizon: int | None = None) -> ProcessSpec:
         raise ValueError(f"marginals must be a vector or a matrix, got shape {m.shape}")
     if horizon is not None and m.shape[0] != int(horizon):
         raise ValueError(f"got {m.shape[0]} marginals for horizon {horizon}")
-    n, size = m.shape
     _check_distributions(m, "marginals", ndim=2)
     m.setflags(write=False)
-
-    def kern(step: int, history: tuple[int, ...]):
-        return m[step - 1]
-
-    return ProcessSpec(
-        horizon=n,
-        alphabet=Alphabet(size),
-        kernel=kern,
-        signatures=(frozenset(),) * n,
-        family="independent",
-        meta={"marginals": m},
-    )
+    return _forest((0,) * m.shape[0], m, "independent", {"marginals": m})
 
 
 def build_markov(transition, init, horizon: int) -> ProcessSpec:
-    """Time-homogeneous chain: step 1 draws from ``init``, later steps read
-    only the previous symbol."""
+    """Time-homogeneous chain, the path tree: step 1 draws from ``init``,
+    later steps read only the previous symbol."""
     p = np.array(transition, dtype=float)
     _check_distributions(p, "transition", ndim=2)
     if p.shape[0] != p.shape[1]:
@@ -398,21 +411,7 @@ def build_markov(transition, init, horizon: int) -> ProcessSpec:
         raise ValueError(f"horizon must be positive, got {horizon}")
     p.setflags(write=False)
     p0.setflags(write=False)
-
-    def kern(step: int, history: tuple[int, ...]):
-        if step == 1:
-            return p0
-        return p[history[-1]]
-
-    signatures = (frozenset(),) + tuple(frozenset((j - 1,)) for j in range(2, n + 1))
-    return ProcessSpec(
-        horizon=n,
-        alphabet=Alphabet(p.shape[0]),
-        kernel=kern,
-        signatures=signatures,
-        family="markov",
-        meta={"transition": p, "init": p0},
-    )
+    return _forest(tuple(range(n)), [p0] + [p] * (n - 1), "markov", {"transition": p, "init": p0})
 
 
 def _per_node(values, n: int, ndim: int, what: str) -> list:
@@ -434,7 +433,8 @@ def build_causal_tree(parent, edge_kernels, root_marginal) -> ProcessSpec:
     ``parent[j-1]`` is 0 for roots, otherwise the 1-based index of an earlier
     node.  ``edge_kernels`` is one row-stochastic matrix shared by every edge
     or a per-node sequence (entries at roots ignored); ``root_marginal``
-    likewise one vector or a per-node sequence.
+    likewise one vector or a per-node sequence.  Each distinct array is
+    checked once, at the first node that uses it.
     """
     par = tuple(int(p) for p in parent)
     n = len(par)
@@ -445,45 +445,29 @@ def build_causal_tree(parent, edge_kernels, root_marginal) -> ProcessSpec:
             raise ValueError(f"parent of node {j} must be 0 (root) or an earlier node, got {p}")
     edges = _per_node(edge_kernels, n, 2, "edge_kernels")
     roots = _per_node(root_marginal, n, 1, "root_marginal")
-    size = None
+    kernels: list = []
+    checked: set[int] = set()
     for j, p in enumerate(par, start=1):
-        if p == 0:
-            vec = roots[j - 1]
-            if vec is None:
-                raise ValueError(f"node {j} is a root but has no root marginal")
-            _check_distributions(vec, f"root marginal of node {j}", ndim=1)
-            vec.setflags(write=False)
-            size = vec.shape[0] if size is None else size
-            if vec.shape[0] != size:
+        kernel = edges[j - 1] if p else roots[j - 1]
+        if kernel is None:
+            missing = (
+                "has a parent but no edge kernel" if p else "is a root but has no root marginal"
+            )
+            raise ValueError(f"node {j} {missing}")
+        if id(kernel) not in checked:
+            checked.add(id(kernel))
+            if p:
+                _check_distributions(kernel, f"edge kernel of node {j}", ndim=2)
+                if kernel.shape[0] != kernel.shape[1]:
+                    raise ValueError(f"edge kernel of node {j} must be square, got {kernel.shape}")
+            else:
+                _check_distributions(kernel, f"root marginal of node {j}", ndim=1)
+            kernel.setflags(write=False)
+            if kernels and kernel.shape[0] != kernels[0].shape[0]:
                 raise ValueError("alphabet size differs across node kernels")
-        else:
-            mat = edges[j - 1]
-            if mat is None:
-                raise ValueError(f"node {j} has a parent but no edge kernel")
-            _check_distributions(mat, f"edge kernel of node {j}", ndim=2)
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"edge kernel of node {j} must be square, got {mat.shape}")
-            mat.setflags(write=False)
-            size = mat.shape[0] if size is None else size
-            if mat.shape[0] != size:
-                raise ValueError("alphabet size differs across node kernels")
+        kernels.append(kernel)
     out_degree = max(Counter(p for p in par if p > 0).values(), default=0)
-
-    def kern(step: int, history: tuple[int, ...]):
-        p = par[step - 1]
-        if p == 0:
-            return roots[step - 1]
-        return edges[step - 1][history[p - 1]]
-
-    signatures = tuple(frozenset() if p == 0 else frozenset((p,)) for p in par)
-    return ProcessSpec(
-        horizon=n,
-        alphabet=Alphabet(size),
-        kernel=kern,
-        signatures=signatures,
-        family="tree",
-        meta={"parent": par, "out_degree": out_degree},
-    )
+    return _forest(par, kernels, "tree", {"parent": par, "out_degree": out_degree})
 
 
 def build_sliding_window(width: int, window_kernel, horizon: int, alphabet_size: int) -> ProcessSpec:

@@ -321,6 +321,133 @@ class TestValueKinds:
                 )
 
 
+class TestKernelShapes:
+    """Every kernel array is checked against ``scenario.alphabet`` and against
+    the nodes that read it, under its own key."""
+
+    @pytest.mark.parametrize(
+        "key, value, path, message",
+        [
+            (
+                "edge_transition",
+                [[[9.0]], [[0.6, 0.4], [0.4, 0.6]], [[0.6, 0.4], [0.4, 0.6]]],
+                "edge_transition[0]",
+                "must be null: node 1 does not read it",
+            ),
+            (
+                "root_marginal",
+                [[0.5, 0.5], None, [3.0, -7.0]],
+                "root_marginal[2]",
+                "must be null: node 3 does not read it",
+            ),
+            (
+                "edge_transition",
+                [None, [[0.6, 0.4], [0.4, 0.6]], None],
+                "edge_transition[2]",
+                "missing: node 3 reads it",
+            ),
+            ("root_marginal", [None, None, None], "root_marginal[0]", "missing: node 1 reads it"),
+        ],
+    )
+    def test_per_node_entries_are_null_exactly_where_unread(self, key, value, path, message):
+        doc = _per_node_tree()  # parents 0, 1, 1
+        doc["scenario"]["tree"][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (f"scenario.tree.{path}", message)
+
+    def test_the_unread_entries_of_a_tree_document_are_rejected(self):
+        doc = _per_node_tree()
+        block = doc["scenario"]["tree"]
+        block["root_marginal"] = [[0.5, 0.5], [0.5], [3.0, -7.0]]
+        block["edge_transition"][0] = [[9.0]]
+        for path in ("edge_transition[0]", "root_marginal[1]"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert err.value.path == f"scenario.tree.{path}"
+            block["edge_transition"][0] = None
+
+    def test_a_missing_root_entry_is_named(self):
+        doc = _per_node_tree()
+        block = doc["scenario"]["tree"]
+        block["parent"] = [0, 0, 1]
+        block["edge_transition"] = [None, None, [[0.6, 0.4], [0.4, 0.6]]]
+        block["root_marginal"] = [[0.5, 0.5], None, None]
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (
+            "scenario.tree.root_marginal[1]",
+            "missing: node 2 reads it",
+        )
+
+    @pytest.mark.parametrize(
+        "case, path, message",
+        [
+            ("independent-vector", "independent.marginals", "must have shape (3,), got (2,)"),
+            ("independent-matrix", "independent.marginals", "must have shape (2, 3), got (2, 2)"),
+            ("markov", "markov.transition", "must be 3x3 for the declared alphabet, got (2, 2)"),
+            ("tree", "tree.edge_transition", "must have shape (3, 3), got (2, 2)"),
+            ("tree-per-node", "tree.edge_transition[1]", "must have shape (3, 3), got (2, 2)"),
+            ("table", "table.kernels[0]", "must have shape (1, 3), got (1, 2)"),
+        ],
+    )
+    def test_alphabet_mismatch_is_named_at_the_family_key(self, case, path, message):
+        doc = copy.deepcopy(NUMERIC_DOCS[case])
+        doc["scenario"]["alphabet"] = 3
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (f"scenario.{path}", message)
+
+    def test_window_kernels_take_the_declared_alphabet(self):
+        doc = family_doc("window")
+        doc["scenario"]["alphabet"] = 3
+        assert parse_config(doc).build().alphabet.size == 3
+
+    @pytest.mark.parametrize(
+        "value, path",
+        [([0.2, 0.3, 0.5], "root_marginal"), ([[0.2, 0.3, 0.5], None, None], "root_marginal[0]")],
+    )
+    def test_tree_root_vectors_follow_the_alphabet(self, value, path):
+        doc = _per_node_tree()
+        doc["scenario"]["tree"]["root_marginal"] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (
+            f"scenario.tree.{path}",
+            "must have shape (2,), got (3,)",
+        )
+
+    @pytest.mark.parametrize(
+        "kernels, path, message",
+        [
+            ([[0.5, 0.5], [[0.9, 0.1], [0.3, 0.7]]], None, None),  # a bare first row
+            (
+                [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7], [0.5, 0.5]]],
+                "kernels[1]",
+                "(2, 2), got (3, 2)",
+            ),
+            ([[[0.5, 0.5]], [0.9, 0.1]], "kernels[1]", "(2, 2), got (2,)"),
+            (
+                [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]],
+                "kernels[0]",
+                "(1, 2), got (2, 2)",
+            ),
+        ],
+    )
+    def test_table_kernels_have_one_row_per_history(self, kernels, path, message):
+        doc = family_doc("table")
+        doc["scenario"]["table"]["kernels"] = kernels
+        if path is None:
+            assert parse_config(doc).build().horizon == 2
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (
+            f"scenario.table.{path}",
+            f"must have shape {message}",
+        )
+
+
 # ============================================================
 # Builders and sensitivity resolution
 # ============================================================

@@ -147,6 +147,58 @@ class TestConstructors:
             build_from_tables([np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]])])
 
 
+class TestForest:
+    """Independent steps, Markov chains and trees are one forest, in which
+    each step reads at most its parent."""
+
+    @staticmethod
+    def assert_same_process(left, right):
+        assert (left.horizon, left.alphabet, left.signatures) == (
+            right.horizon,
+            right.alphabet,
+            right.signatures,
+        )
+        for step in range(1, left.horizon + 1):
+            assert np.array_equal(step_table(left, step), step_table(right, step))
+        assert np.array_equal(
+            interdependence_matrix(left).entries, interdependence_matrix(right).entries
+        )
+
+    def test_markov_is_the_path_tree(self):
+        rng = np.random.default_rng(41)
+        transition = rng.dirichlet(np.ones(3), size=3)
+        init = rng.dirichlet(np.ones(3))
+        n = 9
+        self.assert_same_process(
+            build_markov(transition, init, n), build_causal_tree(range(n), transition, init)
+        )
+
+    def test_independent_is_a_forest_of_roots(self):
+        rng = np.random.default_rng(43)
+        marginals = rng.dirichlet(np.ones(3), size=6)
+        roots = build_causal_tree([0] * 6, np.eye(3), list(marginals))
+        self.assert_same_process(build_independent(marginals), roots)
+
+    def test_tree_checks_each_shared_array_once(self, monkeypatch):
+        calls = []
+        check = seqbound.process._check_distributions
+
+        def counted(arr, name, ndim):
+            calls.append(name)
+            return check(arr, name, ndim)
+
+        monkeypatch.setattr(seqbound.process, "_check_distributions", counted)
+        parent = [j // 2 for j in range(1, 501)]  # a binary tree, node 1 its root
+        spec = build_causal_tree(parent, CANONICAL_TRANSITION, CANONICAL_INIT)
+        assert spec.horizon == 500
+        assert calls == ["root marginal of node 1", "edge kernel of node 2"]
+
+    def test_a_shared_bad_matrix_is_named_at_its_first_edge(self):
+        bad = np.array([[0.9, 0.2], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="edge kernel of node 3 is not a probability"):
+            build_causal_tree([0, 0, 2, 1], bad, CANONICAL_INIT)
+
+
 # ============================================================
 # Kernels and step tables
 # ============================================================
