@@ -24,10 +24,8 @@ from .influence import (
 )
 from .process import ProcessSpec
 from .resolvent import (
-    Resolvent,
     causal_resolvent,
     decay_lower_bound,
-    matrix_entries,
     spectral_decay,
     variance_proxy,
 )
@@ -98,7 +96,7 @@ def exact_tail(gamma, c) -> TailBound:
 def spectral_tail(gamma, c) -> TailBound:
     """Relaxation through the decay coefficient: proxy ||c||_2^2 / kappa,
     with kappa = 1 / ||Gamma||_2^2 for a resolvent Gamma."""
-    vec = as_sensitivity(c, matrix_entries(gamma).shape[0])
+    vec = as_sensitivity(c, np.shape(gamma)[0])
     kappa = spectral_decay(gamma)
     return TailBound(
         name="spectral",
@@ -107,10 +105,9 @@ def spectral_tail(gamma, c) -> TailBound:
     )
 
 
-def uniform_decay_tail(profile, c) -> TailBound:
-    """Proxy ||c||_2^2 / (1 - S)^2 from a distance-decay profile with sum S."""
-    lower = decay_lower_bound(profile)
-    phi = np.asarray(getattr(profile, "phi", profile), dtype=float)
+def uniform_decay_tail(phi, c) -> TailBound:
+    """Proxy ||c||_2^2 / (1 - S)^2 from a distance-decay profile phi with sum S."""
+    lower = decay_lower_bound(phi)
     total = math.fsum(phi)
     vec = _free_sensitivity(c)
     if lower is None:
@@ -131,7 +128,7 @@ def uniform_decay_tail(profile, c) -> TailBound:
 def scalar_collapse_tail(gamma, c) -> TailBound:
     """Certified but deliberately loose: both Gamma and c collapse to scalar norms,
     giving proxy N * ||Gamma||_inf^2 * ||c||_inf^2."""
-    g = matrix_entries(gamma)
+    g = np.asarray(gamma, dtype=float)
     n = g.shape[0]
     vec = as_sensitivity(c, n)
     ginf = float(np.abs(g).sum(axis=1).max()) if g.size else 0.0
@@ -259,7 +256,7 @@ class BoundReport:
     """All bounds for one scenario, applicable rows first, sorted by proxy."""
 
     bounds: tuple[TailBound, ...]
-    resolvent: Resolvent  # the Gamma every bound was computed from
+    resolvent: np.ndarray  # the read-only Gamma every bound was computed from
 
     def __getitem__(self, name: str) -> TailBound:
         for bound in self.bounds:
@@ -340,7 +337,7 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         a = dobrushin_coefficient(spec.meta["transition"])
         rows += [markov_tail(a, vec), kontorovich_baseline(a, vec), samson_baseline(a, vec)]
     if spec.family == "tree":
-        a = float(infl.entries.max()) if infl.entries.size else 0.0
+        a = float(infl.max()) if infl.size else 0.0
         d = max(int(spec.meta.get("out_degree", 0)), 1)
         rows.append(tree_tail(a, d, vec))
     if vec.shape[0] >= 1 and np.all(vec[:-1] == 0.0):

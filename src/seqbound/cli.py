@@ -172,9 +172,9 @@ def cmd_matrix(args) -> int:
     gamma = causal_resolvent(infl)
     out.mkdir(parents=True, exist_ok=True)
     h_path, g_path = out / "influence.csv", out / "resolvent.csv"
-    write_matrix_csv(h_path, infl.entries)
-    write_matrix_csv(g_path, gamma.entries)
-    norms = operator_norms(infl.entries)
+    write_matrix_csv(h_path, infl)
+    write_matrix_csv(g_path, gamma)
+    norms = operator_norms(infl)
     print(f"wrote {h_path}")
     print(f"wrote {g_path}")
     print(f"||H||_1 = {format_number(norms.l1)}")
@@ -246,13 +246,14 @@ def cmd_verify(args) -> int:
             f"suite {name}: {len(report.rows)} checks, {status}, "
             f"worst slack {format_number(report.worst_slack)}"
         )
-    # Ratio of bound to empirical frequency, minimized over positive
-    # thresholds (at t = 0 both sides are 1 and the ratio is uninformative).
-    positive = np.asarray(estimate.t_grid) > 0.0
+    # Ratio of bound to empirical frequency, minimized over the thresholds
+    # where the bound is below 1: where it is clipped at 1 the ratio reads
+    # the empirical tail alone, the same for every bound.
     for bound in applicable:
-        ratios = tightness_ratios(estimate, bound)[positive]
-        tightest = float(np.min(ratios)) if ratios.size else float("inf")
-        print(f"tightness {bound.name}: {format_number(tightest)}")
+        below_one = np.array([bound.delta_at(float(t)) < 1.0 for t in estimate.t_grid])
+        ratios = tightness_ratios(estimate, bound)[below_one]
+        tightest = format_number(float(np.min(ratios))) if ratios.size else "-"
+        print(f"tightness {bound.name}: {tightest}")
     print(f"wrote {v_path}")
     print(f"wrote {t_path}")
     if not merged.passed:

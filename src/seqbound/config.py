@@ -221,9 +221,8 @@ def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
 def _per_node(value, path: str, shape: tuple[int, ...], used: list[bool]):
     """One array of ``shape`` shared by every node, or a list with one entry
     per node: an array of ``shape`` where ``used`` says the node reads one,
-    null elsewhere.  The split is ``build_causal_tree``'s rule, except that a
-    list holding a null, which numpy would read as NaN, is always per node;
-    that builder checks the arrays as kernels."""
+    null elsewhere.  The split is ``build_causal_tree``'s rule; that builder
+    checks the arrays as kernels."""
     try:
         shared = None not in value and np.array(value, dtype=float).ndim == len(shape)
     except (TypeError, ValueError, OverflowError):
@@ -251,6 +250,12 @@ def _parse_tree(params: dict, path: str, horizon: int, alphabet: int):
             _join(path, "parent"),
             f"must list one parent per step: got {len(parent)} for horizon {horizon}",
         )
+    for j, p in enumerate(parent):
+        if not 0 <= p <= j:
+            raise ConfigError(
+                _join(path, "parent"),
+                f"entry [{j}]: must be 0 (root) or an earlier node (at most {j}), got {int(p)}",
+            )
     roots = [p == 0 for p in parent]
     edge = _get(
         params, "edge_transition", path, _per_node, (alphabet, alphabet), [not r for r in roots]

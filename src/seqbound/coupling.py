@@ -31,7 +31,6 @@ from .process import (
     trajectory_rows,
 )
 from .report import VerificationReport, make_check
-from .resolvent import matrix_entries
 from .sampling import _trajectory_blocks, binomial_stderr
 from .targets import as_sensitivity, bounded_differences
 
@@ -271,7 +270,7 @@ def verify_oscillation_bound(spec: ProcessSpec, table, gamma, c) -> Verification
     """
     n, size = spec.horizon, spec.alphabet.size
     vec = as_sensitivity(c, n)
-    weighted = matrix_entries(gamma) @ vec
+    weighted = np.asarray(gamma, dtype=float) @ vec
     oracle = bounded_differences(table[-1].reshape((size,) * n))
     excess = oracle - vec
     if float(excess.max()) > DECLARED_SENSITIVITY_TOLERANCE:
@@ -345,7 +344,7 @@ def verify_discrepancy_recursion(
     RECURSION_SIGMAS standard errors and respect the same bound.
     """
     n, size = spec.horizon, spec.alphabet.size
-    gamma = matrix_entries(gamma)
+    gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (n, n):
         raise ValueError(f"resolvent must be {n} x {n}, got shape {gamma.shape}")
     xs, xps = np.divmod(np.arange(size * size), size)

@@ -11,43 +11,24 @@ structural zeros, and all out-of-signature coordinates are pinned to symbol
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .process import ProcessSpec, ensure_budget, step_table
 
 
-@dataclass(frozen=True, eq=False)
-class InterdependenceMatrix:
-    """Strictly upper-triangular matrix of TV influence bounds in [0, 1]."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"influence matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("influence matrix has non-finite entries")
-        if np.any(np.tril(arr) != 0.0):
-            raise ValueError("influence matrix must be strictly upper triangular")
-        if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0 + 1e-12):
-            raise ValueError("influence entries must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def influence_entries(h) -> np.ndarray:
-    """Entries of an InterdependenceMatrix, validating raw arrays on the way in."""
-    if isinstance(h, InterdependenceMatrix):
-        return h.entries
-    return InterdependenceMatrix(np.asarray(h, dtype=float)).entries
+    """``h`` as a float array, checked as an influence matrix: square, finite,
+    strictly upper triangular, entries in [0, 1]."""
+    arr = np.asarray(h, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"influence matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("influence matrix has non-finite entries")
+    if np.any(np.tril(arr) != 0.0):
+        raise ValueError("influence matrix must be strictly upper triangular")
+    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0 + 1e-12):
+        raise ValueError("influence entries must lie in [0, 1]")
+    return arr
 
 
 def tv_distance(mu, nu) -> float:
@@ -88,10 +69,8 @@ def influence_enumeration_cost(spec: ProcessSpec, prune: bool = True) -> int:
     return total
 
 
-def interdependence_matrix(
-    spec: ProcessSpec, *, budget: int | None = None
-) -> InterdependenceMatrix:
-    """Exact influence matrix from the per-step kernel tables.
+def interdependence_matrix(spec: ProcessSpec, *, budget: int | None = None) -> np.ndarray:
+    """Exact influence matrix from the per-step kernel tables, read-only.
 
     Entry (i, j) is the largest TV distance between rows of step j's table
     that differ only in coordinate i.  The matrix is built on first use and
@@ -112,8 +91,10 @@ def interdependence_matrix(
         for pos, coord in enumerate(coords):
             flat = np.moveaxis(table, pos, 0).reshape(size, -1, size)
             out[coord - 1, j - 1] = _max_pairwise_tv(flat)
-    infl = spec._derived["influence"] = InterdependenceMatrix(out)
-    return infl
+    influence_entries(out)
+    out.setflags(write=False)
+    spec._derived["influence"] = out
+    return out
 
 
 def column_sum_alpha(h) -> float:
@@ -122,19 +103,9 @@ def column_sum_alpha(h) -> float:
     return float(arr.sum(axis=0).max()) if arr.size else 0.0
 
 
-@dataclass(frozen=True)
-class DecayProfile:
-    """Distance-k influence maxima and their total."""
-
-    phi: tuple[float, ...]
-    total: float
-    sub_critical: bool
-
-
-def uniform_decay_profile(h) -> DecayProfile:
-    """phi_k = max_i H[i, i+k] for k = 1..N-1, with S = sum phi_k correctly rounded."""
+def uniform_decay_profile(h) -> np.ndarray:
+    """phi_k = max_i H[i, i+k] for k = 1..N-1, as a read-only array."""
     arr = influence_entries(h)
-    n = arr.shape[0]
-    phi = tuple(float(np.diagonal(arr, offset=k).max()) for k in range(1, n))
-    total = math.fsum(phi)
-    return DecayProfile(phi=phi, total=total, sub_critical=total < 1.0)
+    phi = np.array([float(np.diagonal(arr, offset=k).max()) for k in range(1, arr.shape[0])])
+    phi.setflags(write=False)
+    return phi

@@ -415,14 +415,18 @@ def build_markov(transition, init, horizon: int) -> ProcessSpec:
 
 
 def _per_node(values, n: int, ndim: int, what: str) -> list:
-    # A bare matrix/vector is shared across nodes; a sequence of length n is per-node.
-    try:
-        dense = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        dense = None
+    # A bare matrix/vector is shared across nodes; a sequence of length n is
+    # per-node, and so is any list or tuple holding a None (numpy reads NaN).
+    listed = isinstance(values, (list, tuple))
+    dense = None
+    if not (listed and any(v is None for v in values)):
+        try:
+            dense = np.array(values, dtype=float)
+        except (TypeError, ValueError):
+            pass
     if dense is not None and dense.ndim == ndim:
         return [dense] * n
-    if isinstance(values, (list, tuple)) and len(values) == n:
+    if listed and len(values) == n:
         return [None if v is None else np.array(v, dtype=float) for v in values]
     raise ValueError(f"{what} must be one array or a length-{n} sequence")
 

@@ -3,46 +3,22 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .influence import InterdependenceMatrix
 from .targets import as_sensitivity
 
 
-@dataclass(frozen=True, eq=False)
-class Resolvent:
-    """Upper-triangular, unit-diagonal, entry-wise nonnegative matrix."""
+def causal_resolvent(h) -> np.ndarray:
+    """(I - H)^{-1} by exact back-substitution, read-only.
 
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"resolvent must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("resolvent has non-finite entries")
-        if np.any(np.tril(arr, -1) != 0.0):
-            raise ValueError("resolvent must be upper triangular")
-        if np.abs(np.diagonal(arr) - 1.0).max(initial=0.0) > 1e-12:
-            raise ValueError("resolvent must have unit diagonal")
-        if float(arr.min(initial=0.0)) < 0.0:
-            raise ValueError("resolvent entries must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-
-def matrix_entries(m) -> np.ndarray:
-    """Raw float entries of a matrix, Resolvent, or InterdependenceMatrix."""
-    if isinstance(m, (Resolvent, InterdependenceMatrix)):
-        return m.entries
-    return np.asarray(m, dtype=float)
-
-
-def _strict_upper(h) -> np.ndarray:
-    arr = matrix_entries(h)
+    Finite and exact because H is strictly upper triangular, hence nilpotent;
+    equal to the Neumann sum of the first N powers of H.  Back-substitution
+    from the identity keeps the unit diagonal and, as H is nonnegative, every
+    entry nonnegative; only overflow can spoil the result.
+    """
+    arr = np.asarray(h, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"need a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -51,22 +27,16 @@ def _strict_upper(h) -> np.ndarray:
         raise ValueError("matrix must be strictly upper triangular")
     if arr.size and float(arr.min()) < 0.0:
         raise ValueError("influence entries must be nonnegative")
-    return arr
-
-
-def causal_resolvent(h) -> Resolvent:
-    """(I - H)^{-1} by exact back-substitution.
-
-    Finite and exact because H is strictly upper triangular, hence nilpotent;
-    equal to the Neumann sum of the first N powers of H.
-    """
-    arr = _strict_upper(h)
     n = arr.shape[0]
     gamma = np.eye(n)
     for i in range(n - 2, -1, -1):
         gamma[i, i + 1:] = arr[i, i + 1:] @ gamma[i + 1:, i + 1:]
+    # A NaN residual compares False in _check_inverse, so overflow is caught here.
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("resolvent has non-finite entries")
     _check_inverse(arr, gamma)
-    return Resolvent(gamma)
+    gamma.setflags(write=False)
+    return gamma
 
 
 def _check_inverse(h: np.ndarray, gamma: np.ndarray) -> None:
@@ -95,7 +65,7 @@ def spectral_norm(matrix) -> float:
     to its norm.  Multiplying by 1 + 4 * max(shape) * eps covers that error,
     so certified rows built on this norm never under-report.
     """
-    a = matrix_entries(matrix)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -107,7 +77,7 @@ def spectral_norm(matrix) -> float:
 
 def operator_norms(matrix) -> OperatorNorms:
     """Max column abs-sum, max row abs-sum, and spectral norm."""
-    a = matrix_entries(matrix)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"need a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -121,7 +91,7 @@ def operator_norms(matrix) -> OperatorNorms:
 
 def variance_proxy(gamma, c) -> float:
     """Squared l2 norm of Gamma @ c: the denominator of the sub-Gaussian exponent."""
-    g = matrix_entries(gamma)
+    g = np.asarray(gamma, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"need a square matrix, got shape {g.shape}")
     vec = as_sensitivity(c, g.shape[0])
@@ -137,10 +107,10 @@ def spectral_decay(gamma) -> float:
     return 1.0 / (s * s)
 
 
-def decay_lower_bound(profile) -> float | None:
-    """(1 - S)^2 when the decay profile's correctly rounded sum S is below 1;
-    None otherwise."""
-    phi = np.asarray(getattr(profile, "phi", profile), dtype=float)
+def decay_lower_bound(phi) -> float | None:
+    """(1 - S)^2 when the decay profile phi's correctly rounded sum S is
+    below 1; None otherwise."""
+    phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1:
         raise ValueError(f"profile must be a vector, got shape {phi.shape}")
     if phi.size and float(phi.min()) < 0.0:

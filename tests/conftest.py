@@ -111,7 +111,7 @@ def traced_peak(call):
 
 
 def neumann_resolvent(h: np.ndarray) -> np.ndarray:
-    """Resolvent of a strictly upper-triangular matrix as the finite power sum."""
+    """Causal resolvent of a strictly upper-triangular matrix as the finite power sum."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     total = np.eye(n)
@@ -173,7 +173,7 @@ def exact_oscillation(spec: ProcessSpec, f, k: int, prefix, budget=None) -> floa
 
 def discrepancy_bound(h, k: int) -> np.ndarray:
     """Row k of the causal resolvent: the vector dominating v for any pivot-k pair."""
-    return causal_resolvent(h).entries[k - 1]
+    return causal_resolvent(h)[k - 1]
 
 
 # ============================================================

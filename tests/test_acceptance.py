@@ -77,8 +77,8 @@ class TestAcceptance:
         gamma = causal_resolvent(h)
         proxy = variance_proxy(gamma, np.ones(10))
         ok = (
-            bool(np.all(h.entries == 0.0))
-            and float(np.max(np.abs(gamma.entries - np.eye(10)))) <= 1e-12
+            bool(np.all(h == 0.0))
+            and float(np.max(np.abs(gamma - np.eye(10)))) <= 1e-12
             and abs(proxy - 10.0) <= 1e-12
         )
         _record(capsys, 1, "independent-recovery", ok, f"proxy {proxy:.12g}")
@@ -89,7 +89,7 @@ class TestAcceptance:
 
     def test_02_markov_structure(self, capsys):
         spec = build_markov([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 8)
-        entries = interdependence_matrix(spec).entries
+        entries = interdependence_matrix(spec)
         superdiag = np.diagonal(entries, offset=1)
         off = entries.copy()
         off[np.arange(7), np.arange(1, 8)] = 0.0
@@ -121,7 +121,7 @@ class TestAcceptance:
             degree = max(parent[1:].count(p) for p in set(parent[1:])) if n > 1 else 0
             alpha = float(rng.uniform(0.05, 0.95 / max(degree, 1)))
             spec = build_causal_tree(parent, _symmetric_edge(alpha), [0.5, 0.5])
-            entries = interdependence_matrix(spec).entries
+            entries = interdependence_matrix(spec)
             for j in range(2, n + 1):
                 if abs(entries[parent[j - 1] - 1, j - 1] - alpha) > 1e-12:
                     ok = False
@@ -151,7 +151,7 @@ class TestAcceptance:
         checks, violations = 0, 0
         for spec, f in self._random_specs():
             c = lipschitz_vector_oracle(f, spec.alphabet, spec.horizon)
-            bound_vec = causal_resolvent(interdependence_matrix(spec)).entries @ c
+            bound_vec = causal_resolvent(interdependence_matrix(spec)) @ c
             for k in range(1, spec.horizon + 1):
                 for prefix in all_trajectories(k - 1, spec.alphabet.size):
                     checks += 1
@@ -303,7 +303,7 @@ class TestAcceptance:
             worst_gap = min(worst_gap, kappa - (1.0 - s) ** 2)
             if kappa < (1.0 - s) ** 2 - 1e-9:
                 ok = False
-            for matrix in (h, causal_resolvent(h).entries):
+            for matrix in (h, causal_resolvent(h)):
                 norms = operator_norms(matrix)
                 if norms.l2 > math.sqrt(norms.l1 * norms.linf) + 1e-9:
                     ok = False

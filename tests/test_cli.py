@@ -310,7 +310,7 @@ class TestSubcommands:
         for name in SHIPPED_CONFIGS:
             config = load_config(CONFIG_DIR / name)
             infl = interdependence_matrix(config.build(), budget=config.run.budget)
-            cases += [infl.entries, causal_resolvent(infl).entries]
+            cases += [infl, causal_resolvent(infl)]
         for entries in cases:
             write_matrix_csv(tmp_path / "fast.csv", entries)
             reference(tmp_path / "reference.csv", entries)
@@ -370,6 +370,19 @@ class TestSubcommands:
         tails = read_rows(tmp_path / "tails.csv")
         assert tails[0] == list(TAIL_HEADER)
         assert "tightness exact:" in out
+
+    def test_verify_tightness_reads_only_bounds_below_one(self, tmp_path, capsys):
+        # At the first positive threshold every bound is clipped at 1, so a
+        # minimum taken there prints one value for every row.
+        assert cli.main(["verify", "--config", MARKOV, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tightness = dict(
+            line.removeprefix("tightness ").split(": ")
+            for line in lines
+            if line.startswith("tightness ")
+        )
+        assert float(tightness["exact"]) < float(tightness["spectral"])
+        assert tightness["samson"] == "-"  # never below 1 on the default grid
 
     def test_sweep(self, tmp_path, capsys):
         config = write_yaml(
@@ -450,7 +463,7 @@ class TestSubcommands:
             for j in range(1, n + 1):
                 assert step_table(spec, j).tobytes() == step_table(alone, j).tobytes()
             h, h_alone = interdependence_matrix(spec), interdependence_matrix(alone)
-            assert h.entries.tobytes() == h_alone.entries.tobytes()
+            assert h.tobytes() == h_alone.tobytes()
 
     def test_window_sweep_tabulates_each_step_once(self, tmp_path, monkeypatch):
         # The sweep's kernel calls are those of its largest build; the

@@ -367,6 +367,20 @@ class TestKernelShapes:
             assert err.value.path == f"scenario.tree.{path}"
             block["edge_transition"][0] = None
 
+    @pytest.mark.parametrize(
+        "parent, index, got",
+        [([0, 3, 1], 1, 3), ([1, 1, 1], 0, 1), ([0, 1, 3], 2, 3), ([0, -1, 1], 1, -1)],
+    )
+    def test_a_parent_after_its_child_is_named(self, parent, index, got):
+        doc = family_doc("tree")
+        doc["scenario"]["tree"]["parent"] = parent
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (
+            "scenario.tree.parent",
+            f"entry [{index}]: must be 0 (root) or an earlier node (at most {index}), got {got}",
+        )
+
     def test_a_missing_root_entry_is_named(self):
         doc = _per_node_tree()
         block = doc["scenario"]["tree"]

@@ -372,7 +372,7 @@ class TestDiscrepancy:
         assert np.allclose(v, [1.0, 0.2, 0.2, 0.2, 0.2], atol=EXACT_TOL)
         h = interdependence_matrix(star_tree)
         gamma = causal_resolvent(h)
-        assert np.allclose(gamma.entries, np.eye(5) + h.entries, atol=EXACT_TOL)
+        assert np.allclose(gamma, np.eye(5) + h, atol=EXACT_TOL)
 
     def test_simulation_matches_exact(self, markov3):
         v = exact_pair_discrepancy(markov3, k=1, prefix=(), x=0, xp=1)
@@ -511,7 +511,7 @@ class TestVerifiers:
             spec = random_sparse_spec(rng, n, size)
             f = random_table_target(rng, n, size)
             c = lipschitz_vector_oracle(f, size, n)
-            gamma = 0.3 * resolvent_of(spec).entries
+            gamma = 0.3 * resolvent_of(spec)
             report = verify_oscillation_bound(spec, prefix_expectation_table(spec, f), gamma, c)
             bound = gamma @ c
             expected = []

@@ -92,6 +92,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             build_causal_tree([1, 1], edge, root)  # node 1 cannot be its own parent
 
+    def test_a_per_node_list_of_nulls_is_per_node(self):
+        # numpy would read [None, None, None] as one NaN vector shared by every node.
+        for nulls in ([None, None, None], (None, None, None)):
+            with pytest.raises(ValueError, match="node 1 is a root but has no root marginal"):
+                build_causal_tree([0, 1, 1], np.eye(2), nulls)
+
     def test_tree_meta(self, star_tree):
         assert star_tree.meta["out_degree"] == 4
         assert tuple(star_tree.meta["parent"]) == (0, 1, 1, 1, 1)
@@ -161,7 +167,7 @@ class TestForest:
         for step in range(1, left.horizon + 1):
             assert np.array_equal(step_table(left, step), step_table(right, step))
         assert np.array_equal(
-            interdependence_matrix(left).entries, interdependence_matrix(right).entries
+            interdependence_matrix(left), interdependence_matrix(right)
         )
 
     def test_markov_is_the_path_tree(self):

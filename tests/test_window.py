@@ -65,15 +65,15 @@ class TestCalibration:
         h = interdependence_matrix(spec)
         beta = spec.meta["beta"]
         for d in range(1, 6):
-            diag = np.diagonal(h.entries, offset=d)[d:]  # skip partial-window columns
+            diag = np.diagonal(h, offset=d)[d:]  # skip partial-window columns
             expected = beta * WINDOW_INFLUENCE_DECAY ** (d - 1)
             assert np.max(np.abs(diag - expected)) < EXACT_TOL
-        assert np.all(np.triu(h.entries, k=6) == 0.0)
+        assert np.all(np.triu(h, k=6) == 0.0)
 
     def test_zero_target(self):
         spec = build_calibrated_window(6, 2, 3, 0.0)
         h = interdependence_matrix(spec)
-        assert np.all(h.entries == 0.0)
+        assert np.all(h == 0.0)
 
     def test_rejects_bad_targets(self):
         with pytest.raises(CalibrationError):
