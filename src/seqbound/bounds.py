@@ -83,26 +83,46 @@ def _not_contracting(name: str, a: float, certified: bool = True) -> TailBound:
     )
 
 
+def _overflowed(name: str, quantity: str, details=None) -> TailBound:
+    """The inapplicable row of a bound whose proxy is not a finite double."""
+    return TailBound(
+        name=name,
+        proxy=None,
+        applicable=False,
+        reason=f"{quantity} overflows double precision",
+        details=details or {},
+    )
+
+
 def _free_sensitivity(c) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(c, dtype=float))
     return as_sensitivity(arr, arr.shape[0])
 
 
 def exact_tail(gamma, c) -> TailBound:
-    """The matrix-exact bound for a resolvent Gamma: proxy ||Gamma c||_2^2."""
-    return TailBound(name="exact", proxy=variance_proxy(gamma, c))
+    """The matrix-exact bound for a resolvent Gamma: proxy ||Gamma c||_2^2,
+    inapplicable where that overflows (Gamma grows geometrically when alpha > 1)."""
+    with np.errstate(over="ignore"):
+        proxy = variance_proxy(gamma, c)
+    if not math.isfinite(proxy):
+        return _overflowed("exact", "proxy ||Gamma c||_2^2")
+    return TailBound(name="exact", proxy=proxy)
 
 
 def spectral_tail(gamma, c) -> TailBound:
     """Relaxation through the decay coefficient: proxy ||c||_2^2 / kappa,
-    with kappa = 1 / ||Gamma||_2^2 for a resolvent Gamma."""
+    with kappa = 1 / ||Gamma||_2^2 for a resolvent Gamma; inapplicable where
+    ||Gamma||_2^2 or the proxy overflows."""
     vec = as_sensitivity(c, np.shape(gamma)[0])
-    kappa = spectral_decay(gamma)
-    return TailBound(
-        name="spectral",
-        proxy=float(vec @ vec) / kappa,
-        details={"decay_coefficient": kappa},
-    )
+    with np.errstate(over="ignore"):
+        kappa = spectral_decay(gamma)
+        proxy = float(vec @ vec) / kappa if kappa > 0.0 else math.inf
+    details = {"decay_coefficient": kappa}
+    if kappa == 0.0:
+        return _overflowed("spectral", "||Gamma||_2^2", details)
+    if not math.isfinite(proxy):
+        return _overflowed("spectral", "proxy ||c||_2^2 / kappa", details)
+    return TailBound(name="spectral", proxy=proxy, details=details)
 
 
 def uniform_decay_tail(phi, c) -> TailBound:
@@ -127,17 +147,20 @@ def uniform_decay_tail(phi, c) -> TailBound:
 
 def scalar_collapse_tail(gamma, c) -> TailBound:
     """Certified but deliberately loose: both Gamma and c collapse to scalar norms,
-    giving proxy N * ||Gamma||_inf^2 * ||c||_inf^2."""
+    giving proxy N * ||Gamma||_inf^2 * ||c||_inf^2, inapplicable where that
+    overflows."""
     g = np.asarray(gamma, dtype=float)
     n = g.shape[0]
     vec = as_sensitivity(c, n)
-    ginf = float(np.abs(g).sum(axis=1).max()) if g.size else 0.0
+    with np.errstate(over="ignore"):
+        ginf = float(np.abs(g).sum(axis=1).max()) if g.size else 0.0
     cinf = float(vec.max()) if vec.size else 0.0
-    return TailBound(
-        name="scalar_collapse",
-        proxy=n * ginf ** 2 * cinf ** 2,
-        details={"gamma_inf_norm": ginf, "c_inf": cinf},
-    )
+    details = {"gamma_inf_norm": ginf, "c_inf": cinf}
+    # Products, not powers: a float power raises OverflowError.
+    proxy = n * (ginf * ginf) * (cinf * cinf)
+    if not math.isfinite(proxy):
+        return _overflowed("scalar_collapse", "proxy N * ||Gamma||_inf^2 * ||c||_inf^2", details)
+    return TailBound(name="scalar_collapse", proxy=proxy, details=details)
 
 
 def markov_tail(alpha, c) -> TailBound:
@@ -315,7 +338,8 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
     The sensitivity comes from ``c`` or, failing that, from the target's
     declared vector.  The exact row must be minimal among certified
     applicable rows; that ordering holds mathematically, so a violation
-    raises instead of being reported as data.
+    raises instead of being reported as data.  An exact row whose proxy
+    overflows is inapplicable and is not compared.
     """
     if c is None:
         declared = getattr(f, "sensitivity", None)
@@ -342,7 +366,7 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         rows.append(tree_tail(a, d, vec))
     if vec.shape[0] >= 1 and np.all(vec[:-1] == 0.0):
         rows.append(sparse_terminal_tail(alpha_cols, float(vec[-1])))
-    for row in rows:
+    for row in rows if exact.applicable else ():
         if row.applicable and row.certified and exact.proxy > row.proxy + ORDERING_TOLERANCE:
             raise RuntimeError(
                 f"exact proxy {exact.proxy} exceeds certified relaxation {row.name} = {row.proxy}"

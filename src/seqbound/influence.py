@@ -104,8 +104,13 @@ def column_sum_alpha(h) -> float:
 
 
 def uniform_decay_profile(h) -> np.ndarray:
-    """phi_k = max_i H[i, i+k] for k = 1..N-1, as a read-only array."""
+    """phi_k = max_i H[i, i+k] for k = 1..N-1, as a read-only array.
+
+    Read off H's nonzeros by their lag j - i in O(nnz) after one pass to find
+    them; a lag with no nonzero reads 0."""
     arr = influence_entries(h)
-    phi = np.array([float(np.diagonal(arr, offset=k).max()) for k in range(1, arr.shape[0])])
+    rows, cols = np.divmod(np.flatnonzero(arr != 0.0), arr.shape[1])
+    phi = np.zeros(max(arr.shape[0] - 1, 0))
+    np.maximum.at(phi, cols - rows - 1, arr[rows, cols])
     phi.setflags(write=False)
     return phi

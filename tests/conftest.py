@@ -16,8 +16,10 @@ The oracles, which no library code calls:
 - ``exact_oscillation`` reads the swing of one prefix's children off f's
   full ``prefix_expectation_table``, one table per call;
 - ``neumann_resolvent`` is the finite power sum, an independent algorithm
-  for the production back-substitution solver, and ``discrepancy_bound``
-  is row k of the production resolvent.
+  for the production back-substitution solver; ``row_by_row_resolvent`` is
+  that solver before it read H through its nonzeros, multiplying by whole
+  rows in O(N^3); and ``discrepancy_bound`` is row k of the production
+  resolvent.
 """
 
 import copy
@@ -120,6 +122,16 @@ def neumann_resolvent(h: np.ndarray) -> np.ndarray:
         power = power @ h
         total += power
     return total
+
+
+def row_by_row_resolvent(h: np.ndarray) -> np.ndarray:
+    """Causal resolvent by back-substitution over whole rows of H, zeros included."""
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
+    gamma = np.eye(n)
+    for i in range(n - 2, -1, -1):
+        gamma[i, i + 1:] = h[i, i + 1:] @ gamma[i + 1:, i + 1:]
+    return gamma
 
 
 def all_trajectories(horizon: int, size: int):

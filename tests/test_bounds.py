@@ -1,5 +1,7 @@
 """Bound catalog: closed forms, applicability flags, and catalog ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from seqbound import (
     TailBound,
     build_markov,
+    build_sliding_window,
     compare_bounds,
     exact_tail,
     interdependence_matrix,
@@ -123,6 +126,17 @@ class TestClosedForms:
         spectral = spectral_tail(gamma, c)
         assert abs(spectral.proxy - 3.0071832685) < 1e-9
         assert spectral.proxy >= exact_tail(gamma, c).proxy
+
+    def test_overflowing_matrix_rows_are_inapplicable(self):
+        huge = np.array([[1.0, 1e200], [0.0, 1.0]])
+        for tail in (exact_tail, spectral_tail, scalar_collapse_tail):
+            row = tail(huge, np.ones(2))
+            assert not row.applicable and row.proxy is None
+            assert row.reason.endswith("overflows double precision")
+        # kappa = 1e-300 is positive, but ||c||_2^2 / kappa is not finite.
+        row = spectral_tail(np.array([[1.0, 1e150], [0.0, 1.0]]), np.full(2, 1e10))
+        assert row.reason == "proxy ||c||_2^2 / kappa overflows double precision"
+        assert 0.0 < row.details["decay_coefficient"] < 1e-299
 
     def test_uniform_decay_inapplicable_at_critical(self):
         h = np.zeros((2, 2))
@@ -250,6 +264,28 @@ class TestCompareBounds:
         inapplicable = len(report.bounds) - applicable
         assert len(rows) == 2 * applicable + inapplicable
         assert report.table([0.0, 1.0])  # renders without error
+
+    def test_overflowing_proxies_are_inapplicable_rows(self):
+        # Each step puts 0.95 on the parity of its width-2 window (alpha =
+        # 1.8), so Gamma grows about 1.5-fold per step: ||Gamma c||^2 reads
+        # 7.49e211 at N = 600 and overflows by N = 900, as do ||Gamma||_2^2
+        # and the scalar collapse.  Such rows are inapplicable, the ordering
+        # check skips them, and no overflow warning escapes.
+        def parity(step, window):
+            return [0.95, 0.05] if sum(window) % 2 == 0 else [0.05, 0.95]
+
+        report = compare_bounds(build_sliding_window(2, parity, 600, 2), c=np.ones(600))
+        assert 7.49e211 < report["exact"].proxy < 7.5e211
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_bounds(build_sliding_window(2, parity, 900, 2), c=np.ones(900))
+        assert report.applicable() == ()
+        assert {b.name: b.reason for b in report.bounds} == {
+            "exact": "proxy ||Gamma c||_2^2 overflows double precision",
+            "spectral": "||Gamma||_2^2 overflows double precision",
+            "scalar_collapse": "proxy N * ||Gamma||_inf^2 * ||c||_inf^2 overflows double precision",
+            "uniform_decay": "decay profile sums to 1.8, not below 1",
+        }
 
     def test_getitem_unknown(self, markov3):
         report = compare_bounds(markov3, f=sum_symbols(3, 2))

@@ -225,6 +225,20 @@ class TestSummaries:
         assert np.allclose(profile, [0.3, 0.1])
         assert abs(math.fsum(profile) - 0.4) < EXACT_TOL
 
+    def test_profile_is_the_largest_entry_on_each_diagonal(self):
+        # Sparse enough that some lags hold no nonzero and read 0; n = 0 and
+        # n = 1 give an empty profile.
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            n = int(rng.integers(0, 15))
+            h = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), k=1)
+            h *= rng.random((n, n)) < rng.uniform(0.0, 0.4)
+            expected = [float(np.diagonal(h, offset=k).max()) for k in range(1, n)]
+            assert uniform_decay_profile(h).tolist() == expected
+        h = np.zeros((5, 5))
+        h[1, 3] = 0.4
+        assert uniform_decay_profile(h).tolist() == [0.0, 0.4, 0.0, 0.0]
+
     def test_supercritical_profile(self):
         h = np.zeros((2, 2))
         h[0, 1] = 1.0

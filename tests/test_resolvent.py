@@ -21,7 +21,14 @@ from seqbound import (
     variance_proxy,
 )
 from seqbound.resolvent import _check_inverse
-from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, neumann_resolvent
+from conftest import (
+    CANONICAL_INIT,
+    CANONICAL_TRANSITION,
+    neumann_resolvent,
+    random_positive_spec,
+    random_sparse_spec,
+    row_by_row_resolvent,
+)
 
 EXACT_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -50,6 +57,55 @@ class TestCausalResolvent:
             gamma = causal_resolvent(h)
             assert np.max(np.abs(gamma - neumann_resolvent(h))) < 1e-9
 
+    def test_bit_identical_to_row_by_row_on_dense_randoms(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            h = random_strictly_upper(rng, n, scale=2.0)
+            assert np.array_equal(causal_resolvent(h), row_by_row_resolvent(h))
+
+    def test_sparse_randoms_match_row_by_row(self):
+        # A row with one nonzero is one product either way, so Gamma is
+        # bit-identical.  With more, skipping the zeros regroups the products
+        # BLAS sums in fused blocks of columns, so an entry may differ in its
+        # last bits (6 ulp at most here); every term is nonnegative, so the
+        # difference stays relative, within n * eps.
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            h = random_strictly_upper(rng, n, scale=2.0)
+            h *= rng.random((n, n)) < rng.uniform(0.05, 0.7)
+            np.testing.assert_allclose(
+                causal_resolvent(h), row_by_row_resolvent(h), rtol=n * np.finfo(float).eps, atol=0.0
+            )
+            single = np.zeros((n, n))
+            for i in range(n - 1):
+                if rng.random() < 0.8:
+                    single[i, rng.integers(i + 1, n)] = rng.uniform(0.0, 2.0)
+            assert np.array_equal(causal_resolvent(single), row_by_row_resolvent(single))
+
+    def test_bit_identical_on_spec_influence_matrices(self):
+        rng = np.random.default_rng(71)
+        for make in (random_sparse_spec, random_positive_spec):
+            for _ in range(8):
+                spec = make(rng, int(rng.integers(2, 8)), int(rng.integers(2, 4)))
+                h = interdependence_matrix(spec)
+                assert np.array_equal(causal_resolvent(h), row_by_row_resolvent(h))
+
+    def test_markov_2000_is_geometric_and_bit_identical(self):
+        h = interdependence_matrix(build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 2000))
+        gamma = causal_resolvent(h)
+        assert np.array_equal(gamma, row_by_row_resolvent(h))
+        # Gamma[i, j] is delta times Gamma[i+1, j]: j - i products by delta,
+        # each rounded once, absolutely where it falls below 2^-1022.
+        delta = h[0, 1]
+        i, j = np.triu_indices(2000)
+        lag = j - i
+        expected = delta ** lag.astype(float)
+        info = np.finfo(float)
+        tol = (lag + 1) * (info.eps * expected + info.smallest_subnormal)
+        assert np.all(np.abs(gamma[i, j] - expected) <= tol)
+
     def test_inverse_identity(self):
         rng = np.random.default_rng(37)
         h = random_strictly_upper(rng, 8)
@@ -73,11 +129,16 @@ class TestCausalResolvent:
         assert np.all(np.isfinite(report.resolvent))
         assert np.isfinite(report["exact"].proxy) and report["exact"].proxy > 1e19
 
-    def test_residual_check_rejects_a_perturbed_entry(self):
+    @pytest.mark.parametrize(
+        "entry", [(10, 10), (30, 5), (0, 25)], ids=["diagonal", "below", "above"]
+    )
+    def test_residual_check_rejects_a_perturbed_entry(self, entry):
+        # The bound reads 2.6e-4 here (Gamma reaches 3e9); the shift, 1e-6 of
+        # Gamma[0, 25] = 5.8e4, is 220 times that.
         h = interdependence_matrix(build_sliding_window(2, parity_window_kernel, 50, 2))
         gamma = causal_resolvent(h).copy()
         _check_inverse(h, gamma)
-        gamma[0, 25] *= 1.0 + 1e-6
+        gamma[entry] += 1e-6 * gamma[0, 25]
         with pytest.raises(RuntimeError, match="resolvent residual"):
             _check_inverse(h, gamma)
 
@@ -132,6 +193,35 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("layout", ["column", "row"])
+    def test_one_nonzero_per_column_or_row_against_svd(self, layout):
+        # Signed entries over six decades, rectangular shapes, and empty
+        # columns, which leave some rows zero.  The closed form must agree
+        # with the SVD and never fall below the largest row (or column)
+        # norm taken in extended precision.
+        rng = np.random.default_rng(73)
+        for _ in range(40):
+            rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
+            m = np.zeros((rows, cols))
+            for j in range(cols):
+                if rng.random() < 0.7:
+                    m[rng.integers(rows), j] = rng.normal() * 10.0 ** rng.integers(-3, 4)
+            axis = 1
+            if layout == "row":
+                m, axis = m.T, 0
+            reference = float(np.linalg.svd(m, compute_uv=False)[0])
+            value = spectral_norm(m)
+            assert abs(value - reference) <= NORM_TOL * reference
+            exact = np.sqrt((m.astype(np.longdouble) ** 2).sum(axis=axis)).max()
+            assert value >= exact
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_closed_form_neither_underflows_nor_overflows(self, scale):
+        # The squares of these entries leave the double range.
+        for m in ([[3.0, 4.0]], [[3.0], [4.0]], [[3.0, 0.0], [0.0, -5.0]]):
+            expected = 5.0 * scale
+            assert abs(spectral_norm(np.array(m) * scale) - expected) <= NORM_TOL * expected
 
     def test_certified_never_below_true_norm(self):
         # ||Gamma v||_2 / ||v||_2 bounds ||Gamma||_2 from below for every v;
