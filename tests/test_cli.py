@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, CSV outputs, and exit codes."""
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -133,6 +134,54 @@ def test_shipped_config_runs(tmp_path, name, command):
         assert cli.main(argv) == 0
         outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# SHA-256 of every CSV that matrix, bounds and sweep write on the shipped
+# configs, and on markov.yaml stretched to N = 500 (a Toeplitz resolvent of
+# 125,250 entries); sweep writes only where a config has a sweep section.
+# Recorded before the matrix writer and the influence enumeration were
+# vectorized, so any change to an output byte fails here.
+GOLDEN_CSV_SHA256 = {
+    ("independent.yaml", "matrix", "influence.csv"): "62a970c811f2ba14833ac61b444cf8fad0c108ed79957d511485d8e14a13312b",
+    ("independent.yaml", "matrix", "resolvent.csv"): "fc3663db68255d5a3c19335832a77e8b8b054a966453eab03306f22e7825616e",
+    ("independent.yaml", "bounds", "bounds.csv"): "b2f87114df56402b5169ebcf3f35c760c3d0b9e5759d0e7bf8ebfecfb7832348",
+    ("markov.yaml", "matrix", "influence.csv"): "c173caa4d1a99ca315ed2cd9f69c2ef76efce7c54e458471caf477a00eb8f4c0",
+    ("markov.yaml", "matrix", "resolvent.csv"): "30b4796960d20a06bea925e0f018a84e8f33fe6633419ae11a0e6c20cebe738b",
+    ("markov.yaml", "bounds", "bounds.csv"): "095b36488e5617fc30816e1d0a3aedd68c9bf8f9c0c6b085a6139bc5a8b4a54d",
+    ("markov-500", "matrix", "influence.csv"): "6a1205b7bb54677459e3436616e924b3e53c75ff01a78fd12ddaf1267048e7f4",
+    ("markov-500", "matrix", "resolvent.csv"): "2ccee94a9bf63a1f9b1d9acdc6206be81c92a8950f141124ae4650692432ed21",
+    ("markov-500", "bounds", "bounds.csv"): "eff424915e5e7805d316b1b571a522ce6df4defa4d6a0ce2e4c8838b7c05a095",
+    ("markov-500", "sweep", "sweep.csv"): "52652df911270a8662256d2bc19f3005e93a93d514e82a2dd0f861c9b1fced45",
+    ("tree.yaml", "matrix", "influence.csv"): "83d6a75bd3c9af8f9ae398dcb6cde7056f2b2db03c1342dfaf6235311f005c9f",
+    ("tree.yaml", "matrix", "resolvent.csv"): "d08047803a0f5f050ae659374d4d3ee774b8f5686c2e1ab9dc3840eb4c47d99c",
+    ("tree.yaml", "bounds", "bounds.csv"): "76e89b9077e8fb4ae27c878a5fb10cb6a1c605c008f313574cf4542574c19aaf",
+    ("window.yaml", "matrix", "influence.csv"): "2c7dbbf81430cbd3352c831da963fb067e3d5d58c9ff887daadf29cd1528c2a5",
+    ("window.yaml", "matrix", "resolvent.csv"): "28707ca13b346f5e867915cfd0f155ce31195be8e7815dea2801304d05558bdd",
+    ("window.yaml", "bounds", "bounds.csv"): "ded6a3ccee8b4ccac9f54ebb928162ae5612c5884bae01774da6f945a8b16e9c",
+    ("window.yaml", "sweep", "sweep.csv"): "59a950e8723028fc48ee27f301d3802cb87ce6beb56147a7ef5a61bdd47956b0",
+    ("window_small.yaml", "matrix", "influence.csv"): "61515a63adef30dd628ef8fe578fe671b4c4fc9140fb9d39590ad2636545bba3",
+    ("window_small.yaml", "matrix", "resolvent.csv"): "0d69900bf64246f745c580a17b91d4d7ed0434de498c745308149ee470f90599",
+    ("window_small.yaml", "bounds", "bounds.csv"): "a677e6c4ccf1a7b33f6d2be0ce52b614f6df1242e743f675bf1521ab2655a123",
+}
+
+
+def test_csv_outputs_match_golden_hashes(tmp_path, capsys):
+    markov = yaml.safe_load(Path(MARKOV).read_text())
+    markov["scenario"]["horizon"] = 500
+    markov["sweep"] = {"horizons": [10, 100, 500]}
+    configs = {name: str(CONFIG_DIR / name) for name in SHIPPED_CONFIGS}
+    configs["markov-500"] = write_yaml(tmp_path / "markov-500.yaml", markov)
+    hashes = {}
+    for name, path in configs.items():
+        for command in ("matrix", "bounds", "sweep"):
+            out = tmp_path / name / command
+            code = cli.main([command, "--config", path, "--out", str(out)])
+            assert code == (2 if command == "sweep" and load_config(path).sweep is None else 0)
+            for csv_path in sorted(out.glob("*.csv")):
+                digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+                hashes[name, command, csv_path.name] = digest
+    capsys.readouterr()
+    assert hashes == GOLDEN_CSV_SHA256
 
 
 
