@@ -40,7 +40,12 @@ from .coupling import (
     verify_discrepancy_recursion,
     verify_oscillation_bound,
 )
-from .errors import CalibrationError, ConfigError, EnumerationBudgetError
+from .errors import (
+    CalibrationError,
+    ConfigError,
+    EnumerationBudgetError,
+    ResolventOverflowError,
+)
 from .influence import (
     column_sum_alpha,
     dobrushin_coefficient,
@@ -106,6 +111,7 @@ __all__ = [
     "DEFAULT_SEED",
     "EnumerationBudgetError",
     "ProcessSpec",
+    "ResolventOverflowError",
     "TailBound",
     "TailEstimate",
     "TargetFunction",

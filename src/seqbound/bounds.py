@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ResolventOverflowError
 from .influence import (
     column_sum_alpha,
     dobrushin_coefficient,
@@ -83,15 +84,26 @@ def _not_contracting(name: str, a: float, certified: bool = True) -> TailBound:
     )
 
 
-def _overflowed(name: str, quantity: str, details=None) -> TailBound:
+def _overflowed(name: str, quantity: str, details=None, certified: bool = True) -> TailBound:
     """The inapplicable row of a bound whose proxy is not a finite double."""
     return TailBound(
         name=name,
         proxy=None,
         applicable=False,
+        certified=certified,
         reason=f"{quantity} overflows double precision",
         details=details or {},
     )
+
+
+def _checked_proxy(
+    name: str, proxy: float, quantity: str, details=None, certified: bool = True, reason: str = ""
+) -> TailBound:
+    """The applicable row with ``proxy``, or, where ``proxy`` is not a finite
+    double, the inapplicable row saying ``quantity`` overflows."""
+    if not math.isfinite(proxy):
+        return _overflowed(name, quantity, details, certified)
+    return TailBound(name, proxy, certified=certified, reason=reason, details=details or {})
 
 
 def _free_sensitivity(c) -> np.ndarray:
@@ -99,14 +111,18 @@ def _free_sensitivity(c) -> np.ndarray:
     return as_sensitivity(arr, arr.shape[0])
 
 
+def _squared_norm(vec: np.ndarray) -> float:
+    """||vec||_2^2, inf where it overflows, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        return float(vec @ vec)
+
+
 def exact_tail(gamma, c) -> TailBound:
     """The matrix-exact bound for a resolvent Gamma: proxy ||Gamma c||_2^2,
     inapplicable where that overflows (Gamma grows geometrically when alpha > 1)."""
     with np.errstate(over="ignore"):
         proxy = variance_proxy(gamma, c)
-    if not math.isfinite(proxy):
-        return _overflowed("exact", "proxy ||Gamma c||_2^2")
-    return TailBound(name="exact", proxy=proxy)
+    return _checked_proxy("exact", proxy, "proxy ||Gamma c||_2^2")
 
 
 def spectral_tail(gamma, c) -> TailBound:
@@ -120,13 +136,12 @@ def spectral_tail(gamma, c) -> TailBound:
     details = {"decay_coefficient": kappa}
     if kappa == 0.0:
         return _overflowed("spectral", "||Gamma||_2^2", details)
-    if not math.isfinite(proxy):
-        return _overflowed("spectral", "proxy ||c||_2^2 / kappa", details)
-    return TailBound(name="spectral", proxy=proxy, details=details)
+    return _checked_proxy("spectral", proxy, "proxy ||c||_2^2 / kappa", details)
 
 
 def uniform_decay_tail(phi, c) -> TailBound:
-    """Proxy ||c||_2^2 / (1 - S)^2 from a distance-decay profile phi with sum S."""
+    """Proxy ||c||_2^2 / (1 - S)^2 from a distance-decay profile phi with sum S,
+    inapplicable where S >= 1 or the proxy overflows."""
     lower = decay_lower_bound(phi)
     total = math.fsum(phi)
     vec = _free_sensitivity(c)
@@ -138,9 +153,10 @@ def uniform_decay_tail(phi, c) -> TailBound:
             reason=f"decay profile sums to {total:g}, not below 1",
             details={"profile_sum": total},
         )
-    return TailBound(
-        name="uniform_decay",
-        proxy=float(vec @ vec) / lower,
+    return _checked_proxy(
+        "uniform_decay",
+        _squared_norm(vec) / lower,
+        "proxy ||c||_2^2 / (1 - S)^2",
         details={"profile_sum": total, "decay_lower_bound": lower},
     )
 
@@ -158,27 +174,28 @@ def scalar_collapse_tail(gamma, c) -> TailBound:
     details = {"gamma_inf_norm": ginf, "c_inf": cinf}
     # Products, not powers: a float power raises OverflowError.
     proxy = n * (ginf * ginf) * (cinf * cinf)
-    if not math.isfinite(proxy):
-        return _overflowed("scalar_collapse", "proxy N * ||Gamma||_inf^2 * ||c||_inf^2", details)
-    return TailBound(name="scalar_collapse", proxy=proxy, details=details)
+    return _checked_proxy("scalar_collapse", proxy, "proxy N * ||Gamma||_inf^2 * ||c||_inf^2", details)
 
 
 def markov_tail(alpha, c) -> TailBound:
-    """Contracting-chain bound: proxy ||c||_2^2 / (1 - alpha)^2."""
+    """Contracting-chain bound: proxy ||c||_2^2 / (1 - alpha)^2, inapplicable
+    where that overflows."""
     a = _checked_alpha(alpha, "markov_tail")
     vec = _free_sensitivity(c)
     if a >= 1.0:
         return _not_contracting("markov", a)
-    return TailBound(
-        name="markov",
-        proxy=float(vec @ vec) / (1.0 - a) ** 2,
+    return _checked_proxy(
+        "markov",
+        _squared_norm(vec) / (1.0 - a) ** 2,
+        "proxy ||c||_2^2 / (1 - alpha)^2",
         details={"alpha": a},
     )
 
 
 def tree_tail(alpha, out_degree, c) -> TailBound:
     """Sub-critical tree bound for unit sensitivities: proxy N / (1 - alpha*D)^2
-    with N = len(c); any other c gets an inapplicable row."""
+    with N = len(c); any other c gets an inapplicable row.  The proxy cannot
+    overflow: 1 - alpha*D is at least 2^-53, so it is at most N * 2^106."""
     d = int(out_degree)
     if d != out_degree or d < 1:
         raise ValueError(f"out-degree must be a positive integer, got {out_degree}")
@@ -198,7 +215,8 @@ def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
     """Dimension-free bound for a target reading only the last symbol.
 
     Valid when the influence column sums stay below alpha < 1; the proxy
-    c_N^2 / (1 - alpha)^2 does not grow with the horizon.
+    c_N^2 / (1 - alpha)^2 does not grow with the horizon, and the row is
+    inapplicable where it overflows.
     """
     a = _checked_alpha(alpha, "sparse_terminal_tail")
     c_n = float(c_terminal)
@@ -212,9 +230,11 @@ def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
             reason=f"column-sum coefficient {a:g} is not below 1",
             details={"alpha": a},
         )
-    return TailBound(
-        name="sparse_terminal",
-        proxy=c_n ** 2 / (1.0 - a) ** 2,
+    # A product, not a power: a float power raises OverflowError.
+    return _checked_proxy(
+        "sparse_terminal",
+        c_n * c_n / (1.0 - a) ** 2,
+        "proxy c_N^2 / (1 - alpha)^2",
         details={"alpha": a},
     )
 
@@ -227,7 +247,8 @@ def kontorovich_baseline(alpha, c) -> TailBound:
     without building the matrix.  The proxy
     N * ((1-alpha)/(1-2*alpha))^2 * ||c||_inf^2 diverges for alpha >= 1/2,
     which is flagged rather than raised; at alpha >= 1 the row is
-    inapplicable, as ``markov_tail``'s is.
+    inapplicable, as ``markov_tail``'s is, and so it is where the proxy
+    overflows.
     """
     a = _checked_alpha(alpha, "kontorovich_baseline")
     vec = _free_sensitivity(c)
@@ -248,9 +269,10 @@ def kontorovich_baseline(alpha, c) -> TailBound:
         )
     multiplier = ((1.0 - a) / (1.0 - 2.0 * a)) ** 2
     details["multiplier"] = multiplier
-    return TailBound(
-        name="kontorovich",
-        proxy=n * multiplier * cinf ** 2,
+    return _checked_proxy(
+        "kontorovich",
+        n * multiplier * (cinf * cinf),
+        "proxy N * multiplier * ||c||_inf^2",
         certified=False,
         reason="comparison-only multiplier; literature tail constants differ",
         details=details,
@@ -259,15 +281,16 @@ def kontorovich_baseline(alpha, c) -> TailBound:
 
 def samson_baseline(alpha, c) -> TailBound:
     """Square-root contraction baseline, comparison-only: ||c||_2^2 / (1 - sqrt(alpha))^2,
-    inapplicable at alpha >= 1."""
+    inapplicable at alpha >= 1 or where that overflows."""
     a = _checked_alpha(alpha, "samson_baseline")
     vec = _free_sensitivity(c)
     if a >= 1.0:
         return _not_contracting("samson", a, certified=False)
     multiplier = 1.0 / (1.0 - math.sqrt(a)) ** 2
-    return TailBound(
-        name="samson",
-        proxy=float(vec @ vec) * multiplier,
+    return _checked_proxy(
+        "samson",
+        _squared_norm(vec) * multiplier,
+        "proxy ||c||_2^2 * multiplier",
         certified=False,
         reason="comparison-only multiplier; literature tail constants differ",
         details={"alpha": a, "multiplier": multiplier},
@@ -279,7 +302,8 @@ class BoundReport:
     """All bounds for one scenario, applicable rows first, sorted by proxy."""
 
     bounds: tuple[TailBound, ...]
-    resolvent: np.ndarray  # the read-only Gamma every bound was computed from
+    # The read-only Gamma every bound was computed from; None where it overflows.
+    resolvent: np.ndarray | None
 
     def __getitem__(self, name: str) -> TailBound:
         for bound in self.bounds:
@@ -339,7 +363,9 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
     declared vector.  The exact row must be minimal among certified
     applicable rows; that ordering holds mathematically, so a violation
     raises instead of being reported as data.  An exact row whose proxy
-    overflows is inapplicable and is not compared.
+    overflows is inapplicable and is not compared.  Where Gamma itself
+    overflows, the three rows built on it are inapplicable, the rows that
+    read only H are reported, and the report's resolvent is None.
     """
     if c is None:
         declared = getattr(f, "sensitivity", None)
@@ -348,14 +374,15 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         c = declared
     vec = as_sensitivity(c, spec.horizon)
     infl = interdependence_matrix(spec, budget=budget)
-    gamma = causal_resolvent(infl)
-    exact = exact_tail(gamma, vec)
-    rows = [
-        exact,
-        spectral_tail(gamma, vec),
-        uniform_decay_tail(uniform_decay_profile(infl), vec),
-        scalar_collapse_tail(gamma, vec),
-    ]
+    try:
+        gamma = causal_resolvent(infl)
+    except ResolventOverflowError:
+        gamma = None
+        rows = [_overflowed(name, "resolvent Gamma") for name in ("exact", "spectral", "scalar_collapse")]
+    else:
+        rows = [exact_tail(gamma, vec), spectral_tail(gamma, vec), scalar_collapse_tail(gamma, vec)]
+    exact = rows[0]
+    rows.append(uniform_decay_tail(uniform_decay_profile(infl), vec))
     alpha_cols = column_sum_alpha(infl)
     if spec.family == "markov":
         a = dobrushin_coefficient(spec.meta["transition"])

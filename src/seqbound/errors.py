@@ -18,6 +18,10 @@ class ConfigError(ValueError):
         super().__init__(f"config error at {where}: {message}")
 
 
+class ResolventOverflowError(ValueError):
+    """The causal resolvent has an entry beyond double precision."""
+
+
 class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the evaluation budget.
 

@@ -15,6 +15,10 @@ import numpy as np
 
 from .process import ProcessSpec, ensure_budget, step_table
 
+# interdependence_matrix stacks step tables this many cells at a time (one
+# table at least), so its temporaries stay within about three chunks.
+INFLUENCE_CHUNK_CELLS = 2**18
+
 
 def influence_entries(h) -> np.ndarray:
     """``h`` as a float array, checked as an influence matrix: square, finite,
@@ -40,14 +44,19 @@ def tv_distance(mu, nu) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _max_pairwise_tv(rows: np.ndarray) -> float:
-    """Largest TV distance between two slices along axis 0, each slice holding
-    probability vectors along the last axis at matching positions."""
-    best = 0.0
-    for x in range(rows.shape[0] - 1):
-        diffs = 0.5 * np.abs(rows[x + 1:] - rows[x]).sum(axis=-1)
-        best = max(best, float(diffs.max()))
-    return best
+def _max_pairwise_tv(stack: np.ndarray) -> np.ndarray:
+    """Per leading index g, the largest TV distance between two slices of
+    ``stack[g]`` along axis 1, each slice holding probability vectors along
+    the last axis at matching positions.  Every pair's distance is summed
+    over a contiguous last axis, so it has the bits of the same pair taken
+    on its own."""
+    best = np.zeros(stack.shape[0])
+    for x in range(stack.shape[1] - 1):
+        diffs = stack[:, x + 1:] - stack[:, x:x + 1]
+        sums = np.abs(diffs, out=diffs).sum(axis=-1)
+        del diffs  # freed before the next pair's differences are formed
+        best = np.maximum(best, sums.reshape(best.size, -1).max(axis=1))
+    return 0.5 * best
 
 
 def dobrushin_coefficient(transition) -> float:
@@ -55,7 +64,7 @@ def dobrushin_coefficient(transition) -> float:
     p = np.asarray(transition, dtype=float)
     if p.ndim != 2:
         raise ValueError(f"transition must be a matrix, got shape {p.shape}")
-    return _max_pairwise_tv(p)
+    return float(_max_pairwise_tv(p[None, :, None])[0])
 
 
 def influence_enumeration_cost(spec: ProcessSpec, prune: bool = True) -> int:
@@ -73,24 +82,36 @@ def interdependence_matrix(spec: ProcessSpec, *, budget: int | None = None) -> n
     """Exact influence matrix from the per-step kernel tables, read-only.
 
     Entry (i, j) is the largest TV distance between rows of step j's table
-    that differ only in coordinate i.  The matrix is built on first use and
-    kept on the spec; the budget is checked on every call.
+    that differ only in coordinate i.  Steps with one signature length are
+    stacked, INFLUENCE_CHUNK_CELLS table cells at a time, and each
+    coordinate's entries over a stack come from one set of array operations.
+    The matrix is built on first use and kept on the spec; the budget is
+    checked on every call.
     """
     n, size = spec.horizon, spec.alphabet.size
     ensure_budget(influence_enumeration_cost(spec), budget, "influence matrix enumeration")
     infl = spec._derived.get("influence")
     if infl is not None:
         return infl
-    out = np.zeros((n, n))
+    by_length: dict[int, list[int]] = {}
     for j in range(2, n + 1):
-        coords = spec.signature_coords(j)
-        m = len(coords)
-        if m == 0:
-            continue
-        table = step_table(spec, j).reshape((size,) * m + (size,))
-        for pos, coord in enumerate(coords):
-            flat = np.moveaxis(table, pos, 0).reshape(size, -1, size)
-            out[coord - 1, j - 1] = _max_pairwise_tv(flat)
+        m = len(spec.signature_coords(j))
+        if m:
+            by_length.setdefault(m, []).append(j)
+    out = np.zeros((n, n))
+    for m, steps in by_length.items():
+        per_chunk = max(1, INFLUENCE_CHUNK_CELLS // size ** (m + 1))
+        for lo in range(0, len(steps), per_chunk):
+            chunk = steps[lo:lo + per_chunk]
+            shape = (len(chunk),) + (size,) * (m + 1)
+            tables = np.stack([step_table(spec, j) for j in chunk]).reshape(shape)
+            rows = np.array([spec.signature_coords(j) for j in chunk]) - 1
+            cols = np.array(chunk) - 1
+            for pos in range(m):
+                # Coordinate pos on axis 1, the others flattened: a copy unless pos is 0.
+                slices = np.moveaxis(tables, pos + 1, 1).reshape(len(chunk), size, -1, size)
+                out[rows[:, pos], cols] = _max_pairwise_tv(slices)
+                del slices  # so two copies are never held at once
     influence_entries(out)
     out.setflags(write=False)
     spec._derived["influence"] = out

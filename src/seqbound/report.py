@@ -15,6 +15,7 @@ import numpy as np
 
 SIGNIFICANT_DIGITS = 12
 FLOAT_FORMAT = f".{SIGNIFICANT_DIGITS}g"
+_format_float = f"{{:{FLOAT_FORMAT}}}".format
 
 VERIFICATION_HEADER = ("check", "k", "j", "observed", "bound", "slack", "pass")
 MATRIX_HEADER = ("i", "j", "value")
@@ -51,15 +52,42 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def write_matrix_csv(path, entries: np.ndarray) -> None:
     """Write a finite matrix's nonzero entries as ``write_csv`` would, 1-based and
-    row-major; one write per matrix row keeps memory O(N) beside the matrix."""
+    row-major; one write per matrix row keeps memory O(N) beside the matrix.
+
+    Each value is formatted once per pair of adjacent rows: a row takes the
+    text of any value the previous row held from a lookup kept at one row's
+    size (a Toeplitz resolvent repeats every value; it then keeps the lookup
+    of the row it was built from).  Lookups end at the first row that repeats
+    none of its predecessor's values, as in a dense random matrix; every later
+    value is formatted where it stands.
+    """
     labels = [f"{j}," for j in range(1, entries.shape[1] + 1)]
+    known: dict | None = {}  # value -> text, covering the previous row's values
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(MATRIX_HEADER) + "\n")
         for i, row in enumerate(entries, start=1):
             cols = np.flatnonzero(row)
-            prefix = f"{i},"
-            pairs = zip(cols.tolist(), row[cols].tolist())
-            fh.write("".join([f"{prefix}{labels[j]}{x:{FLOAT_FORMAT}}\n" for j, x in pairs]))
+            n = cols.size
+            if not n:
+                continue
+            values = row[cols].tolist()
+            if known is None:
+                texts = list(map(_format_float, values))
+            else:
+                try:
+                    texts = list(map(known.__getitem__, values))
+                except KeyError:
+                    found = list(map(known.get, values))
+                    texts = [t or _format_float(x) for t, x in zip(found, values)]
+                    repeats = found.count(None) < n
+                    known = dict(zip(values, texts)) if repeats or not known else None
+            lo, hi = int(cols[0]), int(cols[-1]) + 1
+            # One join of "i," label text, "\ni," label text, ..., "\n".
+            parts = [f"\n{i},"] * (3 * n + 1)
+            parts[0], parts[-1] = f"{i},", "\n"
+            parts[1::3] = labels[lo:hi] if hi - lo == n else list(map(labels.__getitem__, cols.tolist()))
+            parts[2::3] = texts
+            fh.write("".join(parts))
 
 
 @dataclass(frozen=True)

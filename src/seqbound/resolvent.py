@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ResolventOverflowError
 from .targets import as_sensitivity
 
 # _check_inverse forms the residual this many cells at a time (one row at least).
@@ -42,7 +43,7 @@ def causal_resolvent(h) -> np.ndarray:
     columns hold at most one nonzero, O(W N^2) for a width-W window, O(N^3)
     only for a dense H.  Back-substitution from the identity keeps the unit
     diagonal and, as H is nonnegative, every entry nonnegative; only overflow
-    can spoil the result.
+    can spoil the result, which raises ResolventOverflowError (a ValueError).
     """
     arr = np.asarray(h, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -56,13 +57,15 @@ def causal_resolvent(h) -> np.ndarray:
         raise ValueError("influence entries must be nonnegative")
     n = arr.shape[0]
     gamma = np.eye(n)
-    for i in range(n - 2, -1, -1):
-        values, k = supports[i]
-        if values.size:
-            gamma[i, i + 1:] = values @ gamma[k, i + 1:]
+    # Overflow is reported by the error below, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            values, k = supports[i]
+            if values.size:
+                gamma[i, i + 1:] = values @ gamma[k, i + 1:]
     # A NaN residual compares False in _check_inverse, so overflow is caught here.
     if not np.all(np.isfinite(gamma)):
-        raise ValueError("resolvent has non-finite entries")
+        raise ResolventOverflowError("resolvent has non-finite entries")
     _check_inverse(arr, gamma, supports)
     gamma.setflags(write=False)
     return gamma

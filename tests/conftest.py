@@ -12,14 +12,18 @@ The oracles, which no library code calls:
   histories, where production reads the per-step tables over declared
   signatures, and ``brute_force_expectation`` sums it against f;
 - ``brute_force_influence`` is the largest TV distance between ``kernel_at``
-  outputs at full histories, signatures ignored;
+  outputs at full histories, signatures ignored; ``per_step_influence`` is
+  the production enumeration before steps were stacked, one step table and
+  one pair of slices per numpy call;
 - ``exact_oscillation`` reads the swing of one prefix's children off f's
   full ``prefix_expectation_table``, one table per call;
 - ``neumann_resolvent`` is the finite power sum, an independent algorithm
   for the production back-substitution solver; ``row_by_row_resolvent`` is
   that solver before it read H through its nonzeros, multiplying by whole
   rows in O(N^3); and ``discrepancy_bound`` is row k of the production
-  resolvent.
+  resolvent;
+- ``per_entry_matrix_csv`` is the production matrix writer before it
+  formatted each repeated value once: one f-string per nonzero entry.
 """
 
 import copy
@@ -44,6 +48,8 @@ from seqbound import (
     table_target,
     tv_distance,
 )
+from seqbound.process import step_table
+from seqbound.report import FLOAT_FORMAT, MATRIX_HEADER
 
 CANONICAL_TRANSITION = np.array([[0.9, 0.1], [0.2, 0.8]])
 CANONICAL_INIT = np.array([1.0, 0.0])
@@ -172,6 +178,40 @@ def brute_force_influence(spec: ProcessSpec) -> np.ndarray:
                     other = kernel_at(spec, j, hist[: i - 1] + (b,) + hist[i:])
                     h[i - 1, j - 1] = max(h[i - 1, j - 1], tv_distance(base, other))
     return h
+
+
+def per_step_influence(spec: ProcessSpec) -> np.ndarray:
+    """Influence matrix step by step: each entry the largest TV distance
+    between the slices of the step's table along the coordinate, one pair
+    of slices at a time."""
+    n, size = spec.horizon, spec.alphabet.size
+    h = np.zeros((n, n))
+    for j in range(2, n + 1):
+        coords = spec.signature_coords(j)
+        m = len(coords)
+        if m == 0:
+            continue
+        table = step_table(spec, j).reshape((size,) * m + (size,))
+        for pos, coord in enumerate(coords):
+            rows = np.moveaxis(table, pos, 0).reshape(size, -1, size)
+            best = 0.0
+            for x in range(size - 1):
+                diffs = 0.5 * np.abs(rows[x + 1:] - rows[x]).sum(axis=-1)
+                best = max(best, float(diffs.max()))
+            h[coord - 1, j - 1] = best
+    return h
+
+
+def per_entry_matrix_csv(path, entries: np.ndarray) -> None:
+    """The matrix CSV with every nonzero entry formatted by its own f-string."""
+    labels = [f"{j}," for j in range(1, entries.shape[1] + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(MATRIX_HEADER) + "\n")
+        for i, row in enumerate(entries, start=1):
+            cols = np.flatnonzero(row)
+            prefix = f"{i},"
+            pairs = zip(cols.tolist(), row[cols].tolist())
+            fh.write("".join([f"{prefix}{labels[j]}{x:{FLOAT_FORMAT}}\n" for j, x in pairs]))
 
 
 def exact_oscillation(spec: ProcessSpec, f, k: int, prefix, budget=None) -> float:

@@ -138,6 +138,36 @@ class TestClosedForms:
         assert row.reason == "proxy ||c||_2^2 / kappa overflows double precision"
         assert 0.0 < row.details["decay_coefficient"] < 1e-299
 
+    def test_rows_built_on_c_overflow_to_inapplicable_rows(self):
+        # ||c||_2^2 = 8e320 and ||c||_inf^2 = 1e320 overflow; each row says
+        # which proxy did, keeps its certification flag, and warns of nothing.
+        c = np.full(8, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [
+                uniform_decay_tail(np.full(7, 0.01), c),
+                markov_tail(0.3, c),
+                samson_baseline(0.3, c),
+                kontorovich_baseline(0.3, c),
+                sparse_terminal_tail(0.3, 1e160),
+            ]
+        assert {b.name: (b.applicable, b.proxy, b.certified, b.reason) for b in rows} == {
+            "uniform_decay": (False, None, True, "proxy ||c||_2^2 / (1 - S)^2 overflows double precision"),
+            "markov": (False, None, True, "proxy ||c||_2^2 / (1 - alpha)^2 overflows double precision"),
+            "samson": (False, None, False, "proxy ||c||_2^2 * multiplier overflows double precision"),
+            "kontorovich": (
+                False,
+                None,
+                False,
+                "proxy N * multiplier * ||c||_inf^2 overflows double precision",
+            ),
+            "sparse_terminal": (False, None, True, "proxy c_N^2 / (1 - alpha)^2 overflows double precision"),
+        }
+        assert rows[1].details == {"alpha": 0.3}
+        # The products that do not overflow are the powers they replace.
+        assert kontorovich_baseline(0.3, np.full(8, 1e100)).proxy == 8 * (0.7 / 0.4) ** 2 * 1e100**2
+        assert sparse_terminal_tail(0.3, 1e100).proxy == 1e100**2 / 0.7**2
+
     def test_uniform_decay_inapplicable_at_critical(self):
         h = np.zeros((2, 2))
         h[0, 1] = 1.0
@@ -286,6 +316,28 @@ class TestCompareBounds:
             "scalar_collapse": "proxy N * ||Gamma||_inf^2 * ||c||_inf^2 overflows double precision",
             "uniform_decay": "decay profile sums to 1.8, not below 1",
         }
+
+    def test_overflowing_resolvent_keeps_the_rows_on_h(self):
+        # At N = 1800 Gamma itself overflows (about 1.5-fold growth per
+        # step), so the rows built on it are inapplicable and the report
+        # carries no resolvent; the rows that read only H are still there.
+        def parity(step, window):
+            return [0.95, 0.05] if sum(window) % 2 == 0 else [0.05, 0.95]
+
+        spec = build_sliding_window(2, parity, 1800, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare_bounds(spec, c=np.ones(1800))
+            terminal = compare_bounds(spec, c=np.eye(1800)[-1])
+        assert report.resolvent is None and terminal.resolvent is None
+        overflowed = "resolvent Gamma overflows double precision"
+        assert {b.name: b.reason for b in report.bounds} == {
+            "exact": overflowed,
+            "scalar_collapse": overflowed,
+            "spectral": overflowed,
+            "uniform_decay": "decay profile sums to 1.8, not below 1",
+        }
+        assert terminal["sparse_terminal"].reason == "column-sum coefficient 1.8 is not below 1"
 
     def test_getitem_unknown(self, markov3):
         report = compare_bounds(markov3, f=sum_symbols(3, 2))

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import seqbound
-from seqbound import cli
+from seqbound import build_markov, cli, report
 from seqbound.cli import BOUNDS_HEADER, SWEEP_HEADER
 from seqbound.config import MAX_SEED, load_config
 from seqbound.influence import interdependence_matrix
@@ -27,7 +27,7 @@ from seqbound.report import (
 )
 from seqbound.resolvent import causal_resolvent
 from seqbound.sampling import TAIL_HEADER
-from conftest import family_doc
+from conftest import CANONICAL_INIT, CANONICAL_TRANSITION, family_doc, per_entry_matrix_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MARKOV = str(CONFIG_DIR / "markov.yaml")
@@ -365,6 +365,57 @@ class TestSubcommands:
             reference(tmp_path / "reference.csv", entries)
             assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    def test_matrix_csv_matches_per_entry_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        markov = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 300)
+        config = load_config(CONFIG_DIR / "window.yaml")
+        window = interdependence_matrix(config.build(), budget=config.run.budget)
+        sparse = np.triu(rng.uniform(size=(40, 40)) * (rng.uniform(size=(40, 40)) < 0.15))
+        # Rows 0, 2 and 4 share values; the rows between are zero.
+        run = [0.5, 0.25, 0.125, 1 / 3, 0.1]
+        gaps = np.zeros((5, 5))
+        gaps[0], gaps[2, 2:], gaps[4, 3:] = run, run[2:], run[3:]
+        # 0.1 comes back in row 2 after row 1 dropped it.
+        skip = np.array([[0.1, 0.2, 0.3], [0.0, 0.2, 0.7], [0.0, 0.1, 0.2]])
+        # Row 1 repeats none of row 0, so lookups end; row 2 repeats both.
+        ended = np.array([[0.1, 0.2, 0.0], [0.3, 0.4, 0.0], [0.1, 0.3, 0.2]])
+        extremes = np.array(
+            [
+                [-0.5, -0.0, 1e-300, 1e300, 5e-324],
+                [0.0, -0.5, 1e300, -0.0, 1e-300],
+                [-1e300, 0.0, -0.5, -1e-300, -0.0],
+            ]
+        )
+        cases = {
+            "markov gamma N=300": causal_resolvent(interdependence_matrix(markov)),
+            "window.yaml gamma": causal_resolvent(window),
+            "dense random triangle": np.triu(rng.uniform(size=(120, 120))),
+            "sparse rows, non-adjacent columns": sparse,
+            "zero rows between nonzero ones": gaps,
+            "value repeating in a non-adjacent row": skip,
+            "repeats after lookups end": ended,
+            "negative, -0.0 and extreme entries": extremes,
+        }
+        for name, entries in cases.items():
+            write_matrix_csv(tmp_path / "fast.csv", entries)
+            per_entry_matrix_csv(tmp_path / "oracle.csv", entries)
+            fast, oracle = (tmp_path / "fast.csv").read_bytes(), (tmp_path / "oracle.csv").read_bytes()
+            assert fast == oracle, name
+            assert fast.count(b"\n") == 1 + np.count_nonzero(entries), name
+
+    def test_matrix_csv_formats_each_repeated_value_once(self, tmp_path, monkeypatch):
+        markov = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 300)
+        toeplitz = causal_resolvent(interdependence_matrix(markov))
+        dense = np.triu(np.random.default_rng(3).uniform(size=(300, 300)))
+        calls = count_calls(monkeypatch, report, "_format_float")
+        # Gamma of the chain holds 300 distinct values, 1, 0.7, 0.7^2, ...,
+        # and the dense triangle none twice.
+        for entries, distinct in ((toeplitz, 300), (dense, 300 * 301 // 2)):
+            calls[0] = 0
+            write_matrix_csv(tmp_path / "m.csv", entries)
+            assert np.unique(entries[entries != 0.0]).size == distinct
+            assert calls[0] == distinct
+
     def test_matrix_csv_layout(self, tmp_path):
         # Row-major, 1-based integer indices, -0.0 and 0.0 skipped, 12 digits.
         entries = np.array([[1.0, -0.0, 0.1 + 0.2], [0.0, 5e-324, 1e12], [0.0, 0.0, 0.0]])
@@ -404,6 +455,27 @@ class TestSubcommands:
         assert len(by_name["kontorovich"]) == 1
         out = capsys.readouterr().out
         assert "exact" in out and "wrote" in out
+
+    def test_bounds_with_overflowing_sensitivity(self, tmp_path, capsys):
+        # ||c||_2^2 = 8e320: every row built on it reports the overflow, and
+        # the run still exits 0 with one inapplicable row per bound.
+        doc = yaml.safe_load(Path(MARKOV).read_text())
+        doc["sensitivity"] = {"declared": [1e160] * 8}
+        config = write_yaml(tmp_path / "huge.yaml", doc)
+        assert cli.main(["bounds", "--config", config, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = read_rows(tmp_path / "bounds.csv")[1:]
+        assert all(row[1:3] == ["", "0"] and row[4:] == ["", ""] for row in rows)
+        assert {row[0]: row[3] for row in rows} == {
+            "exact": "proxy ||Gamma c||_2^2 overflows double precision",
+            "kontorovich": "geometric-matrix multiplier diverges for contraction 0.7 >= 1/2",
+            "markov": "proxy ||c||_2^2 / (1 - alpha)^2 overflows double precision",
+            "samson": "proxy ||c||_2^2 * multiplier overflows double precision",
+            "scalar_collapse": "proxy N * ||Gamma||_inf^2 * ||c||_inf^2 overflows double precision",
+            "spectral": "proxy ||c||_2^2 / kappa overflows double precision",
+            "uniform_decay": "proxy ||c||_2^2 / (1 - S)^2 overflows double precision",
+        }
+        assert len(rows) == 7
 
     def test_verify(self, tmp_path, capsys):
         code = cli.main(

@@ -22,13 +22,18 @@ from seqbound import (
     tv_distance,
     uniform_decay_profile,
 )
+from seqbound.influence import influence_entries
+from seqbound.process import spec_from_tables
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
     brute_force_influence,
+    per_step_influence,
     random_positive_spec,
+    random_sparse_spec,
     random_tree,
     random_window_spec,
+    traced_peak,
 )
 
 EXACT_TOL = 1e-12
@@ -194,6 +199,76 @@ class TestPruning:
         with pytest.raises(EnumerationBudgetError) as err:
             interdependence_matrix(markov8, budget=cost - 1)
         assert err.value.required == cost
+
+
+def window_from_tables(rng: np.random.Generator, horizon: int, size: int, width: int):
+    """Width-``width`` window whose step tables are drawn up front, so no
+    kernel is evaluated."""
+    signatures = tuple(frozenset(range(max(1, j - width), j)) for j in range(1, horizon + 1))
+    tables = [rng.dirichlet(np.ones(size), size=size ** len(sig)) for sig in signatures]
+    return spec_from_tables(tables, signatures, "window", {})
+
+
+class TestStackedEnumeration:
+    """Steps stacked by signature length, against the step-by-step oracle."""
+
+    @pytest.mark.parametrize("chunk_cells", [None, 64])
+    def test_matches_per_step_oracle_bit_for_bit(self, monkeypatch, chunk_cells):
+        if chunk_cells is not None:  # a few tables per chunk, several chunks per length
+            monkeypatch.setattr(influence, "INFLUENCE_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(41)
+        parent = random_tree(rng, 12, 3)
+        edges = [rng.dirichlet(np.ones(3), size=3) for _ in parent]
+        specs = {
+            # Full signatures: a different length at every step.
+            "positive tables": random_positive_spec(rng, 5, 3),
+            "nine symbols": random_positive_spec(rng, 3, 9),
+            "sparse tables": random_sparse_spec(rng, 5, 2),
+            "sparse, four symbols": random_sparse_spec(rng, 4, 4),
+            "tree": build_causal_tree(parent, edges, rng.dirichlet(np.ones(3))),
+            # Steps 2..4 read partial leading windows of 1..3 coordinates.
+            "window": random_window_spec(rng, 10, 3, 4),
+            "markov": build_markov(rng.dirichlet(np.ones(4), size=4), np.full(4, 0.25), 40),
+            "N=1": build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 1),
+            "A=1": build_markov(np.ones((1, 1)), np.ones(1), 5),
+            "A=1 window": random_window_spec(rng, 6, 1, 2),
+        }
+        for name, spec in specs.items():
+            assert np.array_equal(interdependence_matrix(spec), per_step_influence(spec)), name
+
+    def test_budget_is_checked_before_any_table_is_read(self, monkeypatch):
+        spec = random_window_spec(np.random.default_rng(43), 8, 2, 3)
+        cost = influence_enumeration_cost(spec)
+
+        def no_table(*args):
+            raise AssertionError("a step table was read before the budget check")
+
+        monkeypatch.setattr(influence, "step_table", no_table)
+        with pytest.raises(EnumerationBudgetError) as err:
+            interdependence_matrix(spec, budget=cost - 1)
+        assert err.value.required == cost
+        assert spec._tables == {} and "influence" not in spec._derived
+
+    @pytest.mark.parametrize("chunk_cells", [None, 2**12])
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch, chunk_cells):
+        # N = 400, |A| = 4, W = 4: 396 tables of 4^5 cells, 3.2 MB stacked.
+        # Beside H and its entry check, the enumeration holds about three
+        # chunks: the stacked tables, one coordinate moved to the front, and
+        # one pair of slices' differences.
+        if chunk_cells is not None:
+            monkeypatch.setattr(influence, "INFLUENCE_CHUNK_CELLS", chunk_cells)
+        spec = window_from_tables(np.random.default_rng(47), 400, 4, 4)
+        h, peak = traced_peak(lambda: interdependence_matrix(spec))
+        _, check = traced_peak(lambda: influence_entries(h))
+        assert peak <= h.nbytes + check + 3 * 8 * influence.INFLUENCE_CHUNK_CELLS
+        assert np.array_equal(h, per_step_influence(spec))
+
+    def test_dobrushin_is_the_chain_superdiagonal(self):
+        rng = np.random.default_rng(53)
+        for size in (1, 2, 3, 9):
+            transition = rng.dirichlet(np.ones(size), size=size)
+            h = interdependence_matrix(build_markov(transition, np.full(size, 1.0 / size), 6))
+            assert np.all(np.diagonal(h, offset=1) == dobrushin_coefficient(transition))
 
 
 # ============================================================
