@@ -139,15 +139,27 @@ def test_shipped_config_runs(tmp_path, name, command):
 # SHA-256 of every CSV that matrix, bounds and sweep write on the shipped
 # configs, and on markov.yaml stretched to N = 500 (a Toeplitz resolvent of
 # 125,250 entries); sweep writes only where a config has a sweep section.
-# Recorded before the matrix writer and the influence enumeration were
-# vectorized, so any change to an output byte fails here.
+# Also the CSVs of verify on the four shipped configs it finishes on (seeded,
+# so the tail rows, one set per applicable bound, are fixed), and the stdout
+# of bounds, the table with its applicable, certified and reason columns,
+# with the output directory masked.  Recorded before the matrix writer and
+# the influence enumeration were vectorized, and the verify and stdout
+# entries before the catalog rows were built through one constructor, so any
+# change to an output byte fails here.
+VERIFIED_CONFIGS = ("independent.yaml", "markov.yaml", "tree.yaml", "window_small.yaml")
 GOLDEN_CSV_SHA256 = {
     ("independent.yaml", "matrix", "influence.csv"): "62a970c811f2ba14833ac61b444cf8fad0c108ed79957d511485d8e14a13312b",
     ("independent.yaml", "matrix", "resolvent.csv"): "fc3663db68255d5a3c19335832a77e8b8b054a966453eab03306f22e7825616e",
     ("independent.yaml", "bounds", "bounds.csv"): "b2f87114df56402b5169ebcf3f35c760c3d0b9e5759d0e7bf8ebfecfb7832348",
+    ("independent.yaml", "bounds", "stdout"): "f80bb7257fd4734d5e4334250e87c83305b76fe50a0cbd1a96c83e1b0124b23e",
+    ("independent.yaml", "verify", "tails.csv"): "4a21d1c72906a5bbd02f532e23f26ce1ad2a33f1f8f3a9def95756d45110c496",
+    ("independent.yaml", "verify", "verification.csv"): "3c597245799cebb678b5cb8ecee9e9ea5b391ea2ed686e01f9019e5b0aaf56ae",
     ("markov.yaml", "matrix", "influence.csv"): "c173caa4d1a99ca315ed2cd9f69c2ef76efce7c54e458471caf477a00eb8f4c0",
     ("markov.yaml", "matrix", "resolvent.csv"): "30b4796960d20a06bea925e0f018a84e8f33fe6633419ae11a0e6c20cebe738b",
     ("markov.yaml", "bounds", "bounds.csv"): "095b36488e5617fc30816e1d0a3aedd68c9bf8f9c0c6b085a6139bc5a8b4a54d",
+    ("markov.yaml", "bounds", "stdout"): "56eec90c022c846a57226996f5699d7aa6da0ecaee4515293997dfbb82b357e2",
+    ("markov.yaml", "verify", "tails.csv"): "ff39260603a97eb64b630f35831e2490f9ea3fe0028081d1452b565cdea83d6a",
+    ("markov.yaml", "verify", "verification.csv"): "b2d62b6a89ae36c3a4afdfd8070710acfe7b50cefdd9379e9d42eb72d3b9c57e",
     ("markov-500", "matrix", "influence.csv"): "6a1205b7bb54677459e3436616e924b3e53c75ff01a78fd12ddaf1267048e7f4",
     ("markov-500", "matrix", "resolvent.csv"): "2ccee94a9bf63a1f9b1d9acdc6206be81c92a8950f141124ae4650692432ed21",
     ("markov-500", "bounds", "bounds.csv"): "eff424915e5e7805d316b1b571a522ce6df4defa4d6a0ce2e4c8838b7c05a095",
@@ -155,13 +167,20 @@ GOLDEN_CSV_SHA256 = {
     ("tree.yaml", "matrix", "influence.csv"): "83d6a75bd3c9af8f9ae398dcb6cde7056f2b2db03c1342dfaf6235311f005c9f",
     ("tree.yaml", "matrix", "resolvent.csv"): "d08047803a0f5f050ae659374d4d3ee774b8f5686c2e1ab9dc3840eb4c47d99c",
     ("tree.yaml", "bounds", "bounds.csv"): "76e89b9077e8fb4ae27c878a5fb10cb6a1c605c008f313574cf4542574c19aaf",
+    ("tree.yaml", "bounds", "stdout"): "25aeacecbcc128ac36189d54f2c1421d23a93bf38e26ddeb95b89c17a4a4f71a",
+    ("tree.yaml", "verify", "tails.csv"): "42406e9520b3fd9697ac9a3f41c4d9ed287114adce48b596e2c150606591aba2",
+    ("tree.yaml", "verify", "verification.csv"): "cc3fd3336112e84ff3ab3ddf13f49a2f6f4ca052181cc83ed0f10d7e7186e971",
     ("window.yaml", "matrix", "influence.csv"): "2c7dbbf81430cbd3352c831da963fb067e3d5d58c9ff887daadf29cd1528c2a5",
     ("window.yaml", "matrix", "resolvent.csv"): "28707ca13b346f5e867915cfd0f155ce31195be8e7815dea2801304d05558bdd",
     ("window.yaml", "bounds", "bounds.csv"): "ded6a3ccee8b4ccac9f54ebb928162ae5612c5884bae01774da6f945a8b16e9c",
+    ("window.yaml", "bounds", "stdout"): "b6b91793ddf9a8af8c806dc38ecc7165eee27236febfef01395d822db0d4264c",
     ("window.yaml", "sweep", "sweep.csv"): "59a950e8723028fc48ee27f301d3802cb87ce6beb56147a7ef5a61bdd47956b0",
     ("window_small.yaml", "matrix", "influence.csv"): "61515a63adef30dd628ef8fe578fe671b4c4fc9140fb9d39590ad2636545bba3",
     ("window_small.yaml", "matrix", "resolvent.csv"): "0d69900bf64246f745c580a17b91d4d7ed0434de498c745308149ee470f90599",
     ("window_small.yaml", "bounds", "bounds.csv"): "a677e6c4ccf1a7b33f6d2be0ce52b614f6df1242e743f675bf1521ab2655a123",
+    ("window_small.yaml", "bounds", "stdout"): "9bdaf7a9560056da426955d72016f46266817c59f941c4541722044909b21534",
+    ("window_small.yaml", "verify", "tails.csv"): "952d01dc05ccfff6bcdfa266d8c54a2dea35da7de080cb9e9c6c099503b561fc",
+    ("window_small.yaml", "verify", "verification.csv"): "2c88b9e9e09ab38020a5c407e3560da4c8a8ca5e39310852ce403d73157c7124",
 }
 
 
@@ -173,13 +192,19 @@ def test_csv_outputs_match_golden_hashes(tmp_path, capsys):
     configs["markov-500"] = write_yaml(tmp_path / "markov-500.yaml", markov)
     hashes = {}
     for name, path in configs.items():
-        for command in ("matrix", "bounds", "sweep"):
+        for command in ("matrix", "bounds", "sweep", "verify"):
+            if command == "verify" and name not in VERIFIED_CONFIGS:
+                continue
             out = tmp_path / name / command
+            capsys.readouterr()
             code = cli.main([command, "--config", path, "--out", str(out)])
             assert code == (2 if command == "sweep" and load_config(path).sweep is None else 0)
             for csv_path in sorted(out.glob("*.csv")):
                 digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
                 hashes[name, command, csv_path.name] = digest
+            if command == "bounds" and name in SHIPPED_CONFIGS:
+                text = capsys.readouterr().out.replace(str(out), "<out>")
+                hashes[name, command, "stdout"] = hashlib.sha256(text.encode()).hexdigest()
     capsys.readouterr()
     assert hashes == GOLDEN_CSV_SHA256
 
