@@ -1,8 +1,10 @@
 """Catalog of sub-Gaussian tail bounds sharing the shape 2*exp(-2 t^2 / proxy).
 
-Each entry is a variance proxy with applicability and certification flags.
-Inapplicability is a typed result, never an exception: a baseline that
-diverges is itself a finding worth a report row.  Comparison-only baselines
+Each entry is a variance proxy, or None with the reason the bound does not
+apply, plus a certification flag.  Inapplicability is a typed result, never
+an exception: a baseline that diverges is itself a finding worth a report
+row, and so is a proxy that overflows double precision.  Every coefficient
+is read off the influence matrix H.  Comparison-only baselines
 (whose literature constants are not reproduced exactly) carry
 ``certified=False`` and still use the shared tail shape so curves are
 comparable.
@@ -17,12 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ResolventOverflowError
-from .influence import (
-    column_sum_alpha,
-    dobrushin_coefficient,
-    interdependence_matrix,
-    uniform_decay_profile,
-)
+from .influence import column_sum_alpha, interdependence_matrix, uniform_decay_profile
 from .process import ProcessSpec
 from .resolvent import (
     causal_resolvent,
@@ -37,21 +34,22 @@ ORDERING_TOLERANCE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TailBound:
-    """One bound row: variance proxy plus applicability and provenance flags."""
+    """One bound row: its variance proxy, or None with the reason it does not
+    apply, plus provenance flags."""
 
     name: str
     proxy: float | None
-    applicable: bool = True
     reason: str = ""
     certified: bool = True
     details: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.applicable:
-            if self.proxy is None or self.proxy < 0 or not math.isfinite(self.proxy):
-                raise ValueError(f"applicable bound {self.name} needs a finite proxy >= 0")
-        elif self.proxy is not None:
-            raise ValueError(f"inapplicable bound {self.name} must not carry a proxy")
+        if self.proxy is not None and not (math.isfinite(self.proxy) and self.proxy >= 0):
+            raise ValueError(f"bound {self.name} needs a finite proxy >= 0 or None, got {self.proxy}")
+
+    @property
+    def applicable(self) -> bool:
+        return self.proxy is not None
 
     def delta_at(self, t: float) -> float:
         """Tail probability bound min(1, 2 exp(-2 t^2 / proxy))."""
@@ -72,38 +70,19 @@ def _checked_alpha(alpha, name: str) -> float:
     return a
 
 
-def _not_contracting(name: str, a: float, certified: bool = True) -> TailBound:
-    """The inapplicable row of a bound that needs a contraction coefficient below 1."""
-    return TailBound(
-        name=name,
-        proxy=None,
-        applicable=False,
-        certified=certified,
-        reason=f"contraction coefficient {a:g} is not below 1",
-        details={"alpha": a},
-    )
+def _not_contracting(name: str, a: float, word: str = "contraction", certified: bool = True) -> TailBound:
+    """The inapplicable row of a bound that needs a ``word`` coefficient below 1."""
+    return TailBound(name, None, f"{word} coefficient {a:g} is not below 1", certified, {"alpha": a})
 
 
-def _overflowed(name: str, quantity: str, details=None, certified: bool = True) -> TailBound:
-    """The inapplicable row of a bound whose proxy is not a finite double."""
-    return TailBound(
-        name=name,
-        proxy=None,
-        applicable=False,
-        certified=certified,
-        reason=f"{quantity} overflows double precision",
-        details=details or {},
-    )
-
-
-def _checked_proxy(
+def _row(
     name: str, proxy: float, quantity: str, details=None, certified: bool = True, reason: str = ""
 ) -> TailBound:
-    """The applicable row with ``proxy``, or, where ``proxy`` is not a finite
-    double, the inapplicable row saying ``quantity`` overflows."""
-    if not math.isfinite(proxy):
-        return _overflowed(name, quantity, details, certified)
-    return TailBound(name, proxy, certified=certified, reason=reason, details=details or {})
+    """The row with ``proxy``, or, where ``proxy`` is not a finite double, the
+    inapplicable row saying ``quantity`` overflows."""
+    if math.isfinite(proxy):
+        return TailBound(name, proxy, reason, certified, details or {})
+    return TailBound(name, None, f"{quantity} overflows double precision", certified, details or {})
 
 
 def _free_sensitivity(c) -> np.ndarray:
@@ -122,7 +101,7 @@ def exact_tail(gamma, c) -> TailBound:
     inapplicable where that overflows (Gamma grows geometrically when alpha > 1)."""
     with np.errstate(over="ignore"):
         proxy = variance_proxy(gamma, c)
-    return _checked_proxy("exact", proxy, "proxy ||Gamma c||_2^2")
+    return _row("exact", proxy, "proxy ||Gamma c||_2^2")
 
 
 def spectral_tail(gamma, c) -> TailBound:
@@ -133,10 +112,8 @@ def spectral_tail(gamma, c) -> TailBound:
     with np.errstate(over="ignore"):
         kappa = spectral_decay(gamma)
         proxy = float(vec @ vec) / kappa if kappa > 0.0 else math.inf
-    details = {"decay_coefficient": kappa}
-    if kappa == 0.0:
-        return _overflowed("spectral", "||Gamma||_2^2", details)
-    return _checked_proxy("spectral", proxy, "proxy ||c||_2^2 / kappa", details)
+    quantity = "||Gamma||_2^2" if kappa == 0.0 else "proxy ||c||_2^2 / kappa"
+    return _row("spectral", proxy, quantity, {"decay_coefficient": kappa})
 
 
 def uniform_decay_tail(phi, c) -> TailBound:
@@ -146,14 +123,9 @@ def uniform_decay_tail(phi, c) -> TailBound:
     total = math.fsum(phi)
     vec = _free_sensitivity(c)
     if lower is None:
-        return TailBound(
-            name="uniform_decay",
-            proxy=None,
-            applicable=False,
-            reason=f"decay profile sums to {total:g}, not below 1",
-            details={"profile_sum": total},
-        )
-    return _checked_proxy(
+        reason = f"decay profile sums to {total:g}, not below 1"
+        return TailBound("uniform_decay", None, reason, details={"profile_sum": total})
+    return _row(
         "uniform_decay",
         _squared_norm(vec) / lower,
         "proxy ||c||_2^2 / (1 - S)^2",
@@ -174,7 +146,7 @@ def scalar_collapse_tail(gamma, c) -> TailBound:
     details = {"gamma_inf_norm": ginf, "c_inf": cinf}
     # Products, not powers: a float power raises OverflowError.
     proxy = n * (ginf * ginf) * (cinf * cinf)
-    return _checked_proxy("scalar_collapse", proxy, "proxy N * ||Gamma||_inf^2 * ||c||_inf^2", details)
+    return _row("scalar_collapse", proxy, "proxy N * ||Gamma||_inf^2 * ||c||_inf^2", details)
 
 
 def markov_tail(alpha, c) -> TailBound:
@@ -184,7 +156,7 @@ def markov_tail(alpha, c) -> TailBound:
     vec = _free_sensitivity(c)
     if a >= 1.0:
         return _not_contracting("markov", a)
-    return _checked_proxy(
+    return _row(
         "markov",
         _squared_norm(vec) / (1.0 - a) ** 2,
         "proxy ||c||_2^2 / (1 - alpha)^2",
@@ -207,8 +179,8 @@ def tree_tail(alpha, out_degree, c) -> TailBound:
     elif a * d >= 1.0:
         reason = f"alpha * D = {a * d:g} reaches the critical value 1"
     else:
-        return TailBound(name="tree", proxy=vec.shape[0] / (1.0 - a * d) ** 2, details=details)
-    return TailBound(name="tree", proxy=None, applicable=False, reason=reason, details=details)
+        return TailBound("tree", vec.shape[0] / (1.0 - a * d) ** 2, details=details)
+    return TailBound("tree", None, reason, details=details)
 
 
 def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
@@ -223,15 +195,9 @@ def sparse_terminal_tail(alpha, c_terminal) -> TailBound:
     if c_n < 0:
         raise ValueError(f"terminal sensitivity must be nonnegative, got {c_terminal}")
     if a >= 1.0:
-        return TailBound(
-            name="sparse_terminal",
-            proxy=None,
-            applicable=False,
-            reason=f"column-sum coefficient {a:g} is not below 1",
-            details={"alpha": a},
-        )
+        return _not_contracting("sparse_terminal", a, "column-sum")
     # A product, not a power: a float power raises OverflowError.
-    return _checked_proxy(
+    return _row(
         "sparse_terminal",
         c_n * c_n / (1.0 - a) ** 2,
         "proxy c_N^2 / (1 - alpha)^2",
@@ -259,17 +225,11 @@ def kontorovich_baseline(alpha, c) -> TailBound:
     delta_inf = float(sum(a ** k for k in range(1, n)))
     details: dict[str, float] = {"alpha": a, "delta_inf_norm": delta_inf, "c_inf": cinf}
     if a >= 0.5:
-        return TailBound(
-            name="kontorovich",
-            proxy=None,
-            applicable=False,
-            certified=False,
-            reason=f"geometric-matrix multiplier diverges for contraction {a:g} >= 1/2",
-            details=details,
-        )
+        reason = f"geometric-matrix multiplier diverges for contraction {a:g} >= 1/2"
+        return TailBound("kontorovich", None, reason, certified=False, details=details)
     multiplier = ((1.0 - a) / (1.0 - 2.0 * a)) ** 2
     details["multiplier"] = multiplier
-    return _checked_proxy(
+    return _row(
         "kontorovich",
         n * multiplier * (cinf * cinf),
         "proxy N * multiplier * ||c||_inf^2",
@@ -287,7 +247,7 @@ def samson_baseline(alpha, c) -> TailBound:
     if a >= 1.0:
         return _not_contracting("samson", a, certified=False)
     multiplier = 1.0 / (1.0 - math.sqrt(a)) ** 2
-    return _checked_proxy(
+    return _row(
         "samson",
         _squared_norm(vec) * multiplier,
         "proxy ||c||_2^2 * multiplier",
@@ -365,7 +325,8 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
     raises instead of being reported as data.  An exact row whose proxy
     overflows is inapplicable and is not compared.  Where Gamma itself
     overflows, the three rows built on it are inapplicable, the rows that
-    read only H are reported, and the report's resolvent is None.
+    read only H are reported, and the report's resolvent is None.  The
+    Markov and tree rows share one coefficient, alpha = max H.
     """
     if c is None:
         declared = getattr(f, "sensitivity", None)
@@ -378,17 +339,20 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         gamma = causal_resolvent(infl)
     except ResolventOverflowError:
         gamma = None
-        rows = [_overflowed(name, "resolvent Gamma") for name in ("exact", "spectral", "scalar_collapse")]
+        rows = [_row(name, math.inf, "resolvent Gamma") for name in ("exact", "spectral", "scalar_collapse")]
     else:
         rows = [exact_tail(gamma, vec), spectral_tail(gamma, vec), scalar_collapse_tail(gamma, vec)]
     exact = rows[0]
     rows.append(uniform_decay_tail(uniform_decay_profile(infl), vec))
     alpha_cols = column_sum_alpha(infl)
+    if spec.family in ("markov", "tree"):
+        # A chain or tree step reads at most its parent, so H's nonzeros are
+        # the edges' Dobrushin coefficients; alpha is the largest (a chain's
+        # superdiagonal, and 0 for a chain of one step, which has no edge).
+        a = float(infl.max())
     if spec.family == "markov":
-        a = dobrushin_coefficient(spec.meta["transition"])
         rows += [markov_tail(a, vec), kontorovich_baseline(a, vec), samson_baseline(a, vec)]
     if spec.family == "tree":
-        a = float(infl.max()) if infl.size else 0.0
         d = max(int(spec.meta.get("out_degree", 0)), 1)
         rows.append(tree_tail(a, d, vec))
     if vec.shape[0] >= 1 and np.all(vec[:-1] == 0.0):

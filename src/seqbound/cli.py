@@ -285,7 +285,7 @@ def cmd_sweep(args) -> int:
             "scenario.family",
             f"sweep needs a free horizon; {config.family} is pinned to horizon {config.horizon}",
         )
-    horizons = config.sweep.horizons
+    horizons = config.sweep
     largest = config.build(horizon=horizons[-1])
     rows = []
     for horizon in reversed(horizons):

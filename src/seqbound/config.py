@@ -335,13 +335,6 @@ class RunSettings:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepConfig:
-    """Strictly increasing horizons for a proxy-versus-N sweep."""
-
-    horizons: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """A fully validated scenario: process family, target, and run settings."""
 
@@ -355,7 +348,7 @@ class ScenarioConfig:
     sensitivity_mode: str  # "target" | "oracle" | "declared"
     declared_sensitivity: tuple[float, ...] | None
     run: RunSettings
-    sweep: SweepConfig | None
+    sweep: tuple[int, ...] | None  # strictly increasing horizons of a proxy-versus-N sweep
 
     def build(self, horizon: int | None = None, within: ProcessSpec | None = None) -> ProcessSpec:
         """Construct the process, optionally at a different horizon (sweeps).
@@ -460,7 +453,7 @@ def _parse_run(node) -> RunSettings:
     )
 
 
-def _parse_sweep(node) -> SweepConfig | None:
+def _parse_sweep(node) -> tuple[int, ...] | None:
     if node is None:
         return None
     sweep = _as_mapping(node, "sweep")
@@ -469,7 +462,7 @@ def _parse_sweep(node) -> SweepConfig | None:
     horizons = tuple(int(n) for n in horizons)
     if any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise ConfigError("sweep.horizons", "must be strictly increasing")
-    return SweepConfig(horizons=horizons)
+    return horizons
 
 
 def parse_config(data) -> ScenarioConfig:

@@ -143,18 +143,14 @@ def spectral_norm(matrix) -> float:
 
 
 def operator_norms(matrix) -> OperatorNorms:
-    """Max column abs-sum, max row abs-sum, and spectral norm."""
+    """Max column abs-sum, max row abs-sum, and spectral norm; the input is
+    checked by ``spectral_norm``."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"need a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    l2 = spectral_norm(a)
     if a.size == 0:
         return OperatorNorms(0.0, 0.0, 0.0)
     magnitudes = np.abs(a)
-    l1 = float(magnitudes.sum(axis=0).max())
-    linf = float(magnitudes.sum(axis=1).max())
-    return OperatorNorms(l1, linf, spectral_norm(a))
+    return OperatorNorms(float(magnitudes.sum(axis=0).max()), float(magnitudes.sum(axis=1).max()), l2)
 
 
 def variance_proxy(gamma, c) -> float:

@@ -1,5 +1,6 @@
 """Bound catalog: closed forms, applicability flags, and catalog ordering."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqbound import (
     TailBound,
+    build_causal_tree,
     build_markov,
     build_sliding_window,
     compare_bounds,
@@ -26,12 +28,19 @@ from seqbound import (
     uniform_decay_profile,
     uniform_decay_tail,
     causal_resolvent,
+    dobrushin_coefficient,
 )
+from seqbound.config import parse_config
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
+    FAMILY_CASES,
+    family_doc,
     random_positive_spec,
+    random_sparse_spec,
     random_table_target,
+    random_tree,
+    random_window_spec,
 )
 
 EXACT_TOL = 1e-12
@@ -59,13 +68,19 @@ class TestTailShape:
         assert bound.delta_at(1e-9) == 0.0
 
     def test_inapplicable_refuses_evaluation(self):
-        bound = TailBound(name="x", proxy=None, applicable=False, reason="why")
+        bound = TailBound(name="x", proxy=None, reason="why")
+        assert bound.applicable is False
         with pytest.raises(ValueError):
             bound.delta_at(1.0)
-        with pytest.raises(ValueError):
-            TailBound(name="x", proxy=None)  # applicable needs a proxy
-        with pytest.raises(ValueError):
+        # A row is applicable exactly when it carries a proxy, and applicability
+        # is no separate argument that could contradict it.
+        assert TailBound(name="x", proxy=None).applicable is False
+        assert TailBound(name="x", proxy=3.0).applicable is True
+        with pytest.raises(TypeError):
             TailBound(name="x", proxy=3.0, applicable=False)
+        for proxy in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TailBound(name="x", proxy=proxy)
 
     @given(
         st.floats(0.01, 50.0),
@@ -343,3 +358,83 @@ class TestCompareBounds:
         report = compare_bounds(markov3, f=sum_symbols(3, 2))
         with pytest.raises(KeyError):
             report["nonexistent"]
+
+
+# ============================================================
+# One invariant over every family
+# ============================================================
+
+ALPHA_ROWS = {"markov": ("markov", "kontorovich", "samson"), "tree": ("tree",)}
+
+
+def check_catalog(spec, c) -> None:
+    """Every row of the catalog is its proxy or None with a reason, exact is
+    at most every certified row, and the Markov and tree rows read alpha off H."""
+    report = compare_bounds(spec, c=c)
+    exact = report["exact"]
+    assert exact.applicable
+    for row in report.bounds:
+        assert row.applicable == (row.proxy is not None)
+        if not row.applicable:
+            assert row.reason
+        elif row.certified:
+            assert exact.proxy <= row.proxy
+    alpha = interdependence_matrix(spec).max()
+    for name in ALPHA_ROWS.get(spec.family, ()):
+        assert report[name].details["alpha"] == alpha
+    if spec.family == "markov" and spec.horizon >= 2:
+        assert alpha == dobrushin_coefficient(spec.meta["transition"])
+
+
+def sensitivities(rng, horizon):
+    return (np.ones(horizon), rng.uniform(0.0, 2.0, size=horizon), np.eye(horizon)[-1])
+
+
+class TestCatalogInvariant:
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_family_cases(self, case):
+        config = parse_config(family_doc(case))
+        spec = config.build()
+        f = config.target()
+        check_catalog(spec, config.sensitivity(spec, f))
+        for c in sensitivities(np.random.default_rng(67), spec.horizon):
+            check_catalog(spec, c)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(71)
+        for _ in range(8):
+            horizon = int(rng.integers(1, 6))
+            size = int(rng.integers(2, 4))
+            transition = rng.dirichlet(np.full(size, 0.5), size=size)
+            edge = rng.dirichlet(np.full(size, 0.5), size=size)
+            parent = random_tree(rng, horizon, int(rng.integers(1, 4)))
+            specs = [
+                random_positive_spec(rng, horizon, size),
+                random_sparse_spec(rng, horizon, size),
+                random_window_spec(rng, horizon, size, int(rng.integers(1, 3))),
+                build_markov(transition, rng.dirichlet(np.ones(size)), horizon),
+                build_causal_tree(parent, edge, rng.dirichlet(np.ones(size))),
+            ]
+            for spec in specs:
+                for c in sensitivities(rng, horizon):
+                    check_catalog(spec, c)
+        # Chains with a coefficient of 0, 1 (no row applies) and at the
+        # Kontorovich divergence 1/2.
+        for transition in ([[0.3, 0.7], [0.3, 0.7]], np.eye(2), [[0.75, 0.25], [0.25, 0.75]]):
+            for horizon in (1, 2, 5):
+                check_catalog(build_markov(transition, [0.5, 0.5], horizon), np.ones(horizon))
+
+    def test_markov_chain_of_one_step(self):
+        # One step has no edge, so alpha = max H = 0: the Markov and Samson
+        # proxies are ||c||^2, which is exact, and Kontorovich applies at
+        # N * ||c||_inf^2.
+        spec = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 1)
+        report = compare_bounds(spec, c=np.ones(1))
+        rows = {name: report[name] for name in ALPHA_ROWS["markov"]}
+        assert {name: (b.proxy, b.certified, b.details["alpha"]) for name, b in rows.items()} == {
+            "markov": (1.0, True, 0.0),
+            "kontorovich": (1.0, False, 0.0),
+            "samson": (1.0, False, 0.0),
+        }
+        assert report["exact"].proxy == 1.0
+        assert report["kontorovich"].details["multiplier"] == 1.0

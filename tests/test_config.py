@@ -75,7 +75,7 @@ class TestShippedConfigs:
     def test_window_sweep_config(self):
         config = load_config(CONFIG_DIR / "window.yaml")
         assert config.sweep is not None
-        assert config.sweep.horizons == (10, 20, 50, 100, 200)
+        assert config.sweep == (10, 20, 50, 100, 200)
         spec = config.build(horizon=10)
         assert spec.horizon == 10
 

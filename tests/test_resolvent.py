@@ -258,6 +258,13 @@ class TestOperatorNorms:
             norms = operator_norms(np.abs(m))
             assert norms.l2 <= np.sqrt(norms.l1 * norms.linf) + NORM_TOL
 
+    def test_input_checks_and_empty_matrix(self):
+        with pytest.raises(ValueError, match="need a matrix"):
+            operator_norms(np.ones(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norms(np.array([[1.0, np.inf]]))
+        assert tuple(operator_norms(np.zeros((0, 3)))) == (0.0, 0.0, 0.0)
+
 
 # ============================================================
 # Variance proxy and decay summaries

@@ -491,7 +491,7 @@ class TestDomination:
         estimate = empirical_tail(markov3, terminal_symbol(3, 2), n_samples=2_000, seed=53)
         bounds = [
             TailBound(name="exact", proxy=1.7301),
-            TailBound(name="broken", proxy=None, applicable=False, reason="n/a"),
+            TailBound(name="broken", proxy=None, reason="n/a"),
         ]
         rows = tail_csv_rows(estimate, bounds)
         assert len(rows) == estimate.t_grid.shape[0]  # only the applicable bound
@@ -501,7 +501,7 @@ class TestDomination:
         estimate = empirical_tail(markov8, sum_symbols(8, 2), n_samples=30_000, seed=43)
         bounds = [
             TailBound(name="exact", proxy=50.666096954),
-            TailBound(name="broken", proxy=None, applicable=False, reason="n/a"),
+            TailBound(name="broken", proxy=None, reason="n/a"),
             TailBound(name="fake", proxy=0.05),
         ]
         rows = tail_csv_rows(estimate, bounds)
