@@ -179,7 +179,7 @@ def tree_tail(alpha, out_degree, c) -> TailBound:
     elif a * d >= 1.0:
         reason = f"alpha * D = {a * d:g} reaches the critical value 1"
     else:
-        return TailBound("tree", vec.shape[0] / (1.0 - a * d) ** 2, details=details)
+        return _row("tree", vec.shape[0] / (1.0 - a * d) ** 2, "proxy N / (1 - alpha * D)^2", details)
     return TailBound("tree", None, reason, details=details)
 
 

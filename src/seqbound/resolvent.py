@@ -150,7 +150,9 @@ def operator_norms(matrix) -> OperatorNorms:
     if a.size == 0:
         return OperatorNorms(0.0, 0.0, 0.0)
     magnitudes = np.abs(a)
-    return OperatorNorms(float(magnitudes.sum(axis=0).max()), float(magnitudes.sum(axis=1).max()), l2)
+    l1 = float(magnitudes.sum(axis=0).max())
+    linf = float(magnitudes.sum(axis=1).max())
+    return OperatorNorms(l1, linf, l2)
 
 
 def variance_proxy(gamma, c) -> float:

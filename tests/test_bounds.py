@@ -406,14 +406,15 @@ class TestCatalogInvariant:
             horizon = int(rng.integers(1, 6))
             size = int(rng.integers(2, 4))
             transition = rng.dirichlet(np.full(size, 0.5), size=size)
-            edge = rng.dirichlet(np.full(size, 0.5), size=size)
+            # One edge kernel per node, so the edges' coefficients differ.
+            edges = [rng.dirichlet(np.full(size, 0.5), size=size) for _ in range(horizon)]
             parent = random_tree(rng, horizon, int(rng.integers(1, 4)))
             specs = [
                 random_positive_spec(rng, horizon, size),
                 random_sparse_spec(rng, horizon, size),
                 random_window_spec(rng, horizon, size, int(rng.integers(1, 3))),
                 build_markov(transition, rng.dirichlet(np.ones(size)), horizon),
-                build_causal_tree(parent, edge, rng.dirichlet(np.ones(size))),
+                build_causal_tree(parent, edges, rng.dirichlet(np.ones(size))),
             ]
             for spec in specs:
                 for c in sensitivities(rng, horizon):
