@@ -35,7 +35,7 @@ from .coupling import (
     verify_discrepancy_recursion,
     verify_oscillation_bound,
 )
-from .errors import CalibrationError, ConfigError, EnumerationBudgetError
+from .errors import CalibrationError, ConfigError, EnumerationBudgetError, ResolventOverflowError
 from .influence import (
     dobrushin_coefficient,
     influence_enumeration_cost,
@@ -216,6 +216,8 @@ def cmd_verify(args) -> int:
     c = config.sensitivity(spec, f, table[-1])
     bound_report = compare_bounds(spec, f=f, c=c, budget=run.budget)
     gamma = bound_report.resolvent
+    if gamma is None:
+        raise ResolventOverflowError("resolvent Gamma overflows double precision; verify needs it")
     suites = [
         ("oscillation", verify_oscillation_bound(spec, table, gamma, c)),
         (

@@ -7,7 +7,10 @@ drawn in blocks of ``_block_rows(n, N)`` rows: at least ``SAMPLE_BLOCK_ROWS``
 rows and at least ``SAMPLE_BLOCK_CELLS`` cells (rows * N), and never more than
 n.  The estimators reduce each block as it is drawn, so their memory is
 O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS) + n_samples), not
-O(n_samples * N).
+O(n_samples * N).  A step draws each symbol by a binary search over its
+kernel row's cumulative sums in which every level is one gather from a
+contiguous vector of that level's probes and one compare, so a two-symbol
+step is two array calls.
 """
 
 from __future__ import annotations
@@ -72,37 +75,23 @@ def _block_rows(n: int, horizon: int) -> int:
     return min(n, max(SAMPLE_BLOCK_ROWS, SAMPLE_BLOCK_CELLS // horizon))
 
 
-def _padded_cumulative_rows(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """A step table's rows in the layout ``_invert_rows`` searches.
+def _probe_vectors(table: np.ndarray) -> list[np.ndarray]:
+    """The cumulative sums each level of the sampler's binary search probes,
+    one contiguous vector per level, top level first.
 
-    Returns the first |A| - 1 cumulative sums of every row, each row padded
-    with +inf to a stride of 2**levels and all rows flattened into one
-    vector, and levels = (|A| - 1).bit_length().
+    Each row's first |A| - 1 cumulative sums, padded with +inf to a stride
+    of 2**L, L = max((|A| - 1).bit_length(), 1), and flattened, are probed
+    at level lv (L - 1 down to 0) at offsets 2**lv - 1 + k * 2**(lv + 1):
+    level lv's vector holds those, copied, because ``np.take`` copies a
+    strided source on every call.  The search reads it at row * 2**(L-1-lv)
+    plus the bits decided above.
     """
     size = table.shape[1]
-    levels = (size - 1).bit_length()
+    levels = max((size - 1).bit_length(), 1)
     padded = np.full((table.shape[0], 1 << levels), np.inf)
     padded[:, : size - 1] = np.cumsum(table, axis=1)[:, :-1]
-    return padded.ravel(), levels
-
-
-def _invert_rows(flat: np.ndarray, levels: int, ranks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbol drawn by each uniform ``u[i]`` from table row ``ranks[i]``.
-
-    The symbol is the number of the row's first |A| - 1 cumulative sums at
-    or below the uniform, found by a branch-free binary search over the
-    padded rows of ``_padded_cumulative_rows``: one gather and one compare
-    per level.  Rows are non-negative, so the sums at or below u form a
-    prefix of the row, and the +inf padding is never at or below u.  No
-    clip is needed: the last sum is at or below u only when all others are.
-    ``ranks`` (intp) is overwritten.
-    """
-    key = np.left_shift(ranks, levels, out=ranks)
-    for level in reversed(range(levels)):
-        # Probe key + 2**level - 1, read through a view that starts there.
-        below = flat[(1 << level) - 1 :].take(key) <= u
-        key += below << level if level else below
-    return np.bitwise_and(key, (1 << levels) - 1, out=key)
+    flat = padded.ravel()
+    return [flat[(1 << lv) - 1 :: 2 << lv].copy() for lv in reversed(range(levels))]
 
 
 def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[int] = ()):
@@ -116,17 +105,23 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
     block's uniforms are read from the stream in chunks of at most an eighth
     of a block and copied transposed into one reused (N, block) buffer, so
     each step reads its uniforms as one contiguous row.  Memory is these
-    two buffers, one chunk and the padded tables: O(block * N), that is
-    O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), whatever n is.  Each
-    step ranks every sample's signature coordinates into a row of the
-    step's kernel table and inverts that row's CDF by a binary search
-    (``_invert_rows``) over the row's cumulative sums, padded with +inf to
-    a power-of-two stride: O(log |A|) contiguous passes per step.  The
-    symbol is the number of the row's first |A| - 1 cumulative sums at or
-    below the uniform, so zero-probability symbols, whose cells are empty,
-    are never selected.  Row i reads the i-th N uniforms of the stream
-    whatever the block shape, so the paths do not depend on the block
-    size.  Arguments are checked when the first block is asked for.
+    two buffers, one chunk and the probe vectors: O(block * N), that is
+    O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), whatever n is.
+
+    Each step inverts the CDF of every sample's row of the step's kernel
+    table by a binary search over the row's cumulative sums, one level per
+    vector of ``_probe_vectors``.  The top level gathers at the row's rank:
+    the path column itself for a one-coordinate signature, else
+    ``history_ranks``.  Its compare writes the symbol's top bit straight
+    into the path column, so a two-symbol step is one gather and one
+    compare.  Each further level gathers at key = 2 * key + bit, in intp,
+    and shifts its bit into the column.  The symbol is the number of the
+    row's first |A| - 1 cumulative sums at or below the uniform, so
+    zero-probability symbols, whose cells are empty, are never selected;
+    the +inf padding is never at or below it.  Row i reads the i-th N
+    uniforms of the stream whatever the block shape, so the paths do not
+    depend on the block size.  Arguments are checked when the first block
+    is asked for.
     """
     if n < 1:
         raise ValueError(f"n_samples must be positive, got {n}")
@@ -135,11 +130,13 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
     if len(pre) > horizon:
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
-    tables = {step: _padded_cumulative_rows(step_table(spec, step)) for step in steps}
+    tables = {step: _probe_vectors(step_table(spec, step)) for step in steps}
     block = _block_rows(n, horizon)
     # Column-major, so each step reads and writes one contiguous column.
     buffer = np.zeros((block, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     buffer[:, : len(pre)] = pre
+    # A bool view stores the top bit without a cast where paths are one byte.
+    top_bits = buffer.view(bool) if buffer.itemsize == 1 else buffer
     rng = np.random.default_rng(seed)
     uniforms = np.empty((horizon, block))
     chunk = np.empty((max(block // 8, 1), horizon))
@@ -150,9 +147,16 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
             drawn = rng.random(out=chunk[: m - lo])
             uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
         for step in steps:
-            flat, levels = tables[step]
-            ranks = history_ranks(spec, step, rows)
-            rows[:, step - 1] = _invert_rows(flat, levels, ranks, uniforms[step - 1, :m])
+            probes, coords = tables[step], spec.signature_coords(step)
+            u, column = uniforms[step - 1, :m], rows[:, step - 1]
+            key = rows[:, coords[0] - 1] if len(coords) == 1 else history_ranks(spec, step, rows)
+            below = np.less_equal(probes[0].take(key), u, out=top_bits[:m, step - 1])
+            for probe in probes[1:]:
+                key = np.left_shift(key, 1, dtype=np.intp)
+                key += below
+                below = probe.take(key) <= u
+                column <<= 1
+                column += below
         yield start, rows
 
 
@@ -163,7 +167,9 @@ def sample_trajectories(
 
     Row i reads the i-th N uniforms of one seeded stream, one per step, so the
     result is bit-reproducible and independent of how samples would be
-    scheduled across workers.  The blocks of ``_trajectory_blocks`` are
+    scheduled across workers.  Each symbol is the number of its kernel row's
+    first |A| - 1 cumulative sums at or below its uniform, found by the
+    per-level binary search of ``_trajectory_blocks``.  The blocks of ``_trajectory_blocks`` are
     copied into the returned array, so memory beside it is O(block * N);
     callers that only reduce the paths read the blocks themselves.  The
     columns of ``prefix`` are pinned in every row, and drawing starts after

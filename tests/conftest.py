@@ -23,7 +23,10 @@ The oracles, which no library code calls:
   rows in O(N^3); and ``discrepancy_bound`` is row k of the production
   resolvent;
 - ``per_entry_matrix_csv`` is the production matrix writer before it
-  formatted each repeated value once: one f-string per nonzero entry.
+  formatted each repeated value once: one f-string per nonzero entry;
+- ``shift_and_mask_paths`` is the production sampler before each search
+  level read its own probe vector: one flat padded row vector per step,
+  searched by shifted keys and masked at the end, in the same blocks.
 """
 
 import copy
@@ -45,10 +48,11 @@ from seqbound import (
     kernel_at,
     mixed_radix_rank,
     prefix_expectation_table,
+    sampling,
     table_target,
     tv_distance,
 )
-from seqbound.process import step_table
+from seqbound.process import history_ranks, step_table
 from seqbound.report import FLOAT_FORMAT, MATRIX_HEADER
 
 CANONICAL_TRANSITION = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -212,6 +216,49 @@ def per_entry_matrix_csv(path, entries: np.ndarray) -> None:
             prefix = f"{i},"
             pairs = zip(cols.tolist(), row[cols].tolist())
             fh.write("".join([f"{prefix}{labels[j]}{x:{FLOAT_FORMAT}}\n" for j, x in pairs]))
+
+
+def shift_and_mask_paths(spec: ProcessSpec, n: int, seed: int, prefix=()) -> np.ndarray:
+    """``sample_trajectories`` as it was before per-level probe vectors.
+
+    Each step's table is one vector of rows, each holding its first |A| - 1
+    cumulative sums padded with +inf to a stride of 2**L; the search shifts
+    the intp rank left by L, adds each level's bit at its place, and masks
+    the rank off at the end.  Blocks, buffers and the uniform stream are
+    those of ``sampling._trajectory_blocks``.
+    """
+    size, horizon = spec.alphabet.size, spec.horizon
+    steps = range(len(prefix) + 1, horizon + 1)
+    tables = {}
+    for step in steps:
+        table = step_table(spec, step)
+        levels = (size - 1).bit_length()
+        padded = np.full((table.shape[0], 1 << levels), np.inf)
+        padded[:, : size - 1] = np.cumsum(table, axis=1)[:, :-1]
+        tables[step] = padded.ravel(), levels
+    block = sampling._block_rows(n, horizon)
+    buffer = np.zeros((block, horizon), dtype=np.min_scalar_type(size - 1), order="F")
+    buffer[:, : len(prefix)] = prefix
+    rng = np.random.default_rng(seed)
+    uniforms = np.empty((horizon, block))
+    chunk = np.empty((max(block // 8, 1), horizon))
+    paths = np.empty((n, horizon), dtype=buffer.dtype, order="F")
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        rows = buffer[:m]
+        for lo in range(0, m, chunk.shape[0]):
+            drawn = rng.random(out=chunk[: m - lo])
+            uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
+        for step in steps:
+            flat, levels = tables[step]
+            key = np.left_shift(history_ranks(spec, step, rows), levels)
+            u = uniforms[step - 1, :m]
+            for level in reversed(range(levels)):
+                below = flat[(1 << level) - 1 :].take(key) <= u
+                key += below << level if level else below
+            rows[:, step - 1] = np.bitwise_and(key, (1 << levels) - 1)
+        paths[start : start + m] = rows
+    return paths
 
 
 def exact_oscillation(spec: ProcessSpec, f, k: int, prefix, budget=None) -> float:

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, CSV outputs, and exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -304,6 +305,19 @@ def test_verify_builds_each_exact_quantity_once(tmp_path, monkeypatch, name):
     argv = ["verify", "--config", str(path), "--out", str(tmp_path)]
     assert cli.main(argv + ["--n-samples", "20000"]) == 0
     assert calls == VERIFY_CALLS[name]
+
+
+def test_verify_refuses_an_overflowed_resolvent(tmp_path, monkeypatch, capsys):
+    # compare_bounds reports an overflowed Gamma as resolvent None; verify
+    # stops there, before any suite or output file.
+    def overflowed(spec, **kwargs):
+        return dataclasses.replace(seqbound.compare_bounds(spec, **kwargs), resolvent=None)
+
+    suites = count_calls(monkeypatch, cli, "verify_oscillation_bound")
+    monkeypatch.setattr(cli, "compare_bounds", overflowed)
+    assert cli.main(["verify", "--config", MARKOV, "--out", str(tmp_path / "out")]) == 2
+    assert "error: resolvent Gamma overflows double precision" in capsys.readouterr().err
+    assert suites == [0] and not (tmp_path / "out").exists()
 
 
 def test_coupling_rows_do_not_depend_on_the_seed(tmp_path):

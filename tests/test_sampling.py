@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqbound import (
+    Alphabet,
     EnumerationBudgetError,
+    ProcessSpec,
     TailBound,
     TailEstimate,
     TargetFunction,
     binomial_stderr,
+    build_causal_tree,
     build_independent,
     build_markov,
     check_tail_domination,
@@ -28,8 +31,8 @@ from seqbound import (
     terminal_symbol,
     tightness_ratios,
 )
-from seqbound.process import build_from_tables, step_table
-from seqbound.sampling import _block_rows, _invert_rows, _padded_cumulative_rows
+from seqbound.process import build_from_tables, spec_from_tables, step_table
+from seqbound.sampling import _block_rows, _probe_vectors
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
@@ -38,6 +41,7 @@ from conftest import (
     random_positive_spec,
     random_sparse_spec,
     random_window_spec,
+    shift_and_mask_paths,
     traced_peak,
 )
 
@@ -174,17 +178,46 @@ def zero_symbol_spec():
     return build_from_tables(tables)
 
 
+def reads_coordinate_one(rng, horizon, size):
+    """Every step after the first reads coordinate 1 alone, whatever its
+    distance back."""
+    tables = [rng.dirichlet(np.ones(size), size=size if step else 1) for step in range(horizon)]
+    signatures = [frozenset()] + [frozenset({1})] * (horizon - 1)
+    return spec_from_tables(tables, signatures, "custom", {})
+
+
+def parent_two_back(rng, horizon, size):
+    """A causal tree whose node j reads node j - 2, so no step reads the
+    step before it."""
+    edges = rng.dirichlet(np.ones(size), size=size)
+    return build_causal_tree([0, 0] + list(range(1, horizon - 1)), edges, np.full(size, 1.0 / size))
+
+
+def many_symbol_markov(rng, horizon, size):
+    return build_markov(rng.dirichlet(np.ones(size), size=size), np.full(size, 1.0 / size), horizon)
+
+
 BLOCK_CASES = {
     "markov3, n not a multiple of the block": (lambda: markov_spec(3), 52, ()),
     "markov3, n below the block": (lambda: markov_spec(3), 5, ()),
     "window": (lambda: random_window_spec(np.random.default_rng(53), 7, 3, 2), 40, ()),
     "pinned pair": (lambda: coupled_pair_process(markov_spec(5)), 30, (0, 1)),
     "300 symbols": (lambda: build_independent(np.full(300, 1.0 / 300.0), 4), 30, ()),
-    # |A| = 1, 3, 5 and 9: padded strides 1, 4, 8 and 16, each with the most padding.
+    # |A| = 1, 3, 5, 9 and 17: each the most padding for its number of search levels.
     "1 symbol": (lambda: build_independent(np.array([1.0]), 4), 30, ()),
     "3 symbols": (lambda: random_sparse_spec(np.random.default_rng(73), 4, 3), 30, ()),
     "5 symbols": (lambda: random_sparse_spec(np.random.default_rng(79), 3, 5), 30, ()),
     "9 symbols": (lambda: random_sparse_spec(np.random.default_rng(83), 3, 9), 30, ()),
+    "17 symbols": (lambda: random_sparse_spec(np.random.default_rng(137), 3, 17), 30, ()),
+    # uint16 paths read as the one-coordinate rank, with nine search levels.
+    "257 symbols": (lambda: many_symbol_markov(np.random.default_rng(139), 4, 257), 30, ()),
+    # One-coordinate signatures that are not the previous step.
+    "tree, parent two back": (lambda: parent_two_back(np.random.default_rng(151), 7, 3), 30, ()),
+    "coordinate 1 at every step": (
+        lambda: reads_coordinate_one(np.random.default_rng(157), 6, 3),
+        30,
+        (),
+    ),
     "zero symbols first, inside and last": (zero_symbol_spec, 60, ()),
 }
 
@@ -231,6 +264,27 @@ def test_blocks_equal_one_shot_draw(small_blocks, name):
     expected = one_shot_reference(spec, n, 59, prefix)
     assert paths.dtype == expected.dtype
     assert np.array_equal(paths, expected)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_paths_equal_the_shift_and_mask_sampler(small_blocks, name):
+    build, n, prefix = BLOCK_CASES[name]
+    spec = build()
+    paths = sample_trajectories(spec, n, seed=173, prefix=prefix)
+    expected = shift_and_mask_paths(spec, n, 173, prefix)
+    assert paths.dtype == expected.dtype
+    assert paths.tobytes() == expected.tobytes()
+
+
+def test_block_cases_cover_the_signature_shapes():
+    def signatures(name):
+        return BLOCK_CASES[name][0]().signatures
+
+    assert signatures("300 symbols") == (frozenset(),) * 4
+    assert signatures("tree, parent two back")[2:] == tuple(frozenset({j - 2}) for j in range(3, 8))
+    assert signatures("coordinate 1 at every step")[1:] == (frozenset({1}),) * 5
+    assert signatures("window")[:3] == (frozenset(), frozenset({1}), frozenset({1, 2}))
+    assert sample_trajectories(BLOCK_CASES["257 symbols"][0](), 2, seed=0).dtype == np.uint16
 
 
 def block_bytes(n, horizon):
@@ -369,19 +423,46 @@ def rows_and_uniforms(draw):
     return table, np.array(ranks, dtype=np.intp), np.array(uniforms)
 
 
+class UniformStream:
+    """Stands in for ``np.random.default_rng(seed)``: ``random(out=...)``
+    fills ``out`` in row order with the next values of a fixed sequence."""
+
+    def __init__(self, values):
+        self.values, self.read = np.asarray(values, dtype=float), 0
+
+    def random(self, out):
+        out[...] = self.values[self.read : self.read + out.size].reshape(out.shape)
+        self.read += out.size
+        return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(rows_and_uniforms())
 def test_binary_search_counts_the_sums_at_or_below_u(case):
+    # The real block loop on a two-step spec with the step tables and the
+    # uniforms swapped in: step 1 draws each sample's row rank (its table is
+    # n_rows cells of 1/4, read at the middle of a cell), and step 2, which
+    # reads coordinate 1, draws from that row of the table under test.
     table, ranks, uniforms = case
-    size = table.shape[1]
-    flat, levels = _padded_cumulative_rows(table)
-    drawn = _invert_rows(flat, levels, ranks.copy(), uniforms)
+    n_rows, size = table.shape
+    probes = _probe_vectors(table)
+    levels = max((size - 1).bit_length(), 1)
+    assert [p.size for p in probes] == [n_rows << lv for lv in range(levels)]
+    assert all(p.flags.c_contiguous for p in probes)
+    tables = [np.full((1, n_rows), 0.25), table]
+    stream = np.column_stack([0.125 + 0.25 * ranks, uniforms]).ravel()
+    spec = ProcessSpec(2, Alphabet(max(size, n_rows)), None, (frozenset(), frozenset({1})))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "step_table", lambda spec, step: tables[step - 1])
+        patch.setattr(np.random, "default_rng", lambda seed: UniformStream(stream))
+        [(_, rows)] = list(sampling._trajectory_blocks(spec, len(ranks), seed=0))
     cums = np.cumsum(table, axis=1)
     expected = [
         min(np.searchsorted(cums[rank], u, side="right"), size - 1)
         for rank, u in zip(ranks, uniforms)
     ]
-    assert drawn.tolist() == expected
+    assert rows[:, 0].tolist() == ranks.tolist()
+    assert rows[:, 1].tolist() == expected
 
 
 class TestBinomialStderr:
