@@ -142,11 +142,14 @@ def test_shipped_config_runs(tmp_path, name, command):
 # 125,250 entries); sweep writes only where a config has a sweep section.
 # Also the CSVs of verify on the four shipped configs it finishes on (seeded,
 # so the tail rows, one set per applicable bound, are fixed), and the stdout
-# of bounds, the table with its applicable, certified and reason columns,
-# with the output directory masked.  Recorded before the matrix writer and
-# the influence enumeration were vectorized, and the verify and stdout
-# entries before the catalog rows were built through one constructor, so any
-# change to an output byte fails here.
+# of every run that exits 0 (describe's summary, matrix's norms, the bounds
+# table with its applicable, certified and reason columns, the sweep lines,
+# verify's suite and tightness lines), with the output directory masked.
+# Recorded before the matrix writer and the influence enumeration were
+# vectorized, the verify CSVs and bounds stdout before the catalog rows were
+# built through one constructor, and the other stdout before describe and
+# the family rows were read off per-family records, so any change to an
+# output byte fails here.
 VERIFIED_CONFIGS = ("independent.yaml", "markov.yaml", "tree.yaml", "window_small.yaml")
 GOLDEN_CSV_SHA256 = {
     ("independent.yaml", "matrix", "influence.csv"): "62a970c811f2ba14833ac61b444cf8fad0c108ed79957d511485d8e14a13312b",
@@ -155,33 +158,52 @@ GOLDEN_CSV_SHA256 = {
     ("independent.yaml", "bounds", "stdout"): "f80bb7257fd4734d5e4334250e87c83305b76fe50a0cbd1a96c83e1b0124b23e",
     ("independent.yaml", "verify", "tails.csv"): "4a21d1c72906a5bbd02f532e23f26ce1ad2a33f1f8f3a9def95756d45110c496",
     ("independent.yaml", "verify", "verification.csv"): "3c597245799cebb678b5cb8ecee9e9ea5b391ea2ed686e01f9019e5b0aaf56ae",
+    ("independent.yaml", "describe", "stdout"): "93e201749e24af2854df203ee7e4f9690d3e16015fec7317ecebd1fbd6ff1129",
+    ("independent.yaml", "matrix", "stdout"): "00ee409d5c779473aace927e5bf675595e7863536e1f73c957e9be0ef884e3ed",
+    ("independent.yaml", "verify", "stdout"): "0255cd733fba550a2232d43f7b470b80d63ab9a547870a96a51fa4539aae1920",
     ("markov.yaml", "matrix", "influence.csv"): "c173caa4d1a99ca315ed2cd9f69c2ef76efce7c54e458471caf477a00eb8f4c0",
     ("markov.yaml", "matrix", "resolvent.csv"): "30b4796960d20a06bea925e0f018a84e8f33fe6633419ae11a0e6c20cebe738b",
     ("markov.yaml", "bounds", "bounds.csv"): "095b36488e5617fc30816e1d0a3aedd68c9bf8f9c0c6b085a6139bc5a8b4a54d",
     ("markov.yaml", "bounds", "stdout"): "56eec90c022c846a57226996f5699d7aa6da0ecaee4515293997dfbb82b357e2",
     ("markov.yaml", "verify", "tails.csv"): "ff39260603a97eb64b630f35831e2490f9ea3fe0028081d1452b565cdea83d6a",
     ("markov.yaml", "verify", "verification.csv"): "b2d62b6a89ae36c3a4afdfd8070710acfe7b50cefdd9379e9d42eb72d3b9c57e",
+    ("markov.yaml", "describe", "stdout"): "395b227ab983c44675475b6dc1d55ed02a6343fbad7e0dfda6dc5ba5baba5fca",
+    ("markov.yaml", "matrix", "stdout"): "19ec77fc85e0308628424acc23959138766afa79531a046de74aac4a7c9fe42c",
+    ("markov.yaml", "verify", "stdout"): "5b1eb2d85e025577a38567c72860a04692728de6c0a69b923ac98ddf1a1dfd15",
     ("markov-500", "matrix", "influence.csv"): "6a1205b7bb54677459e3436616e924b3e53c75ff01a78fd12ddaf1267048e7f4",
     ("markov-500", "matrix", "resolvent.csv"): "2ccee94a9bf63a1f9b1d9acdc6206be81c92a8950f141124ae4650692432ed21",
     ("markov-500", "bounds", "bounds.csv"): "eff424915e5e7805d316b1b571a522ce6df4defa4d6a0ce2e4c8838b7c05a095",
     ("markov-500", "sweep", "sweep.csv"): "52652df911270a8662256d2bc19f3005e93a93d514e82a2dd0f861c9b1fced45",
+    ("markov-500", "bounds", "stdout"): "7521524c4d9fe47b76595079759c284ff1f462c8d98595dee41172dc4765c283",
+    ("markov-500", "describe", "stdout"): "2b3c6638146d5f2469d38778933c2361c9f5b004bc804785859a6e1a95f8ed81",
+    ("markov-500", "matrix", "stdout"): "2f59ffb7daf996b08a93c517c6423220e40a45f81dc797b4e3646da50642ded2",
+    ("markov-500", "sweep", "stdout"): "d99a18632af124bbdaf1aef133b557d62272feafee313c0adaff04eca3b878a1",
     ("tree.yaml", "matrix", "influence.csv"): "83d6a75bd3c9af8f9ae398dcb6cde7056f2b2db03c1342dfaf6235311f005c9f",
     ("tree.yaml", "matrix", "resolvent.csv"): "d08047803a0f5f050ae659374d4d3ee774b8f5686c2e1ab9dc3840eb4c47d99c",
     ("tree.yaml", "bounds", "bounds.csv"): "76e89b9077e8fb4ae27c878a5fb10cb6a1c605c008f313574cf4542574c19aaf",
     ("tree.yaml", "bounds", "stdout"): "25aeacecbcc128ac36189d54f2c1421d23a93bf38e26ddeb95b89c17a4a4f71a",
     ("tree.yaml", "verify", "tails.csv"): "42406e9520b3fd9697ac9a3f41c4d9ed287114adce48b596e2c150606591aba2",
     ("tree.yaml", "verify", "verification.csv"): "cc3fd3336112e84ff3ab3ddf13f49a2f6f4ca052181cc83ed0f10d7e7186e971",
+    ("tree.yaml", "describe", "stdout"): "b2b5fae60cec292bccb9c62b80ad1aa10ef616309fc56fb7597fc729ce3977f2",
+    ("tree.yaml", "matrix", "stdout"): "965de0f77fce59cefc593130df52746b40a92a484e4bbf5b7ac743310e46f312",
+    ("tree.yaml", "verify", "stdout"): "3695ed44d824740a2cee62f5b84ad610e71473c3317fa977739a0a94773cc939",
     ("window.yaml", "matrix", "influence.csv"): "2c7dbbf81430cbd3352c831da963fb067e3d5d58c9ff887daadf29cd1528c2a5",
     ("window.yaml", "matrix", "resolvent.csv"): "28707ca13b346f5e867915cfd0f155ce31195be8e7815dea2801304d05558bdd",
     ("window.yaml", "bounds", "bounds.csv"): "ded6a3ccee8b4ccac9f54ebb928162ae5612c5884bae01774da6f945a8b16e9c",
     ("window.yaml", "bounds", "stdout"): "b6b91793ddf9a8af8c806dc38ecc7165eee27236febfef01395d822db0d4264c",
     ("window.yaml", "sweep", "sweep.csv"): "59a950e8723028fc48ee27f301d3802cb87ce6beb56147a7ef5a61bdd47956b0",
+    ("window.yaml", "describe", "stdout"): "d842c9804a7d81c26ae45670d87a3baff793281e34ea8a13d027093250b10e01",
+    ("window.yaml", "matrix", "stdout"): "c9bcd00b960ef058408ef451b0845fb1de75dbe55d5c3334209637250a2856d3",
+    ("window.yaml", "sweep", "stdout"): "7c14769148c9bb288678b2ca71a09940e96deea27ef6482d03cb173d8ad8833c",
     ("window_small.yaml", "matrix", "influence.csv"): "61515a63adef30dd628ef8fe578fe671b4c4fc9140fb9d39590ad2636545bba3",
     ("window_small.yaml", "matrix", "resolvent.csv"): "0d69900bf64246f745c580a17b91d4d7ed0434de498c745308149ee470f90599",
     ("window_small.yaml", "bounds", "bounds.csv"): "a677e6c4ccf1a7b33f6d2be0ce52b614f6df1242e743f675bf1521ab2655a123",
     ("window_small.yaml", "bounds", "stdout"): "9bdaf7a9560056da426955d72016f46266817c59f941c4541722044909b21534",
     ("window_small.yaml", "verify", "tails.csv"): "952d01dc05ccfff6bcdfa266d8c54a2dea35da7de080cb9e9c6c099503b561fc",
     ("window_small.yaml", "verify", "verification.csv"): "2c88b9e9e09ab38020a5c407e3560da4c8a8ca5e39310852ce403d73157c7124",
+    ("window_small.yaml", "describe", "stdout"): "d2cc64e56fea3aea9ce947d0aed50e4b4e871c571b2766879e98108c6eb10693",
+    ("window_small.yaml", "matrix", "stdout"): "26129ae1dc63804f736efaf602c6acf8b9acb49ea6b163a3fd6e1b7caa6b1e54",
+    ("window_small.yaml", "verify", "stdout"): "31644f7e9162e7ea85f511475fda05e801c10511be22361114ec0090d85bca31",
 }
 
 
@@ -193,7 +215,7 @@ def test_csv_outputs_match_golden_hashes(tmp_path, capsys):
     configs["markov-500"] = write_yaml(tmp_path / "markov-500.yaml", markov)
     hashes = {}
     for name, path in configs.items():
-        for command in ("matrix", "bounds", "sweep", "verify"):
+        for command in ("describe", "matrix", "bounds", "sweep", "verify"):
             if command == "verify" and name not in VERIFIED_CONFIGS:
                 continue
             out = tmp_path / name / command
@@ -203,8 +225,8 @@ def test_csv_outputs_match_golden_hashes(tmp_path, capsys):
             for csv_path in sorted(out.glob("*.csv")):
                 digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
                 hashes[name, command, csv_path.name] = digest
-            if command == "bounds" and name in SHIPPED_CONFIGS:
-                text = capsys.readouterr().out.replace(str(out), "<out>")
+            text = capsys.readouterr().out.replace(str(out), "<out>")
+            if code == 0:
                 hashes[name, command, "stdout"] = hashlib.sha256(text.encode()).hexdigest()
     capsys.readouterr()
     assert hashes == GOLDEN_CSV_SHA256
