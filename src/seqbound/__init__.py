@@ -11,6 +11,8 @@ maximal-coupling simulation, Monte Carlo tails) for every inequality the
 package computes.
 """
 
+import types as _types
+
 from .bounds import (
     TailBound,
     compare_bounds,
@@ -103,77 +105,9 @@ from .window import build_calibrated_window, window_point_symbol
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "CalibrationError",
-    "ConfigError",
-    "DEFAULT_N_SAMPLES",
-    "DEFAULT_SEED",
-    "EnumerationBudgetError",
-    "ProcessSpec",
-    "ResolventOverflowError",
-    "TailBound",
-    "TailEstimate",
-    "TargetFunction",
-    "as_sensitivity",
-    "binomial_stderr",
-    "build_calibrated_window",
-    "build_causal_tree",
-    "build_from_tables",
-    "build_independent",
-    "build_markov",
-    "build_sliding_window",
-    "causal_resolvent",
-    "check_tail_domination",
-    "column_sum_alpha",
-    "compare_bounds",
-    "constant",
-    "count_symbol",
-    "coupled_pair_process",
-    "decay_lower_bound",
-    "default_t_grid",
-    "dobrushin_coefficient",
-    "empirical_tail",
-    "ensure_budget",
-    "evaluate_batch",
-    "exact_expectation",
-    "exact_pair_discrepancy",
-    "exact_tail",
-    "influence_enumeration_cost",
-    "interdependence_matrix",
-    "kernel_at",
-    "kontorovich_baseline",
-    "lipschitz_vector_oracle",
-    "load_config",
-    "markov_tail",
-    "maximal_coupling_draws",
-    "maximal_coupling_joint",
-    "mixed_radix_rank",
-    "operator_norms",
-    "parity",
-    "parse_config",
-    "prefix_expectation_table",
-    "sample_trajectories",
-    "samson_baseline",
-    "scalar_collapse_tail",
-    "simulate_coupled_paths",
-    "sparse_terminal_tail",
-    "spectral_decay",
-    "spectral_norm",
-    "spectral_tail",
-    "sum_symbols",
-    "table_target",
-    "tail_csv_rows",
-    "terminal_indicator",
-    "terminal_symbol",
-    "tightness_ratios",
-    "tree_tail",
-    "tv_distance",
-    "uniform_decay_profile",
-    "uniform_decay_tail",
-    "variance_proxy",
-    "verify_coupling_marginals",
-    "verify_discrepancy_recursion",
-    "verify_oscillation_bound",
-    "window_point_symbol",
-]
+# Every name imported above, the submodules aside: one list to keep.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -257,6 +257,23 @@ def samson_baseline(alpha, c) -> TailBound:
     )
 
 
+def _markov_rows(spec: ProcessSpec, infl: np.ndarray, vec: np.ndarray) -> list[TailBound]:
+    a = float(infl.max())
+    return [markov_tail(a, vec), kontorovich_baseline(a, vec), samson_baseline(a, vec)]
+
+
+def _tree_rows(spec: ProcessSpec, infl: np.ndarray, vec: np.ndarray) -> list[TailBound]:
+    return [tree_tail(float(infl.max()), max(int(spec.meta.get("out_degree", 0)), 1), vec)]
+
+
+# The rows a family adds to the catalog, a function of (spec, H, c), by the
+# tag its builder sets.  A chain or tree step reads at most its parent, so H's
+# nonzeros are the edges' Dobrushin coefficients, and alpha is the largest (a
+# chain's superdiagonal, and 0 for a chain of one step, which has no edge).
+# Entries look the catalog up by module-level name, so a patched one is called.
+FAMILY_ROWS = {"markov": _markov_rows, "tree": _tree_rows}
+
+
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """All bounds for one scenario, applicable rows first, sorted by proxy."""
@@ -325,8 +342,8 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
     raises instead of being reported as data.  An exact row whose proxy
     overflows is inapplicable and is not compared.  Where Gamma itself
     overflows, the three rows built on it are inapplicable, the rows that
-    read only H are reported, and the report's resolvent is None.  The
-    Markov and tree rows share one coefficient, alpha = max H.
+    read only H are reported, and the report's resolvent is None.  A family
+    in ``FAMILY_ROWS`` adds its own rows.
     """
     if c is None:
         declared = getattr(f, "sensitivity", None)
@@ -344,19 +361,9 @@ def compare_bounds(spec: ProcessSpec, f=None, c=None, budget: int | None = None)
         rows = [exact_tail(gamma, vec), spectral_tail(gamma, vec), scalar_collapse_tail(gamma, vec)]
     exact = rows[0]
     rows.append(uniform_decay_tail(uniform_decay_profile(infl), vec))
-    alpha_cols = column_sum_alpha(infl)
-    if spec.family in ("markov", "tree"):
-        # A chain or tree step reads at most its parent, so H's nonzeros are
-        # the edges' Dobrushin coefficients; alpha is the largest (a chain's
-        # superdiagonal, and 0 for a chain of one step, which has no edge).
-        a = float(infl.max())
-    if spec.family == "markov":
-        rows += [markov_tail(a, vec), kontorovich_baseline(a, vec), samson_baseline(a, vec)]
-    if spec.family == "tree":
-        d = max(int(spec.meta.get("out_degree", 0)), 1)
-        rows.append(tree_tail(a, d, vec))
+    rows += FAMILY_ROWS.get(spec.family, lambda *_: [])(spec, infl, vec)
     if vec.shape[0] >= 1 and np.all(vec[:-1] == 0.0):
-        rows.append(sparse_terminal_tail(alpha_cols, float(vec[-1])))
+        rows.append(sparse_terminal_tail(column_sum_alpha(infl), float(vec[-1])))
     for row in rows if exact.applicable else ():
         if row.applicable and row.certified and exact.proxy > row.proxy + ORDERING_TOLERANCE:
             raise RuntimeError(

@@ -3,9 +3,8 @@
 Subcommands: ``describe`` (scenario summary), ``matrix`` (influence and
 resolvent CSVs plus operator norms), ``bounds`` (comparison table and CSV),
 ``verify`` (oscillation, recursion, coupling-marginal, and tail-domination
-suites), and ``sweep`` (proxy-versus-horizon CSV for the families whose
-horizon is free: markov, window, and independent with one shared marginal;
-the scenario is built once, at the largest horizon, and each smaller
+suites), and ``sweep`` (proxy-versus-horizon CSV for a scenario whose
+horizon is free; it is built once, at the largest horizon, and each smaller
 horizon from which the family is prefix-closed reads its leading steps).
 
 Settings resolve as flag > environment variable > config file > default;
@@ -36,11 +35,7 @@ from .coupling import (
     verify_oscillation_bound,
 )
 from .errors import CalibrationError, ConfigError, EnumerationBudgetError, ResolventOverflowError
-from .influence import (
-    dobrushin_coefficient,
-    influence_enumeration_cost,
-    interdependence_matrix,
-)
+from .influence import influence_enumeration_cost, interdependence_matrix
 from .process import DEFAULT_ENUMERATION_BUDGET, ProcessSpec, prefix_expectation_table
 from .report import format_number, merge_reports, write_csv, write_matrix_csv
 from .resolvent import causal_resolvent, operator_norms, spectral_decay
@@ -150,13 +145,8 @@ def cmd_describe(args) -> int:
     budget = config.run.budget if config.run.budget is not None else DEFAULT_ENUMERATION_BUDGET
     cost = influence_enumeration_cost(spec)
     print("signatures:")
-    for line in _signature_lines(spec):
+    for line in _signature_lines(spec) + config.describe(spec):
         print(line)
-    if spec.family == "markov":
-        print(f"dobrushin alpha: {format_number(dobrushin_coefficient(spec.meta['transition']))}")
-    if spec.family == "window":
-        print(f"calibrated beta: {format_number(spec.meta['beta'])}")
-        print(f"achieved alpha: {format_number(spec.meta['achieved_alpha'])}")
     line = f"influence enumeration: {cost} kernel evaluations (budget {budget})"
     if cost > budget:
         line += "\nwarning: exact influence enumeration exceeds the budget; "

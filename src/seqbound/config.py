@@ -27,6 +27,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .influence import dobrushin_coefficient
 from .process import (
     ProcessSpec,
     build_causal_tree,
@@ -35,6 +36,8 @@ from .process import (
     build_markov,
     leading_steps,
 )
+from .report import format_number
+from .sampling import MIN_TAIL_SAMPLES
 from .targets import (
     TargetFunction,
     as_sensitivity,
@@ -167,7 +170,7 @@ def _choice(value, path: str, choices) -> str:
 RUN_SETTINGS: dict[str, Callable] = {
     "seed": lambda value, path: _number(value, path, integer=True, minimum=0, maximum=MAX_SEED),
     "budget": lambda value, path: _number(value, path, integer=True, minimum=1),
-    "n_samples": lambda value, path: _number(value, path, integer=True, minimum=1),
+    "n_samples": lambda value, path: _number(value, path, integer=True, minimum=MIN_TAIL_SAMPLES),
     "t_grid": lambda value, path: tuple(_array(value, path, 1, minimum=0.0).tolist()),
 }
 
@@ -176,12 +179,21 @@ RUN_SETTINGS: dict[str, Callable] = {
 # Scenario families
 # ============================================================
 #
-# One parser per `scenario.<family>` block.  It validates the block against
-# the declared horizon and alphabet and returns the family's builder and the
-# smallest horizon from which the family is prefix-closed (None when the
-# horizon is pinned): its spec at any such n is the first n steps of its spec
-# at a larger horizon.  Builders look the process builders up by name when
-# they run.
+# One record per family.  Its parser validates the `scenario.<family>` block
+# against the declared horizon and alphabet and returns the family's builder
+# and the smallest horizon from which the family is prefix-closed (None when
+# the horizon is pinned): its spec at any such n is the first n steps of its
+# spec at a larger horizon.  Builders look the process builders up by name
+# when they run.
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Block keys, block parser, and the lines ``describe`` prints for a build."""
+
+    keys: set[str]
+    parse: Callable[[dict, str, int, int], tuple[Builder, int | None]]
+    describe: Callable[[ProcessSpec], list[str]] = lambda spec: []
 
 
 def _parse_independent(params: dict, path: str, horizon: int, alphabet: int):
@@ -216,6 +228,10 @@ def _parse_markov(params: dict, path: str, horizon: int, alphabet: int):
         return build_markov(transition, init, n) if within is None else leading_steps(within, n)
 
     return build, 1
+
+
+def _describe_markov(spec: ProcessSpec) -> list[str]:
+    return [f"dobrushin alpha: {format_number(dobrushin_coefficient(spec.meta['transition']))}"]
 
 
 def _per_node(value, path: str, shape: tuple[int, ...], used: list[bool]):
@@ -278,6 +294,13 @@ def _parse_window(params: dict, path: str, horizon: int, alphabet: int):
     return build, width + 1
 
 
+def _describe_window(spec: ProcessSpec) -> list[str]:
+    return [
+        f"calibrated beta: {format_number(spec.meta['beta'])}",
+        f"achieved alpha: {format_number(spec.meta['achieved_alpha'])}",
+    ]
+
+
 def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
     kernels = _require(params, "kernels", path)
     path = _join(path, "kernels")
@@ -297,13 +320,12 @@ def _parse_table(params: dict, path: str, horizon: int, alphabet: int):
     return (lambda n, budget, within: build_from_tables(tables)), None
 
 
-# Each family's block keys and its parser.
-_FAMILIES: dict[str, tuple[set[str], Callable]] = {
-    "independent": ({"marginals"}, _parse_independent),
-    "markov": ({"transition", "init"}, _parse_markov),
-    "tree": ({"parent", "edge_transition", "root_marginal"}, _parse_tree),
-    "window": ({"width", "target_alpha"}, _parse_window),
-    "table": ({"kernels"}, _parse_table),
+_FAMILIES: dict[str, Family] = {
+    "independent": Family({"marginals"}, _parse_independent),
+    "markov": Family({"transition", "init"}, _parse_markov, _describe_markov),
+    "tree": Family({"parent", "edge_transition", "root_marginal"}, _parse_tree),
+    "window": Family({"width", "target_alpha"}, _parse_window, _describe_window),
+    "table": Family({"kernels"}, _parse_table),
 }
 
 # Each builtin target's parameter keys (all required) and its constructor
@@ -357,13 +379,15 @@ class ScenarioConfig:
         leading steps; ``horizon`` must then be at least ``prefix_from``.
         """
         n = self.horizon if horizon is None else int(horizon)
-        spec = self.builder(n, self.run.budget, within)
-        # Independent matrices, trees and tables fix their own horizon.
-        if spec.horizon != n:
+        if self.prefix_from is None and n != self.horizon:
             raise ValueError(
-                f"{self.family} scenario is pinned to horizon {spec.horizon}, asked for {n}"
+                f"{self.family} scenario is pinned to horizon {self.horizon}, asked for {n}"
             )
-        return spec
+        return self.builder(n, self.run.budget, within)
+
+    def describe(self, spec: ProcessSpec) -> list[str]:
+        """The family's summary lines for ``spec``, one of its builds."""
+        return _FAMILIES[self.family].describe(spec)
 
     def target(self, horizon: int | None = None) -> TargetFunction:
         return self.target_builder(self.horizon if horizon is None else int(horizon))
@@ -399,13 +423,12 @@ def _parse_scenario(node) -> tuple[str, int, int, Builder, int | None]:
     alphabet = _get(scenario, "alphabet", "scenario", _number, integer=True, minimum=1)
     path = _join("scenario", family)
     params = _get(scenario, family, "scenario", _as_mapping)
-    keys, parse = _FAMILIES[family]
-    _check_keys(params, keys, path)
-    builder, prefix_from = parse(params, path, horizon, alphabet)
+    _check_keys(params, _FAMILIES[family].keys, path)
+    builder, prefix_from = _FAMILIES[family].parse(params, path, horizon, alphabet)
     return family, horizon, alphabet, builder, prefix_from
 
 
-def _parse_target(node, alphabet: int) -> tuple[str, Callable[[int], TargetFunction], bool]:
+def _parse_target(node, horizon: int, alphabet: int) -> tuple[str, Callable, bool]:
     target = _as_mapping(node, "target")
     name = _get(target, "name", "target", _choice, sorted(_TARGETS))
     allowed, make = _TARGETS[name]
@@ -417,9 +440,10 @@ def _parse_target(node, alphabet: int) -> tuple[str, Callable[[int], TargetFunct
         )
     if "value" in allowed:
         params["value"] = _get(target, "value", "target", _number)
+    # A value table lists f by trajectory rank, so it fixes the horizon.
     if "values" in allowed:
-        params["values"] = _get(target, "values", "target", _array, 1)
-    # A value table is indexed by trajectory rank, so it fixes the horizon.
+        values = _get(target, "values", "target", _array, 1)
+        params["values"] = _shaped(values, "target.values", (alphabet**horizon,))
     return name, lambda n: make(n, alphabet, params), "values" not in allowed
 
 
@@ -474,7 +498,7 @@ def parse_config(data) -> ScenarioConfig:
     if "target" not in doc:
         raise ConfigError("target", "missing required section")
     family, horizon, alphabet, builder, prefix_from = _parse_scenario(doc["scenario"])
-    target_name, target_builder, target_free = _parse_target(doc["target"], alphabet)
+    target_name, target_builder, target_free = _parse_target(doc["target"], horizon, alphabet)
     mode, declared = _parse_sensitivity(doc.get("sensitivity"), horizon)
     run = _parse_run(doc.get("run"))
     sweep = _parse_sweep(doc.get("sweep"))

@@ -107,7 +107,8 @@ class ProcessSpec:
         kernel reads; must be a subset of {1, ..., j-1}.
     family : str
         Constructor tag ("independent", "markov", "tree", "window", "table",
-        "coupled-pair", or "custom"); drives family-specific bound rows.
+        "coupled-pair", or "custom"); a key of ``bounds.FAMILY_ROWS`` adds
+        the family's own bound rows.
     meta : mapping
         Parameters recorded by the constructors, for reporting.
 

@@ -35,6 +35,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seqbound import (
     ProcessSpec,
@@ -82,6 +83,80 @@ FAMILY_CASES = {
     ),
     "window": ("window", 4, {"width": 2, "target_alpha": 0.5}, 3),
     "table": ("table", 2, {"kernels": [[[0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]]}, None),
+}
+
+
+MAX_RANDOM_HORIZON = 7
+MAX_RANDOM_ALPHABET = 3
+
+
+def _shape(draw, min_horizon: int = 1, min_size: int = 1) -> tuple[int, int]:
+    horizon = draw(st.integers(min_horizon, MAX_RANDOM_HORIZON))
+    return horizon, draw(st.integers(min_size, MAX_RANDOM_ALPHABET))
+
+
+def _distribution(draw, size: int) -> list[float]:
+    """A probability vector of small-integer weights, so zeros and ties come up."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+    return [w / sum(weights) for w in weights]
+
+
+def _rows(draw, n_rows: int, size: int) -> list[list[float]]:
+    return [_distribution(draw, size) for _ in range(n_rows)]
+
+
+@st.composite
+def _independent_scenario(draw):
+    horizon, size = _shape(draw)
+    shared = draw(st.booleans())
+    marginals = _distribution(draw, size) if shared else _rows(draw, horizon, size)
+    return horizon, size, {"marginals": marginals}
+
+
+@st.composite
+def _markov_scenario(draw):
+    horizon, size = _shape(draw)
+    return horizon, size, {"transition": _rows(draw, size, size), "init": _distribution(draw, size)}
+
+
+@st.composite
+def _tree_scenario(draw):
+    """A random forest with one shared edge kernel and root marginal, or one
+    per node, null where the node does not read it."""
+    horizon, size = _shape(draw)
+    parent = [draw(st.integers(0, j)) for j in range(horizon)]
+    if draw(st.booleans()):
+        edge, root = _rows(draw, size, size), _distribution(draw, size)
+    else:
+        edge = [_rows(draw, size, size) if p else None for p in parent]
+        root = [None if p else _distribution(draw, size) for p in parent]
+    return horizon, size, {"parent": parent, "edge_transition": edge, "root_marginal": root}
+
+
+@st.composite
+def _window_scenario(draw):
+    """A window past its width, over at least two symbols, where every
+    target below 1 calibrates."""
+    width = draw(st.integers(1, 3))
+    horizon, size = _shape(draw, min_horizon=width + 1, min_size=2)
+    return horizon, size, {"width": width, "target_alpha": draw(st.floats(0.0, 0.95))}
+
+
+@st.composite
+def _table_scenario(draw):
+    horizon, size = _shape(draw)
+    return horizon, size, {"kernels": [_rows(draw, size**j, size) for j in range(horizon)]}
+
+
+# One random-instance generator per config family: a hypothesis strategy for
+# (horizon, alphabet, family block), at most MAX_RANDOM_HORIZON steps over at
+# most MAX_RANDOM_ALPHABET symbols.
+RANDOM_SCENARIOS = {
+    "independent": _independent_scenario(),
+    "markov": _markov_scenario(),
+    "tree": _tree_scenario(),
+    "window": _window_scenario(),
+    "table": _table_scenario(),
 }
 
 

@@ -29,12 +29,18 @@ from seqbound import (
     uniform_decay_tail,
     causal_resolvent,
     dobrushin_coefficient,
+    prefix_expectation_table,
+    verify_coupling_marginals,
+    verify_discrepancy_recursion,
+    verify_oscillation_bound,
 )
-from seqbound.config import parse_config
+from seqbound.bounds import FAMILY_ROWS
+from seqbound.config import _FAMILIES, _TARGETS, parse_config
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
     FAMILY_CASES,
+    RANDOM_SCENARIOS,
     family_doc,
     random_positive_spec,
     random_sparse_spec,
@@ -364,12 +370,17 @@ class TestCompareBounds:
 # One invariant over every family
 # ============================================================
 
-ALPHA_ROWS = {"markov": ("markov", "kontorovich", "samson"), "tree": ("tree",)}
+
+def family_row_names(spec, c) -> list[str]:
+    """The names of the rows ``FAMILY_ROWS`` adds for ``spec``'s family."""
+    rows = FAMILY_ROWS.get(spec.family, lambda *_: [])
+    return [row.name for row in rows(spec, interdependence_matrix(spec), np.asarray(c, float))]
 
 
-def check_catalog(spec, c) -> None:
+def check_catalog(spec, c):
     """Every row of the catalog is its proxy or None with a reason, exact is
-    at most every certified row, and the Markov and tree rows read alpha off H."""
+    at most every certified row, and the family rows read alpha off H.
+    Returns the report."""
     report = compare_bounds(spec, c=c)
     exact = report["exact"]
     assert exact.applicable
@@ -380,10 +391,11 @@ def check_catalog(spec, c) -> None:
         elif row.certified:
             assert exact.proxy <= row.proxy
     alpha = interdependence_matrix(spec).max()
-    for name in ALPHA_ROWS.get(spec.family, ()):
+    for name in family_row_names(spec, c):
         assert report[name].details["alpha"] == alpha
     if spec.family == "markov" and spec.horizon >= 2:
         assert alpha == dobrushin_coefficient(spec.meta["transition"])
+    return report
 
 
 def sensitivities(rng, horizon):
@@ -431,7 +443,7 @@ class TestCatalogInvariant:
         # N * ||c||_inf^2.
         spec = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 1)
         report = compare_bounds(spec, c=np.ones(1))
-        rows = {name: report[name] for name in ALPHA_ROWS["markov"]}
+        rows = {name: report[name] for name in family_row_names(spec, np.ones(1))}
         assert {name: (b.proxy, b.certified, b.details["alpha"]) for name, b in rows.items()} == {
             "markov": (1.0, True, 0.0),
             "kontorovich": (1.0, False, 0.0),
@@ -439,3 +451,50 @@ class TestCatalogInvariant:
         }
         assert report["exact"].proxy == 1.0
         assert report["kontorovich"].details["multiplier"] == 1.0
+
+
+# ============================================================
+# Every config family, from random documents
+# ============================================================
+
+
+@st.composite
+def random_target(draw, horizon: int, size: int) -> dict:
+    """A target block of any builtin target, with random parameters."""
+    name = draw(st.sampled_from(sorted(_TARGETS)))
+    n_values = size**horizon
+    params = {
+        "symbol": st.integers(0, size - 1),
+        "value": st.floats(-2.0, 2.0),
+        "values": st.lists(st.integers(-3, 3), min_size=n_values, max_size=n_values),
+    }
+    return {"name": name, **{key: draw(params[key]) for key in _TARGETS[name][0]}}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_random_scenarios_of_every_family(family, data):
+    """Parse, build and bound a random document of each family: exact is at
+    most every certified applicable row, the family rows read alpha = max H,
+    and up to N = 6 the exact verification suites pass."""
+    assert family in RANDOM_SCENARIOS, f"conftest.RANDOM_SCENARIOS has no generator for {family}"
+    horizon, size, block = data.draw(RANDOM_SCENARIOS[family])
+    doc = {
+        "scenario": {"family": family, "horizon": horizon, "alphabet": size, family: block},
+        "target": data.draw(random_target(horizon, size)),
+    }
+    config = parse_config(doc)
+    spec, f = config.build(), config.target()
+    assert spec.family == family
+    c = config.sensitivity(spec, f)
+    report = check_catalog(spec, c)
+    if horizon > 6:
+        return
+    gamma = report.resolvent
+    assert verify_oscillation_bound(spec, prefix_expectation_table(spec, f), gamma, c).passed
+    assert verify_coupling_marginals(spec).passed
+    # One Monte Carlo sample: its rows are left out, the exact ones checked.
+    recursion = verify_discrepancy_recursion(spec, gamma, n_samples=1, seed=0)
+    exact_rows = [row for row in recursion.rows if row.check == "discrepancy_exact"]
+    assert len(exact_rows) == horizon**2 and all(row.passed for row in exact_rows)

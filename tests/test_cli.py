@@ -803,11 +803,12 @@ class TestEnvResolution:
             ("budget", "zero", "expected an integer, got 'zero'"),
             ("budget", "0", "must be >= 1, got 0"),
             ("seed", str(MAX_SEED + 1), f"must be <= {MAX_SEED}, got {MAX_SEED + 1}"),
+            ("n_samples", "10", "must be >= 1000, got 10"),
         ],
     )
     def test_flag_and_env_share_one_parser(self, monkeypatch, capsys, name, text, message):
         with pytest.raises(SystemExit) as err:
-            cli.main(["describe", "--config", MARKOV, f"--{name}", text])
+            cli.main(["describe", "--config", MARKOV, f"--{name.replace('_', '-')}", text])
         assert err.value.code == 2
         assert message in capsys.readouterr().err
         monkeypatch.setenv(f"SEQBOUND_{name.upper()}", text)

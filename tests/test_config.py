@@ -8,18 +8,27 @@ import numpy as np
 import pytest
 import yaml
 
+import seqbound
 from seqbound import (
     CalibrationError,
     ConfigError,
     DEFAULT_N_SAMPLES,
     DEFAULT_SEED,
+    build_calibrated_window,
+    build_causal_tree,
+    build_from_tables,
+    build_independent,
+    build_markov,
+    build_sliding_window,
+    cli,
     load_config,
     parse_config,
     prefix_expectation_table,
 )
-from seqbound import cli
+from seqbound.bounds import FAMILY_ROWS
 from seqbound.config import _FAMILIES, _TARGETS, RUN_SETTINGS
-from conftest import FAMILY_CASES, family_doc
+from seqbound.sampling import MIN_TAIL_SAMPLES
+from conftest import FAMILY_CASES, RANDOM_SCENARIOS, family_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -176,6 +185,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_table_target_length_checked(self, tmp_path, capsys):
+        # Horizon 3 over 2 symbols has 8 trajectories.
+        doc = minimal_markov(target={"name": "table", "values": [1, 2, 3]})
+        path = tmp_path / "table.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert cli.main(["describe", "--config", str(path)]) == 2
+        message = "config error at target.values: must have shape (8,), got (3,)"
+        assert message in capsys.readouterr().err
+
+    def test_n_samples_covers_the_tail_estimate(self):
+        doc = minimal_markov(run={"n_samples": MIN_TAIL_SAMPLES - 1})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.path, err.value.message) == (
+            "run.n_samples",
+            f"must be >= {MIN_TAIL_SAMPLES}, got {MIN_TAIL_SAMPLES - 1}",
+        )
+        config = parse_config(minimal_markov(run={"n_samples": MIN_TAIL_SAMPLES}))
+        assert config.run.n_samples == MIN_TAIL_SAMPLES
+
 
 # ============================================================
 # One rule per kind of value: number, numeric array, choice
@@ -218,7 +247,7 @@ NUMERIC_DOCS = {
         for name in ("count_symbol", "constant", "table")
     },
     "declared": minimal_markov(sensitivity={"declared": [1.0, 0.5, 1.0]}),
-    "run": minimal_markov(run={"seed": 1, "budget": 10**6, "n_samples": 10, "t_grid": [0.5, 1]}),
+    "run": minimal_markov(run={"seed": 1, "budget": 10**6, "n_samples": 1000, "t_grid": [0.5, 1]}),
     "sweep": minimal_markov(sweep={"horizons": [3, 6]}),
 }
 NUMERIC_ENTRIES = {
@@ -231,8 +260,8 @@ NUMERIC_ENTRIES = {
 class TestValueKinds:
     def test_every_numeric_key_has_a_case(self):
         keys = {entry.split("[")[0] for entry in NUMERIC_ENTRIES}
-        for family, (block_keys, _) in _FAMILIES.items():
-            assert {f"scenario.{family}.{key}" for key in block_keys} <= keys
+        for family, record in _FAMILIES.items():
+            assert {f"scenario.{family}.{key}" for key in record.keys} <= keys
         assert {"scenario.horizon", "scenario.alphabet", "sensitivity.declared"} <= keys
         assert "sweep.horizons" in keys
         assert {f"target.{key}" for keys_, _ in _TARGETS.values() for key in keys_} <= keys
@@ -565,6 +594,22 @@ class TestTables:
         with pytest.raises(ValueError, match="leading steps must number 1..6"):
             config.build(horizon=7, within=larger)
 
+    def test_family_tags_are_family_records(self):
+        """Every tag a builtin builder sets, and every family with rows of its
+        own in the bound catalog, has a config record."""
+        edge, marginal = [[0.6, 0.4], [0.4, 0.6]], [0.5, 0.5]
+        builds = {
+            "build_independent": build_independent(marginal, 2),
+            "build_markov": build_markov(edge, marginal, 2),
+            "build_causal_tree": build_causal_tree([0, 1], edge, marginal),
+            "build_sliding_window": build_sliding_window(1, lambda step, w: marginal, 2, 2),
+            "build_calibrated_window": build_calibrated_window(2, 2, 1, 0.5),
+            "build_from_tables": build_from_tables([[marginal], edge]),
+        }
+        assert set(builds) == {name for name in seqbound.__all__ if name.startswith("build_")}
+        assert {spec.family for spec in builds.values()} <= set(_FAMILIES)
+        assert set(FAMILY_ROWS) <= set(_FAMILIES)
+
     @pytest.mark.parametrize("name", sorted(TARGET_CASES))
     def test_target_entry(self, name):
         params, value = TARGET_CASES[name]
@@ -576,6 +621,7 @@ class TestTables:
 
     def test_every_entry_has_a_case(self):
         assert {family for family, *_ in FAMILY_CASES.values()} == set(_FAMILIES)
+        assert set(RANDOM_SCENARIOS) == set(_FAMILIES)
         assert set(TARGET_CASES) == set(_TARGETS)
         for name, (keys, _) in _TARGETS.items():
             assert set(TARGET_CASES[name][0]) == keys
@@ -584,10 +630,11 @@ class TestTables:
         """Every family block key and every target name with its keys appears
         in docs/config_schema.md, so an entry added without docs fails here."""
         text = (ROOT / "docs" / "config_schema.md").read_text()
-        for family, (keys, _) in _FAMILIES.items():
+        for family, record in _FAMILIES.items():
             section = re.search(rf"^`{family}`:\n\n((?:\|.*\n)+)", text, re.MULTILINE)
             assert section, f"no key table for family {family}"
-            assert set(re.findall(r"^\| `(\w+)` \|", section.group(1), re.MULTILINE)) == keys
+            keys = set(re.findall(r"^\| `(\w+)` \|", section.group(1), re.MULTILINE))
+            assert keys == record.keys
         for name, (keys, _) in _TARGETS.items():
             row = re.search(rf"^\| `{name}` \| (.*?) \|", text, re.MULTILINE)
             assert row, f"no row for target {name}"
