@@ -32,7 +32,7 @@ from .process import (
 )
 from .report import VerificationReport, make_check
 from .sampling import _trajectory_blocks, binomial_stderr
-from .targets import as_sensitivity, bounded_differences
+from .targets import as_sensitivity, bounded_differences, evaluate_batch
 
 # ============================================================
 # Tolerances
@@ -234,14 +234,43 @@ def simulate_coupled_paths(
     off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
     n = int(n_samples)
     counts = np.zeros(spec.horizon, dtype=np.int64)
-    for _, rows in _trajectory_blocks(coupled_pair_process(spec), n, seed, start):
-        counts += np.count_nonzero(off_diagonal[rows], axis=0)
+    for _, (rows,) in _trajectory_blocks([(coupled_pair_process(spec), start)], n, seed):
+        _count_disagreements(counts, rows, off_diagonal)
+    return _discrepancy_estimate(counts, n)
+
+
+def _count_disagreements(counts: np.ndarray, rows: np.ndarray, off_diagonal: np.ndarray) -> None:
+    """Add to counts[j] the rows of a block of pair paths that disagree at
+    coordinate j + 1, one contiguous column at a time."""
+    for j, column in enumerate(rows.T):
+        counts[j] += np.count_nonzero(off_diagonal.take(column))
+
+
+def _discrepancy_estimate(counts: np.ndarray, n: int) -> DiscrepancyEstimate:
     v_hat = counts / n
-    return DiscrepancyEstimate(
-        v_hat=v_hat,
-        stderr=binomial_stderr(v_hat, n),
-        n_samples=n,
-    )
+    return DiscrepancyEstimate(v_hat=v_hat, stderr=binomial_stderr(v_hat, n), n_samples=n)
+
+
+def sample_values_and_discrepancy(
+    spec: ProcessSpec, f, x: int, xp: int, n_samples: int, seed: int
+) -> tuple[np.ndarray, DiscrepancyEstimate]:
+    """f on ``sample_trajectories(spec, n_samples, seed)``, and
+    ``simulate_coupled_paths(spec, 1, (), x, xp, n_samples, seed)``, from one
+    draw: row i of both reads the i-th N uniforms of the seeded stream,
+    drawn once for the two lanes.  Each block is reduced as it is drawn, so
+    memory is one block per lane plus the n_samples values.  Both results
+    are bit-identical to those of the two one-lane draws, and the values to
+    those ``empirical_tail`` evaluates.
+    """
+    n = int(n_samples)
+    lanes = [(spec, ()), (coupled_pair_process(spec), _pivot_prefix(spec, 1, (), x, xp))]
+    off_diagonal = ~np.eye(spec.alphabet.size, dtype=bool).ravel()
+    values = np.empty(n)
+    counts = np.zeros(spec.horizon, dtype=np.int64)
+    for start, (paths, pairs) in _trajectory_blocks(lanes, n, seed):
+        values[start : start + paths.shape[0]] = evaluate_batch(f, paths)
+        _count_disagreements(counts, pairs, off_diagonal)
+    return values, _discrepancy_estimate(counts, n)
 
 
 def _first_positive_prefix(spec: ProcessSpec, depth: int) -> tuple[int, ...]:
@@ -336,12 +365,26 @@ def verify_discrepancy_recursion(
 ) -> VerificationReport:
     """Check exact and sampled disagreement probabilities against rows of Gamma.
 
+    The rows of ``exact_discrepancy_rows``, then those of
+    ``sampled_discrepancy_rows`` for ``simulate_coupled_paths`` at the
+    pivot the exact rows chose.
+    """
+    rows, (x, xp), exact = exact_discrepancy_rows(spec, gamma, budget)
+    estimate = simulate_coupled_paths(spec, 1, (), x, xp, n_samples, seed)
+    return VerificationReport(tuple(rows + sampled_discrepancy_rows(gamma, estimate, exact)))
+
+
+def exact_discrepancy_rows(
+    spec: ProcessSpec, gamma, budget: int | None = None
+) -> tuple[list, tuple[int, int], np.ndarray]:
+    """The ``discrepancy_exact`` rows, and the pivot-state pair (x, xp) of
+    the Monte Carlo check at pivot 1, with its exact v.
+
     For every pivot k (at the lexicographically first positive-probability
     prefix) and every ordered pivot-state pair, the exactly enumerated v
     must satisfy v_j <= Gamma[k, j] coordinate-wise; rows record the worst
-    pair per (k, j).  A Monte Carlo run at pivot 1, at the pair with the
-    largest exact total disagreement, must agree with the exact v within
-    RECURSION_SIGMAS standard errors and respect the same bound.
+    pair per (k, j).  The Monte Carlo pivot is the pair at k = 1 with the
+    largest exact total disagreement.
     """
     n, size = spec.horizon, spec.alphabet.size
     gamma = np.asarray(gamma, dtype=float)
@@ -355,7 +398,7 @@ def verify_discrepancy_recursion(
         v = exact_pair_discrepancy(spec, k, first[: k - 1], xs, xps, budget)
         if k == 1:
             best = int(np.argmax(v.sum(axis=1)))
-            mc_pair, mc_exact = (int(xs[best]), int(xps[best])), v[best]
+            pivot, exact = (int(xs[best]), int(xps[best])), v[best]
         worst = v.max(axis=0)
         for j in range(1, n + 1):
             rows.append(
@@ -368,9 +411,17 @@ def verify_discrepancy_recursion(
                     tolerance=EXACT_COMPARISON_TOLERANCE,
                 )
             )
+    return rows, pivot, exact
 
-    estimate = simulate_coupled_paths(spec, 1, (), mc_pair[0], mc_pair[1], n_samples, seed)
-    for j in range(1, n + 1):
+
+def sampled_discrepancy_rows(gamma, estimate: DiscrepancyEstimate, exact) -> list:
+    """The ``discrepancy_mc_bound`` and ``discrepancy_mc_exact`` rows of a
+    Monte Carlo run at pivot 1: its frequencies must respect Gamma's first
+    row and agree with the exact v, each within RECURSION_SIGMAS standard
+    errors."""
+    gamma = np.asarray(gamma, dtype=float)
+    rows = []
+    for j in range(1, len(estimate.v_hat) + 1):
         allowance = RECURSION_SIGMAS * float(estimate.stderr[j - 1])
         rows.append(
             make_check(
@@ -385,13 +436,13 @@ def verify_discrepancy_recursion(
         rows.append(
             make_check(
                 check="discrepancy_mc_exact",
-                observed=abs(float(estimate.v_hat[j - 1]) - float(mc_exact[j - 1])),
+                observed=abs(float(estimate.v_hat[j - 1]) - float(exact[j - 1])),
                 bound=allowance,
                 k=1,
                 j=j,
             )
         )
-    return VerificationReport(tuple(rows))
+    return rows
 
 
 def verify_coupling_marginals(spec: ProcessSpec) -> VerificationReport:

@@ -307,12 +307,25 @@ def trajectory_rows(horizon: int, size: int) -> np.ndarray:
 
 
 def evaluate_batch(f, paths: np.ndarray) -> np.ndarray:
-    """Vector of f over the rows of an (n, N) path array."""
+    """Vector of f over the rows of an (n, N) path array.
+
+    Values that are not one finite number per row, from ``f.batch`` or
+    ``f.evaluate``, raise ValueError naming the target.
+    """
     batch = getattr(f, "batch", None)
     if batch is not None:
-        return np.asarray(batch(paths), dtype=float)
-    fn = getattr(f, "evaluate", f)
-    return np.array([float(fn(tuple(row))) for row in paths.tolist()])
+        values = np.asarray(batch(paths), dtype=float)
+    else:
+        fn = getattr(f, "evaluate", f)
+        values = np.array([float(fn(tuple(row))) for row in paths.tolist()])
+    if values.shape != (paths.shape[0],):
+        problem = f"must give one value per path: shape ({paths.shape[0]},), got {values.shape}"
+    elif not np.all(np.isfinite(values)):
+        problem = "gave non-finite values"
+    else:
+        return values
+    name = getattr(f, "name", None) or getattr(f, "__name__", repr(f))
+    raise ValueError(f"target {name} {problem}")
 
 
 def exact_expectation(spec: ProcessSpec, f, budget: int | None = None) -> float:

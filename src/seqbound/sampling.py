@@ -5,9 +5,12 @@ empirical exceedance-tail estimator for ``|f(X) - E f(X)| >= t``, and checks
 that the empirical tail stays below each concentration bound.  Samples are
 drawn in blocks of ``_block_rows(n, N)`` rows: at least ``SAMPLE_BLOCK_ROWS``
 rows and at least ``SAMPLE_BLOCK_CELLS`` cells (rows * N), and never more than
-n.  The estimators reduce each block as it is drawn, so their memory is
-O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS) + n_samples), not
-O(n_samples * N).  A step draws each symbol by a binary search over its
+n.  One draw serves several lanes, processes of one horizon each with its
+own prefix: a block's uniforms are drawn once and every lane's rows are read
+off them.  The estimators reduce each block as it is drawn, so their memory
+is O(block * N * 8 + lanes * block * N + n_samples) bytes, with block * N =
+O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), not O(n_samples * N).
+A step draws each symbol by a binary search over its
 kernel row's cumulative sums in which every level is one gather from a
 contiguous vector of that level's probes and one compare, so a two-symbol
 step is two array calls.
@@ -94,19 +97,51 @@ def _probe_vectors(table: np.ndarray) -> list[np.ndarray]:
     return [flat[(1 << lv) - 1 :: 2 << lv].copy() for lv in reversed(range(levels))]
 
 
-def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[int] = ()):
-    """Yield ``(start, rows)``: rows start..start + len(rows) - 1 of
-    ``sample_trajectories(spec, n, seed, prefix)``, ``_block_rows(n, N)`` at
-    a time (at least ``SAMPLE_BLOCK_ROWS`` rows and ``SAMPLE_BLOCK_CELLS``
-    cells, at most n rows).
+def _trajectory_blocks(lanes: Sequence[tuple[ProcessSpec, Sequence[int]]], n: int, seed: int):
+    """Yield ``(start, rows)``: ``rows[l]`` holds rows start..start + m - 1
+    of ``sample_trajectories(spec, n, seed, prefix)`` for the l-th lane
+    ``(spec, prefix)``, ``_block_rows(n, N)`` rows at a time (at least
+    ``SAMPLE_BLOCK_ROWS`` rows and ``SAMPLE_BLOCK_CELLS`` cells, at most n
+    rows).  Every lane has one horizon N and reads the same uniforms, which
+    are drawn once per block for all of them.
 
-    ``rows`` is a view of one reused (block, N) column-major buffer, which
-    the next block overwrites: reduce it before asking for more.  Each
-    block's uniforms are read from the stream in chunks of at most an eighth
-    of a block and copied transposed into one reused (N, block) buffer, so
-    each step reads its uniforms as one contiguous row.  Memory is these
-    two buffers, one chunk and the probe vectors: O(block * N), that is
-    O(max(SAMPLE_BLOCK_ROWS * N, SAMPLE_BLOCK_CELLS)), whatever n is.
+    Each lane's rows are a view of its own reused (block, N) column-major
+    path buffer, which the next block overwrites: reduce them before asking
+    for more.  Each block's uniforms are read from the stream in chunks of at
+    most an eighth of a block and copied transposed into one reused
+    (N, block) buffer, so each step reads its uniforms as one contiguous row.
+    Memory is that buffer and one chunk, plus each lane's path buffer and
+    probe vectors: O(block * N * 8 + lanes * block * N) bytes for one-byte
+    paths, where block * N = O(max(SAMPLE_BLOCK_ROWS * N,
+    SAMPLE_BLOCK_CELLS)) whatever n is.  Row i of every lane reads the i-th
+    N uniforms of the stream whatever the block shape, so the paths do not
+    depend on the block size or on the other lanes.  Arguments are checked
+    when the first block is asked for.
+    """
+    if n < 1:
+        raise ValueError(f"n_samples must be positive, got {n}")
+    horizons = sorted({spec.horizon for spec, _ in lanes})
+    if len(horizons) != 1:
+        raise ValueError(f"lanes must share one horizon, got {horizons}")
+    horizon = horizons[0]
+    block = _block_rows(n, horizon)
+    fills = [_lane(spec, prefix, block) for spec, prefix in lanes]
+    rng = np.random.default_rng(seed)
+    uniforms = np.empty((horizon, block))
+    chunk = np.empty((max(block // 8, 1), horizon))
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        for lo in range(0, m, chunk.shape[0]):
+            drawn = rng.random(out=chunk[: m - lo])
+            uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
+        yield start, tuple(fill(uniforms, m) for fill in fills)
+
+
+def _lane(spec: ProcessSpec, prefix: Sequence[int], block: int):
+    """The block filler of one lane of ``_trajectory_blocks``: ``fill(uniforms,
+    m)`` draws m rows of ``spec`` after ``prefix`` from the (N, block)
+    uniforms into the lane's (block, N) column-major path buffer and returns
+    them.
 
     Each step inverts the CDF of every sample's row of the step's kernel
     table by a binary search over the row's cumulative sums, one level per
@@ -118,34 +153,22 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
     and shifts its bit into the column.  The symbol is the number of the
     row's first |A| - 1 cumulative sums at or below the uniform, so
     zero-probability symbols, whose cells are empty, are never selected;
-    the +inf padding is never at or below it.  Row i reads the i-th N
-    uniforms of the stream whatever the block shape, so the paths do not
-    depend on the block size.  Arguments are checked when the first block
-    is asked for.
+    the +inf padding is never at or below it.
     """
-    if n < 1:
-        raise ValueError(f"n_samples must be positive, got {n}")
     horizon, size = spec.horizon, spec.alphabet.size
     pre = _symbols(prefix, size, "prefix")
     if len(pre) > horizon:
         raise ValueError(f"prefix {pre} is not a history of this process")
     steps = range(len(pre) + 1, horizon + 1)
     tables = {step: _probe_vectors(step_table(spec, step)) for step in steps}
-    block = _block_rows(n, horizon)
     # Column-major, so each step reads and writes one contiguous column.
     buffer = np.zeros((block, horizon), dtype=np.min_scalar_type(size - 1), order="F")
     buffer[:, : len(pre)] = pre
     # A bool view stores the top bit without a cast where paths are one byte.
     top_bits = buffer.view(bool) if buffer.itemsize == 1 else buffer
-    rng = np.random.default_rng(seed)
-    uniforms = np.empty((horizon, block))
-    chunk = np.empty((max(block // 8, 1), horizon))
-    for start in range(0, n, block):
-        m = min(block, n - start)
+
+    def fill(uniforms: np.ndarray, m: int) -> np.ndarray:
         rows = buffer[:m]
-        for lo in range(0, m, chunk.shape[0]):
-            drawn = rng.random(out=chunk[: m - lo])
-            uniforms[:, lo : lo + drawn.shape[0]] = drawn.T
         for step in steps:
             probes, coords = tables[step], spec.signature_coords(step)
             u, column = uniforms[step - 1, :m], rows[:, step - 1]
@@ -157,7 +180,9 @@ def _trajectory_blocks(spec: ProcessSpec, n: int, seed: int, prefix: Sequence[in
                 below = probe.take(key) <= u
                 column <<= 1
                 column += below
-        yield start, rows
+        return rows
+
+    return fill
 
 
 def sample_trajectories(
@@ -169,19 +194,20 @@ def sample_trajectories(
     result is bit-reproducible and independent of how samples would be
     scheduled across workers.  Each symbol is the number of its kernel row's
     first |A| - 1 cumulative sums at or below its uniform, found by the
-    per-level binary search of ``_trajectory_blocks``.  The blocks of ``_trajectory_blocks`` are
-    copied into the returned array, so memory beside it is O(block * N);
-    callers that only reduce the paths read the blocks themselves.  The
+    per-level binary search of ``_lane``.  The blocks of a one-lane
+    ``_trajectory_blocks`` are copied into the returned array, so memory
+    beside it is O(block * N); callers that only reduce the paths read the
+    blocks themselves.  The
     columns of ``prefix`` are pinned in every row, and drawing starts after
     them, with the same uniforms; a prefix symbol that is not an integer in
     0..|A|-1 raises ValueError.
     """
     n = int(n_samples)
-    blocks = _trajectory_blocks(spec, n, seed, prefix)
-    _, rows = next(blocks)
+    blocks = _trajectory_blocks([(spec, prefix)], n, seed)
+    _, (rows,) = next(blocks)
     paths = np.empty((n, spec.horizon), dtype=rows.dtype, order="F")
     paths[: rows.shape[0]] = rows
-    for start, rows in blocks:
+    for start, (rows,) in blocks:
         paths[start : start + rows.shape[0]] = rows
     return paths
 
@@ -260,14 +286,23 @@ def empirical_tail(
         raise ValueError("t grid entries must be finite and nonnegative")
 
     values = np.empty(n)
-    for start, rows in _trajectory_blocks(spec, n, seed):
+    for start, (rows,) in _trajectory_blocks([(spec, ())], n, seed):
         values[start : start + rows.shape[0]] = evaluate_batch(f, rows)
     try:
         mean = exact_expectation(spec, f, budget)
-        exact = True
     except EnumerationBudgetError:
+        mean = None
+    return tail_estimate(values, grid, mean)
+
+
+def tail_estimate(values: np.ndarray, grid: np.ndarray, mean: float | None) -> TailEstimate:
+    """The tail estimate of f's sampled ``values`` on ``grid``, centered at
+    ``mean``, f's exact expectation, or at the sample mean when it is None
+    (flagged on the estimate).  ``empirical_tail``'s closing step."""
+    n = values.shape[0]
+    exact = mean is not None
+    if not exact:
         mean = float(values.mean())
-        exact = False
     deviations = np.abs(values - mean)
     frequencies = np.array([np.count_nonzero(deviations >= t) for t in grid]) / n
     return TailEstimate(

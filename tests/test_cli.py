@@ -235,13 +235,13 @@ def test_csv_outputs_match_golden_hashes(tmp_path, capsys):
 
 # Calls during verify, each exact quantity built once: one influence matrix
 # and resolvent (from compare_bounds, besides window calibration's own
-# influence matrix), no separate sensitivity oracle, two exhaustive
-# evaluations of f (the suites' prefix-expectation table and the tail
-# centering's exact expectation), one exact pair pass per pivot step for
-# all pivot pairs, one walk of the first positive prefix, and one stacked
+# influence matrix), no separate sensitivity oracle, one exhaustive
+# evaluation of f (the suites' prefix-expectation table, whose root also
+# centers the tail), one exact pair pass per pivot step for all pivot
+# pairs, one walk of the first positive prefix, and one stacked
 # maximal-coupling joint per step: the coupling suite checks the pair
 # tables the recursion suite built and builds none itself.  Histories over
-# the base alphabet are enumerated twice, for those two tables of f; the
+# the base alphabet are enumerated once, for that table of f; the
 # oscillation suite walks the positive-probability prefixes forward
 # instead.  The pair tables' enumerations over |A|^2 are not counted.
 VERIFY_CALLS = {
@@ -249,32 +249,32 @@ VERIFY_CALLS = {
         "interdependence_matrix": 2,
         "causal_resolvent": 1,
         "lipschitz_vector_oracle": 0,
-        "exhaustive evaluate_batch": 2,
+        "exhaustive evaluate_batch": 1,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
-        "base trajectory_rows": 2,
+        "base trajectory_rows": 1,
     },
     "markov.yaml": {
         "interdependence_matrix": 1,
         "causal_resolvent": 1,
         "lipschitz_vector_oracle": 0,
-        "exhaustive evaluate_batch": 2,
+        "exhaustive evaluate_batch": 1,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
-        "base trajectory_rows": 2,
+        "base trajectory_rows": 1,
     },
     # The oracle sensitivity is read off f's table, not a third pass over f.
     "markov.yaml, oracle sensitivity": {
         "interdependence_matrix": 1,
         "causal_resolvent": 1,
         "lipschitz_vector_oracle": 0,
-        "exhaustive evaluate_batch": 2,
+        "exhaustive evaluate_batch": 1,
         "exact_pair_discrepancy": 8,
         "_first_positive_prefix": 1,
         "maximal_coupling_joint": 8,
-        "base trajectory_rows": 2,
+        "base trajectory_rows": 1,
     },
 }
 
@@ -340,6 +340,21 @@ def test_verify_refuses_an_overflowed_resolvent(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--config", MARKOV, "--out", str(tmp_path / "out")]) == 2
     assert "error: resolvent Gamma overflows double precision" in capsys.readouterr().err
     assert suites == [0] and not (tmp_path / "out").exists()
+
+
+def test_verify_draws_the_stream_once(tmp_path, monkeypatch):
+    # The tail estimate and the coupled-pair estimate read one draw.
+    seeds = []
+    generator = np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return generator(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    argv = ["verify", "--config", MARKOV, "--out", str(tmp_path), "--seed", "5"]
+    assert cli.main(argv + ["--n-samples", "20000"]) == 0
+    assert seeds == [5]
 
 
 def test_coupling_rows_do_not_depend_on_the_seed(tmp_path):

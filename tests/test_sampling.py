@@ -31,8 +31,10 @@ from seqbound import (
     terminal_symbol,
     tightness_ratios,
 )
+from seqbound.coupling import _pivot_prefix
 from seqbound.process import build_from_tables, spec_from_tables, step_table
 from seqbound.sampling import _block_rows, _probe_vectors
+from seqbound.window import build_calibrated_window
 from conftest import (
     CANONICAL_INIT,
     CANONICAL_TRANSITION,
@@ -236,7 +238,7 @@ def small_blocks(monkeypatch):
 
 def block_starts(spec, n, prefix=()):
     """First row of each block ``_trajectory_blocks`` yields for n samples."""
-    return [start for start, _ in sampling._trajectory_blocks(spec, n, 0, prefix)]
+    return [start for start, _ in sampling._trajectory_blocks([(spec, prefix)], n, 0)]
 
 
 def test_block_rule():
@@ -287,6 +289,48 @@ def test_block_cases_cover_the_signature_shapes():
     assert sample_trajectories(BLOCK_CASES["257 symbols"][0](), 2, seed=0).dtype == np.uint16
 
 
+def lane_paths(lanes, n, seed):
+    """Every lane's (n, N) paths from one draw of ``_trajectory_blocks``."""
+    paths = None
+    for start, rows in sampling._trajectory_blocks(lanes, n, seed):
+        if paths is None:
+            paths = [np.empty((n, r.shape[1]), dtype=r.dtype, order="F") for r in rows]
+        for out, r in zip(paths, rows):
+            out[start : start + r.shape[0]] = r
+    return paths
+
+
+# A base process and its coupled pair process pinned at a pivot: a
+# one-coordinate chain, and a calibrated window, whose steps read several
+# coordinates through history_ranks.
+LANE_CASES = {
+    "markov": (lambda: markov_spec(6), 2, (1,), 0, 1),
+    "calibrated window": (lambda: build_calibrated_window(6, 3, 3, 0.6), 3, (2, 0), 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_two_lanes_draw_each_lanes_paths(small_blocks, name):
+    build, k, prefix, x, xp = LANE_CASES[name]
+    spec = build()
+    pair, pivot = coupled_pair_process(spec), _pivot_prefix(spec, k, prefix, x, xp)
+    n = 52
+    assert n % _block_rows(n, spec.horizon) != 0
+    base_paths, pair_paths = lane_paths([(spec, ()), (pair, pivot)], n, seed=181)
+    for paths, expected in (
+        (base_paths, sample_trajectories(spec, n, seed=181)),
+        (pair_paths, sample_trajectories(pair, n, seed=181, prefix=pivot)),
+    ):
+        assert paths.dtype == expected.dtype
+        assert paths.tobytes() == expected.tobytes()
+
+
+def test_lanes_of_unequal_horizon_are_refused():
+    lanes = [(markov_spec(3), ()), (markov_spec(4), ())]
+    with pytest.raises(ValueError, match="one horizon"):
+        next(sampling._trajectory_blocks(lanes, 10, 0))
+
+
 def block_bytes(n, horizon):
     """float64 bytes of one block of n samples at this horizon."""
     return 8 * _block_rows(n, horizon) * horizon
@@ -296,8 +340,13 @@ def test_memory_beside_paths_is_bounded_by_the_block():
     # One block of uniforms, not the (n, N) matrix (64 MB here), besides the
     # returned paths.
     n, horizon = 20_000, 400
-    paths, peak = traced_peak(lambda: sample_trajectories(markov_spec(horizon), n, seed=61))
+    spec = markov_spec(horizon)
+    paths, peak = traced_peak(lambda: sample_trajectories(spec, n, seed=61))
     assert peak - paths.nbytes < 2 * block_bytes(n, horizon)
+    # A second lane adds one block of paths, not another block of uniforms.
+    lanes = [(spec, ()), (coupled_pair_process(spec), (1,))]
+    both, peak = traced_peak(lambda: lane_paths(lanes, n, seed=61))
+    assert peak - sum(p.nbytes for p in both) < 2 * block_bytes(n, horizon)
 
 
 def test_short_horizon_memory_is_bounded_by_the_cell_budget():
@@ -455,7 +504,7 @@ def test_binary_search_counts_the_sums_at_or_below_u(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "step_table", lambda spec, step: tables[step - 1])
         patch.setattr(np.random, "default_rng", lambda seed: UniformStream(stream))
-        [(_, rows)] = list(sampling._trajectory_blocks(spec, len(ranks), seed=0))
+        [(_, (rows,))] = list(sampling._trajectory_blocks([(spec, ())], len(ranks), seed=0))
     cums = np.cumsum(table, axis=1)
     expected = [
         min(np.searchsorted(cums[rank], u, side="right"), size - 1)

@@ -8,8 +8,10 @@ from seqbound import (
     EnumerationBudgetError,
     TargetFunction,
     as_sensitivity,
+    build_markov,
     constant,
     count_symbol,
+    empirical_tail,
     evaluate_batch,
     lipschitz_vector_oracle,
     parity,
@@ -20,7 +22,13 @@ from seqbound import (
     terminal_symbol,
 )
 from seqbound.targets import bounded_differences
-from conftest import random_positive_spec, random_sparse_spec, random_table_target
+from conftest import (
+    CANONICAL_INIT,
+    CANONICAL_TRANSITION,
+    random_positive_spec,
+    random_sparse_spec,
+    random_table_target,
+)
 
 ORACLE_TOL = 1e-12
 
@@ -98,6 +106,26 @@ class TestEvaluation:
         batch = evaluate_batch(f, paths)
         scalar = np.array([f.evaluate(tuple(p)) for p in paths])
         assert np.allclose(batch, scalar, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            (lambda paths: paths.sum(), r"shape \(\d+,\), got \(\)"),
+            (lambda paths: paths.sum(axis=1, keepdims=True), r"shape \(\d+,\), got \(\d+, 1\)"),
+            (lambda paths: np.full(paths.shape[0], np.nan), "non-finite"),
+        ],
+        ids=["scalar", "column", "nan"],
+    )
+    def test_batch_of_another_shape_or_non_finite_values_is_refused(self, batch, message):
+        # Neither the sampler nor the exhaustive table may read such values:
+        # a scalar would fill every sample, and NaN would never exceed a
+        # threshold.
+        f = TargetFunction("bad batch", lambda x: float(sum(x)), batch=batch)
+        long_chain = build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 30)
+        with pytest.raises(ValueError, match=f"target bad batch .*{message}"):
+            empirical_tail(long_chain, f, [0.0, 1.0], n_samples=1000, seed=1)
+        with pytest.raises(ValueError, match=f"target bad batch .*{message}"):
+            prefix_expectation_table(build_markov(CANONICAL_TRANSITION, CANONICAL_INIT, 6), f)
 
     def test_count_symbol_values(self):
         f = count_symbol(4, 2, 1)
